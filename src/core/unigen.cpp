@@ -12,15 +12,22 @@
 namespace unigen {
 namespace {
 
-/// Lexicographic order on equal-length total assignments.  lbool's
-/// underlying values (False=0, True=1) make this the natural 0/1-string
-/// order over the formula variables.
-bool model_lex_less(const Model& a, const Model& b) {
-  return std::lexicographical_compare(
-      a.begin(), a.end(), b.begin(), b.end(),
-      [](lbool x, lbool y) {
-        return static_cast<std::uint8_t>(x) < static_cast<std::uint8_t>(y);
-      });
+/// Canonical order of a cell: lexicographic on the S-projection, in
+/// sampling-set order (lbool's False=0 < True=1).  Blocking is over S, so
+/// projections are unique within a cell.  Bits outside S come from the
+/// serving engine's history when S is not an independent support, so they
+/// must not steer the order.  With S = all variables this is plain
+/// lexicographic order on the whole witness.
+void sort_by_projection(std::vector<Model>& cell,
+                        const std::vector<Var>& sampling_set) {
+  std::sort(cell.begin(), cell.end(), [&](const Model& a, const Model& b) {
+    for (const Var v : sampling_set) {
+      const auto x = static_cast<std::uint8_t>(a[static_cast<std::size_t>(v)]);
+      const auto y = static_cast<std::uint8_t>(b[static_cast<std::size_t>(v)]);
+      if (x != y) return x < y;
+    }
+    return false;
+  });
 }
 
 /// Copies the engine counters of `engine` into `stats` (totals, not
@@ -119,10 +126,10 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
       if (prep.simplifier)
         prep.trivial_models =
             prep.simplifier->extend_models(std::move(prep.trivial_models));
-      // Canonical order: trivial_models[j] must denote the same witness no
-      // matter which solver history produced the enumeration.
-      std::sort(prep.trivial_models.begin(), prep.trivial_models.end(),
-                model_lex_less);
+      // Canonical order: trivial_models[j] must denote the same
+      // S-assignment no matter which solver history produced the
+      // enumeration.
+      sort_by_projection(prep.trivial_models, sampling_set);
       stats.trivial = true;
       prep.mode = UniGenPrepared::Mode::kTrivial;
       stats.prepare_seconds = watch.seconds();
@@ -278,8 +285,8 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
         if (prep.simplifier)
           cell = prep.simplifier->extend_models(std::move(cell));
         // Canonical order (see the header contract): the index a caller's
-        // RNG then draws selects the same witness on every replica.
-        std::sort(cell.begin(), cell.end(), model_lex_less);
+        // RNG then draws selects the same S-assignment on every replica.
+        sort_by_projection(cell, sampling_set);
         out.status = RequestStatus::kComplete;
         out.cell = std::move(cell);
         return out;

@@ -235,10 +235,12 @@ struct AcceptCellResult {
 
 /// Lines 12–17 against a caller-owned engine and RNG stream: draws hashes
 /// until a cell lands in [loThresh, hiThresh]; returns its witnesses in
-/// *canonical (lexicographic) order* — enumeration order depends on the
-/// solver's learnt-clause history, so sorting is what makes the drawn
-/// witness a pure function of (formula, prep, rng), the determinism
-/// contract the parallel service relies on.  `formula_vars` is
+/// *canonical order*, lexicographic on their S-projections — enumeration
+/// order depends on the solver's learnt-clause history, so sorting is what
+/// makes the drawn S-assignment a pure function of (formula, prep, rng),
+/// the determinism contract the parallel service relies on.  Bits outside
+/// S are whatever the serving engine found; they are a function of the
+/// S-bits only when S is an independent support.  `formula_vars` is
 /// Cnf::num_vars() (models are projected back onto the formula's
 /// variables).  `fault_key` identifies this request to
 /// options.budget.fault (use the request's stream index so plans are

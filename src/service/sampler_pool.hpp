@@ -28,11 +28,16 @@
 // Determinism contract: request k draws all of its randomness from
 // Rng(seed).fork_stream(k) — a keyed fork that does not depend on which
 // worker serves the request or how many threads exist — and accepted cells
-// are handed back in canonical (lexicographic) order by unigen_accept_cell,
-// so the witness picked out of a cell cannot depend on the serving engine's
-// learnt-clause history.  Hence for a fixed seed and request sequence the
-// returned sample sets are byte-identical across thread counts (asserted by
-// tests/test_sampler_pool.cpp and bench_parallel_scaling).  Stream indices
+// are handed back sorted by their S-projections by unigen_accept_cell, so
+// the S-assignment picked out of a cell cannot depend on the serving
+// engine's learnt-clause history.  Hence for a fixed seed and request
+// sequence the returned samples are byte-identical on S across thread
+// counts, warm and cold sessions, and backends — and byte-identical on the
+// whole witness when S is an independent support, the paper's setting
+// (asserted by tests/test_sampler_pool.cpp and bench_parallel_scaling).
+// Outside S a witness carries whatever completion its serving engine
+// found, which may differ between engines with different histories.
+// Stream indices
 // keep advancing across calls, so consecutive calls continue one global
 // deterministic sequence.  One caveat: the contract assumes no per-BSAT
 // timeout fires — a timeout retry (paper Section 5) draws a fresh hash from

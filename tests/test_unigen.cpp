@@ -235,6 +235,64 @@ TEST(UniGen, SampleWithoutExplicitPrepareWorks) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(UniGen, WarmEngineDrawsTheSameSProjections) {
+  // S = {2..9} is not an independent support: var 0 is forced true by
+  // ¬2, forced false by 3 and free otherwise (var 1 likewise by 4 and 5),
+  // so the non-S bits of a cell's witnesses are whatever the serving
+  // engine's saved phases steer them to — and, sitting below S in variable
+  // order, they would decide a whole-witness lexicographic sort.  The same
+  // request stream must still pick the same S-assignment on a fresh engine
+  // and on a pre-warmed one that serves the requests in reverse order.
+  Cnf cnf(10);
+  cnf.add_clause({Lit(0, false), Lit(2, false)});
+  cnf.add_clause({Lit(0, true), Lit(3, true)});
+  cnf.add_clause({Lit(1, false), Lit(4, false)});
+  cnf.add_clause({Lit(1, true), Lit(5, true)});
+  cnf.set_sampling_set({2, 3, 4, 5, 6, 7, 8, 9});
+  const std::vector<Var> s = cnf.sampling_set_or_all();
+  UniGenOptions opts;
+  opts.simplify.enabled = false;  // keep the free non-S variables free
+  UniGenPrepared prep;
+  UniGenStats stats;
+  Rng prepare_rng(41);
+  unigen_prepare(cnf, s, opts, prepare_rng, prep, stats);
+  ASSERT_EQ(prep.mode, UniGenPrepared::Mode::kHashed);
+
+  IncrementalBsat fresh(prep.formula(cnf), s);
+  IncrementalBsat warm(prep.formula(cnf), s);
+  const Rng streams(43);
+  for (std::uint64_t k = 100; k < 140; ++k) {
+    Rng rng = streams.fork_stream(k);
+    unigen_accept_cell(warm, s, prep, opts, cnf.num_vars(), rng, stats, k);
+  }
+  constexpr std::uint64_t kRequests = 30;
+  std::vector<AcceptCellResult> cold(kRequests + 1), hot(kRequests + 1);
+  for (std::uint64_t k = 1; k <= kRequests; ++k) {
+    Rng rng = streams.fork_stream(k);
+    cold[k] = unigen_accept_cell(fresh, s, prep, opts, cnf.num_vars(), rng,
+                                 stats, k);
+  }
+  for (std::uint64_t k = kRequests; k >= 1; --k) {
+    Rng rng = streams.fork_stream(k);
+    hot[k] = unigen_accept_cell(warm, s, prep, opts, cnf.num_vars(), rng,
+                                stats, k);
+  }
+  int accepted = 0;
+  for (std::uint64_t k = 1; k <= kRequests; ++k) {
+    const AcceptCellResult& ra = cold[k];
+    const AcceptCellResult& rb = hot[k];
+    ASSERT_EQ(ra.status, rb.status) << "request " << k;
+    ASSERT_EQ(ra.cell.size(), rb.cell.size()) << "request " << k;
+    for (std::size_t i = 0; i < ra.cell.size(); ++i) {
+      EXPECT_TRUE(cnf.satisfied_by(rb.cell[i]));
+      EXPECT_EQ(witness_key(ra.cell[i], s), witness_key(rb.cell[i], s))
+          << "request " << k << " slot " << i;
+    }
+    accepted += ra.ok();
+  }
+  EXPECT_GT(accepted, 0);
+}
+
 TEST(UniGen, StatsRecordThresholds) {
   const Cnf cnf = hashed_mode_formula();
   Rng rng(31);
