@@ -311,7 +311,9 @@ TEST(Simplify, UniGenSamplesByteIdenticalOnVsOff) {
     const SampleResult b = sampler_off.sample();
     ASSERT_EQ(a.status, b.status) << "sample " << i;
     EXPECT_EQ(a.witness, b.witness) << "sample " << i;
-    if (a.ok()) EXPECT_TRUE(cnf.satisfied_by(a.witness));
+    if (a.ok()) {
+      EXPECT_TRUE(cnf.satisfied_by(a.witness));
+    }
   }
   EXPECT_EQ(sampler_on.stats().samples_ok, sampler_off.stats().samples_ok);
 }

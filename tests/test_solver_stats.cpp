@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -31,9 +32,7 @@ std::array<std::uint64_t, kWords> words_of(const SolverStats& s) {
 }
 
 SolverStats stats_of(const std::array<std::uint64_t, kWords>& w) {
-  SolverStats s;
-  std::memcpy(&s, w.data(), sizeof(SolverStats));
-  return s;
+  return std::bit_cast<SolverStats>(w);
 }
 
 TEST(SolverStats, MergeCoversEveryField) {
