@@ -131,7 +131,6 @@ int main() {
   bench::BenchJson json("parallel_scaling");
   json.add("workload", cnf.name.c_str());
   json.add("requests", static_cast<std::uint64_t>(requests));
-  json.add("hardware_threads", static_cast<std::uint64_t>(hw));
   json.add("sps_threads_1", runs[0].sps);
   json.add("sps_threads_2", runs[1].sps);
   json.add("sps_threads_4", runs[2].sps);

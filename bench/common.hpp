@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -81,7 +82,13 @@ class BenchJson {
   }
 
  private:
+  /// A repeated key is a bench bug (JSON readers keep one of the two
+  /// silently), so it aborts the bench with the key's name.
   void field(const char* key, const char* value, bool quote) {
+    if (!keys_.insert(key).second) {
+      std::fprintf(stderr, "BenchJson: duplicate key \"%s\"\n", key);
+      std::abort();
+    }
     if (!body_.empty()) body_ += ",";
     body_ += "\"";
     body_ += key;
@@ -91,6 +98,7 @@ class BenchJson {
     if (quote) body_ += "\"";
   }
   std::string body_;
+  std::set<std::string> keys_;
 };
 
 inline double env_double(const char* name, double fallback) {
