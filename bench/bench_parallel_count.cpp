@@ -7,9 +7,9 @@
 //   * exactly one solver build per worker that served an iteration.
 //
 // Per thread count the run records wall-clock, total BSAT probes and the
-// leapfrog hit-rate (warm starts / iterations started): the serial path
-// leapfrogs every iteration after the first, the parallel path every
-// iteration that finds a completed predecessor, so the aggregate rate
+// leapfrog hit-rate (warm starts / iterations started): a width-1 pool
+// leapfrogs every iteration after the first, a wider one every iteration
+// that finds a completed predecessor, so the aggregate rate
 // should sit well above 1/2 (the acceptance bar tracked in
 // BENCH_parallel_count.json).  Speedup is bounded by the machine:
 // `hardware_threads` is recorded so a 1-core container's flat curve is not
@@ -93,35 +93,26 @@ int main() {
               "bsat calls", "hit-rate", "speedup");
 
   const std::size_t thread_counts[] = {1, 2, 4};
-  // A/B: the classic last-completed-m hint (window = 1) against the
-  // windowed-median policy (window = 5).  The hint is outcome-neutral by
-  // construction, so the B runs must produce the same counts byte-for-byte
-  // — what varies is only the cost profile (warm/cold starts, BSAT calls).
-  const std::size_t kMedianWindow = 5;
-  std::vector<ThreadTotals> runs;        // window = 1 (the default)
-  std::vector<ThreadTotals> median_runs; // window = 5
+  std::vector<ThreadTotals> runs;
   for (const std::size_t threads : thread_counts) {
-    for (const std::size_t window : {std::size_t{1}, kMedianWindow}) {
-      ThreadTotals totals;
-      for (const auto& instance : suite) {
-        ApproxMcOptions opts = base;
-        opts.num_threads = threads;
-        opts.leapfrog_window = window;
-        opts.budget.deadline = Deadline::in_seconds(budget_s);
-        Rng rng(kSeed);  // same seed per instance across thread counts
-        const Stopwatch watch;
-        ApproxMcResult r = approx_count(instance.cnf, opts, rng);
-        totals.seconds += watch.seconds();
-        totals.bsat_calls += r.bsat_calls;
-        totals.warm += r.leapfrog_warm_starts;
-        totals.cold += r.leapfrog_cold_starts;
-        for (std::size_t w = 0; w < r.workers.size(); ++w)
-          if (r.workers[w].solver_rebuilds > 1)
-            totals.one_build_per_worker = false;
-        totals.counts.push_back(std::move(r));
-      }
-      (window == 1 ? runs : median_runs).push_back(std::move(totals));
+    ThreadTotals totals;
+    for (const auto& instance : suite) {
+      ApproxMcOptions opts = base;
+      opts.num_threads = threads;
+      opts.budget.deadline = Deadline::in_seconds(budget_s);
+      Rng rng(kSeed);  // same seed per instance across thread counts
+      const Stopwatch watch;
+      ApproxMcResult r = approx_count(instance.cnf, opts, rng);
+      totals.seconds += watch.seconds();
+      totals.bsat_calls += r.bsat_calls;
+      totals.warm += r.leapfrog_warm_starts;
+      totals.cold += r.leapfrog_cold_starts;
+      for (std::size_t w = 0; w < r.workers.size(); ++w)
+        if (r.workers[w].solver_rebuilds > 1)
+          totals.one_build_per_worker = false;
+      totals.counts.push_back(std::move(r));
     }
+    runs.push_back(std::move(totals));
     const ThreadTotals& t = runs.back();
     std::printf("%8zu %10.2f %12llu %9.0f%% %13.2fx\n", threads, t.seconds,
                 static_cast<unsigned long long>(t.bsat_calls),
@@ -134,12 +125,6 @@ int main() {
     for (std::size_t r = 1; r < runs.size(); ++r)
       if (!same_count(runs[0].counts[i], runs[r].counts[i]))
         identical = false;
-  // The A/B gate: the hint policy must not move any count.
-  bool policy_neutral = true;
-  for (std::size_t i = 0; i < suite.size(); ++i)
-    for (std::size_t r = 0; r < median_runs.size(); ++r)
-      if (!same_count(runs[0].counts[i], median_runs[r].counts[i]))
-        policy_neutral = false;
   const bool one_build = runs[0].one_build_per_worker &&
                          runs[1].one_build_per_worker &&
                          runs[2].one_build_per_worker;
@@ -159,31 +144,6 @@ int main() {
               one_build ? "yes" : "NO");
   std::printf("aggregate leapfrog hit-rate:                %.0f%%\n",
               100.0 * aggregate_hit_rate);
-
-  // The windowed-median verdict.  Publication timing is identical under
-  // every policy (only *which* m a late iteration starts from changes), so
-  // the median cannot recover the cold starts that matter — iterations
-  // that began before any predecessor published.  The A/B documents that:
-  // the default stays window = 1 unless cold-start misses actually drop.
-  std::printf("\nleapfrog A/B (median window %zu vs last-m):\n",
-              kMedianWindow);
-  std::uint64_t median_cold = 0;
-  for (std::size_t r = 0; r < median_runs.size(); ++r) {
-    std::printf(
-        "  threads=%zu: window1 cold=%llu hit=%.0f%%  window%zu cold=%llu "
-        "hit=%.0f%%\n",
-        thread_counts[r], static_cast<unsigned long long>(runs[r].cold),
-        100.0 * runs[r].hit_rate(), kMedianWindow,
-        static_cast<unsigned long long>(median_runs[r].cold),
-        100.0 * median_runs[r].hit_rate());
-    median_cold += median_runs[r].cold;
-  }
-  const bool median_improves_cold = median_cold < cold;
-  std::printf("  counts unchanged under the median policy:  %s\n",
-              policy_neutral ? "yes" : "NO — hint is not outcome-neutral");
-  std::printf("  median reduces cold-start misses:          %s (default "
-              "stays window=1)\n",
-              median_improves_cold ? "yes" : "no");
 
   bench::BenchJson json("parallel_count");
   json.add("suite", "table1");
@@ -205,18 +165,9 @@ int main() {
            static_cast<std::uint64_t>(identical ? 1 : 0));
   json.add("one_build_per_worker",
            static_cast<std::uint64_t>(one_build ? 1 : 0));
-  json.add("median_window", static_cast<std::uint64_t>(kMedianWindow));
-  json.add("cold_starts_window1_threads_1", runs[0].cold);
-  json.add("cold_starts_window1_threads_2", runs[1].cold);
-  json.add("cold_starts_window1_threads_4", runs[2].cold);
-  json.add("cold_starts_median_threads_1", median_runs[0].cold);
-  json.add("cold_starts_median_threads_2", median_runs[1].cold);
-  json.add("cold_starts_median_threads_4", median_runs[2].cold);
-  json.add("leapfrog_hit_rate_median_threads_4", median_runs[2].hit_rate());
-  json.add("median_policy_outcome_neutral",
-           static_cast<std::uint64_t>(policy_neutral ? 1 : 0));
-  json.add("median_improves_cold_starts",
-           static_cast<std::uint64_t>(median_improves_cold ? 1 : 0));
+  json.add("cold_starts_threads_1", runs[0].cold);
+  json.add("cold_starts_threads_2", runs[1].cold);
+  json.add("cold_starts_threads_4", runs[2].cold);
   json.write("BENCH_parallel_count.json");
-  return (identical && one_build && policy_neutral) ? 0 : 1;
+  return (identical && one_build) ? 0 : 1;
 }

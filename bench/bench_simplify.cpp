@@ -62,10 +62,11 @@ int main() {
         amc.budget.deadline = Deadline::in_seconds(count_budget_s);
         amc.simplify.enabled = simplify_on;
         Rng rng(20140001);
-        leg.count = approx_count(instance.cnf, amc, rng);
+        const ApproxMcAnytime any = approx_count_anytime(instance.cnf, amc, rng);
+        leg.count = any.result;
         leg.propagations += leg.count.solver_propagations;
         leg.simplify = leg.count.simplify;
-        leg.clean = leg.clean && !leg.count.timed_out;
+        leg.clean = leg.clean && any.status != RequestStatus::kTimedOut;
       }
       {
         UniGenOptions opts;

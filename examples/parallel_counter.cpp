@@ -114,11 +114,12 @@ int main(int argc, char** argv) {
 
   Rng rng(0xDAC14);
   const Stopwatch watch;
-  const ApproxMcResult r = approx_count(cnf, opts, rng);
+  const ApproxMcAnytime any = approx_count_anytime(cnf, opts, rng);
+  const ApproxMcResult& r = any.result;
   const double seconds = watch.seconds();
 
   if (!r.valid) {
-    std::printf("no estimate (%s)\n", r.timed_out ? "timed out" : "failed");
+    std::printf("no estimate (%s)\n", to_string(any.status));
     return 1;
   }
   if (r.exact)

@@ -5,6 +5,7 @@
 // uniformly.
 
 #include <string>
+#include <vector>
 
 #include "cnf/types.hpp"
 
@@ -45,6 +46,17 @@ struct SampleResult {
     r.witness = std::move(witness);
     return r;
   }
+};
+
+/// Outcome of one UniGen request: a batched request (one accepted cell)
+/// carries up to max_batch witnesses, a single request at most one — the
+/// sample task's one outcome type, shipped unchanged between processes.
+/// Timeout, cancellation and ⊥ stay distinct.
+struct BatchResult {
+  SampleResult::Status status = SampleResult::Status::kFail;
+  std::vector<Model> models;
+
+  bool ok() const { return status == SampleResult::Status::kOk; }
 };
 
 class WitnessSampler {

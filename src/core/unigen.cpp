@@ -159,12 +159,8 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
   // sampling requests, and a fault plan keyed by request streams must not
   // also fire inside prepare's iteration-keyed count.
   amc.budget.cancel = options.budget.cancel;
-  // 0 = "embedding decides"; for a caller that did not wire a pool through
-  // (plain UniGen), that is the serial in-place path.  SamplerPool::prepare
-  // resolves 0 to its own width before calling here.  With a shared pool
-  // the pool's width rules and num_threads is ignored.
-  amc.num_threads =
-      options.counter_threads == 0 ? 1 : options.counter_threads;
+  // With a shared pool the count runs at the pool's width; without one
+  // (plain UniGen) at the default width 1, on this thread.
   amc.shared_pool = pool;
   amc.simplify.enabled = false;  // `formula` is already simplified
   const ApproxMcResult count = approx_count(formula, amc, rng);
@@ -311,21 +307,69 @@ SampleResult::Status sample_status_from_request(RequestStatus status) {
   }
 }
 
-Model unigen_trivial_single(const UniGenPrepared& prep, Rng& rng) {
-  return prep.trivial_models[rng.below(prep.trivial_models.size())];
+SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng) {
+  if (r.ok())
+    return SampleResult::success(std::move(r.cell[rng.below(r.cell.size())]));
+  SampleResult out;
+  out.status = sample_status_from_request(r.status);
+  return out;
 }
 
-std::vector<Model> unigen_trivial_batch(const UniGenPrepared& prep,
-                                        std::size_t max_batch, Rng& rng) {
-  std::vector<std::size_t> order(prep.trivial_models.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  rng.shuffle(order);
-  const std::size_t take = std::min(max_batch, prep.trivial_models.size());
-  std::vector<Model> batch;
-  batch.reserve(take);
-  for (std::size_t k = 0; k < take; ++k)
-    batch.push_back(prep.trivial_models[order[k]]);
-  return batch;
+BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
+                                   Rng& rng) {
+  BatchResult out;
+  out.status = sample_status_from_request(r.status);
+  if (r.ok()) {
+    rng.shuffle(r.cell);
+    if (r.cell.size() > max_batch) r.cell.resize(max_batch);
+    out.models = std::move(r.cell);
+  }
+  return out;
+}
+
+BatchResult unigen_request(IncrementalBsat* engine,
+                           const std::vector<Var>& sampling_set,
+                           const UniGenPrepared& prep,
+                           const UniGenOptions& options, Var formula_vars,
+                           std::size_t max_batch, Rng& rng,
+                           UniGenStats& stats, std::uint64_t fault_key) {
+  BatchResult out;
+  switch (prep.mode) {
+    case UniGenPrepared::Mode::kUnsat:
+      out.status = SampleResult::Status::kUnsat;
+      return out;
+    case UniGenPrepared::Mode::kTimedOut:
+      out.status = SampleResult::Status::kTimeout;
+      return out;
+    case UniGenPrepared::Mode::kTrivial: {
+      // Lines 5–7: uniform draws from the full witness list — one index,
+      // or a uniform subset of up to max_batch distinct witnesses.
+      const std::vector<Model>& all = prep.trivial_models;
+      out.status = SampleResult::Status::kOk;
+      if (max_batch == 0) {
+        out.models.push_back(all[rng.below(all.size())]);
+        return out;
+      }
+      std::vector<std::size_t> order(all.size());
+      for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+      rng.shuffle(order);
+      for (std::size_t k = 0; k < std::min(max_batch, all.size()); ++k)
+        out.models.push_back(all[order[k]]);
+      return out;
+    }
+    case UniGenPrepared::Mode::kHashed:
+      break;
+  }
+  AcceptCellResult cell =
+      unigen_accept_cell(*engine, sampling_set, prep, options, formula_vars,
+                         rng, stats, fault_key);
+  if (max_batch != 0)
+    return finish_batch_from_cell(std::move(cell), max_batch, rng);
+  // Lines 21–22: a uniform element of the cell.
+  SampleResult single = finish_single_from_cell(std::move(cell), rng);
+  out.status = single.status;
+  if (single.ok()) out.models.push_back(std::move(single.witness));
+  return out;
 }
 
 UniGen::UniGen(Cnf cnf, UniGenOptions options, Rng& rng)
@@ -341,32 +385,21 @@ bool UniGen::prepare() {
   return prep_.usable();
 }
 
-SampleResult UniGen::sample() {
-  if (!prepared_ && !prepare()) {
-    ++stats_.samples_requested;
-    ++stats_.samples_timed_out;
-    return SampleResult::timeout();
-  }
+BatchResult UniGen::request(std::size_t max_batch) {
   ++stats_.samples_requested;
-  const Stopwatch watch;
-  SampleResult result;
-  switch (prep_.mode) {
-    case UniGenPrepared::Mode::kUnsat:
-      result = SampleResult::unsat();
-      break;
-    case UniGenPrepared::Mode::kTimedOut:
-      result = SampleResult::timeout();
-      break;
-    case UniGenPrepared::Mode::kTrivial:
-      // Lines 5–7: a uniformly random element of the full witness list.
-      result = SampleResult::success(unigen_trivial_single(prep_, rng_));
-      break;
-    case UniGenPrepared::Mode::kHashed:
-      result = sample_hashed();
-      break;
+  BatchResult out;
+  if (!prepared_ && !prepare()) {
+    out.status = SampleResult::Status::kTimeout;
+  } else {
+    const Stopwatch watch;
+    // Fault plans see request ordinals: the k-th request of this instance
+    // reports as key k-1, matching the pool's stream-keyed convention.
+    out = unigen_request(engine_.get(), sampling_set_, prep_, options_,
+                         cnf_.num_vars(), max_batch, rng_, stats_,
+                         stats_.samples_requested - 1);
+    stats_.sample_seconds += watch.seconds();
   }
-  stats_.sample_seconds += watch.seconds();
-  switch (result.status) {
+  switch (out.status) {
     case SampleResult::Status::kOk:
       ++stats_.samples_ok;
       break;
@@ -382,75 +415,20 @@ SampleResult UniGen::sample() {
     case SampleResult::Status::kUnsat:
       break;
   }
-  return result;
+  return out;
 }
 
-AcceptCellResult UniGen::accept_cell() {
-  // Fault plans see request ordinals: the k-th hashed request of this
-  // instance reports as key k-1 (requested was already bumped), matching
-  // the pool's stream-keyed convention.
-  return unigen_accept_cell(*engine_, sampling_set_, prep_, options_,
-                            cnf_.num_vars(), rng_, stats_,
-                            stats_.samples_requested - 1);
-}
-
-SampleResult UniGen::sample_hashed() {
-  AcceptCellResult r = accept_cell();
-  if (r.ok()) {
-    // Lines 21–22: uniform element of the cell.
-    const auto j = rng_.below(r.cell.size());
-    return SampleResult::success(std::move(r.cell[j]));
-  }
+SampleResult UniGen::sample() {
+  BatchResult r = request(0);
   SampleResult out;
-  out.status = sample_status_from_request(r.status);
+  out.status = r.status;
+  if (r.ok()) out.witness = std::move(r.models.front());
   return out;
 }
 
 std::vector<Model> UniGen::sample_batch(std::size_t max_batch) {
   if (max_batch == 0) return {};
-  if (!prepared_ && !prepare()) {
-    ++stats_.samples_requested;
-    ++stats_.samples_timed_out;
-    return {};
-  }
-  // One batch request is one line-12–22 run: account it exactly like
-  // sample() so success_rate() means the same thing on both paths.
-  ++stats_.samples_requested;
-  const Stopwatch watch;
-  std::vector<Model> batch;
-  switch (prep_.mode) {
-    case UniGenPrepared::Mode::kUnsat:
-      break;  // like sample(): kUnsat is neither success nor failure
-    case UniGenPrepared::Mode::kTimedOut:
-      ++stats_.samples_timed_out;
-      break;
-    case UniGenPrepared::Mode::kTrivial:
-      batch = unigen_trivial_batch(prep_, max_batch, rng_);
-      ++stats_.samples_ok;
-      break;
-    case UniGenPrepared::Mode::kHashed: {
-      AcceptCellResult r = accept_cell();
-      if (r.status == RequestStatus::kCancelled) {
-        ++stats_.samples_cancelled;
-        break;
-      }
-      if (r.status == RequestStatus::kTimedOut) {
-        ++stats_.samples_timed_out;
-        break;
-      }
-      if (!r.ok()) {
-        ++stats_.samples_failed;  // ⊥, distinct from a timeout
-        break;
-      }
-      rng_.shuffle(r.cell);
-      if (r.cell.size() > max_batch) r.cell.resize(max_batch);
-      batch = std::move(r.cell);
-      ++stats_.samples_ok;
-      break;
-    }
-  }
-  stats_.sample_seconds += watch.seconds();
-  return batch;
+  return request(max_batch).models;
 }
 
 }  // namespace unigen

@@ -56,15 +56,6 @@ struct UniGenOptions {
   /// ApproxModelCounter tolerance/confidence (paper line 9: 0.8 and 0.8).
   double counter_epsilon = 0.8;
   double counter_confidence = 0.8;
-  /// Threads the one-time ApproxMC call fans its median iterations across
-  /// (ApproxMcOptions::num_threads).  0 = let the embedding decide: a
-  /// single UniGen instance counts serially, a SamplerPool counts on as
-  /// many threads as it samples with.  The parallel count is byte-identical
-  /// across thread counts, so q — and every downstream sample — is too,
-  /// under the usual timeout caveat: a bsat_timeout_s or prepare budget
-  /// that fires mid-count is schedule-dependent and can shift the median
-  /// (ApproxMcOptions::num_threads documents the same caveat).
-  std::size_t counter_threads = 0;
   /// Anytime/robustness controls, scoped *per request* (one accept_cell
   /// run), except for `deadline` and `cancel` which are shared seams the
   /// embedding arms per service call:
@@ -88,11 +79,12 @@ struct UniGenOptions {
   /// and the instance turns out hashed, unigen_prepare starts the pool
   /// itself — worker 0 adopting the easy-case engine — and hands it to the
   /// nested ApproxMC as ApproxMcOptions::shared_pool, so the one-time
-  /// count warms the very engines that will serve samples: one solver
-  /// build per worker across both phases instead of a counting pool built
-  /// and discarded.  Sample bytes are unchanged (canonical cell ordering
-  /// makes them independent of engine history).  unigen_prepare then
-  /// returns nullptr — the warmed engine lives in the pool.
+  /// count fans out across, and warms, the very engines that will serve
+  /// samples: one solver build per worker across both phases.  Sample
+  /// bytes on S are unchanged (canonical cell ordering makes them
+  /// independent of engine history).  unigen_prepare then returns nullptr
+  /// — the warmed engine lives in the pool.  Unset (a plain UniGen), the
+  /// count runs on a width-1 pool on the calling thread.
   WorkerPool* shared_pool = nullptr;
   /// An already-run Simplifier for exactly (cnf, this->simplify,
   /// sampling_set), adopted instead of running the pipeline again.  The
@@ -139,9 +131,8 @@ struct UniGenStats {
   /// Incremental-BSAT engine counters for the sampling engine shared by the
   /// easy-case check and every accept_cell: one persistent solver per
   /// UniGen instance, so solver_rebuilds stays at 1 across all samples.
-  /// (prepare's ApproxMC run owns its own engines — one on the serial
-  /// path, one per serving worker when counter_threads fans it out; their
-  /// build total is counter_solver_rebuilds.)
+  /// (prepare's ApproxMC run owns its own engines — one per serving pool
+  /// worker; their build total is counter_solver_rebuilds.)
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -260,15 +251,26 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
 /// single instance, pool, fleet worker — so the mapping cannot drift.
 SampleResult::Status sample_status_from_request(RequestStatus status);
 
-/// Lines 5–7 (easy case): one uniform draw from the full witness list.
-/// Shared by UniGen and the pool so trivial-mode semantics cannot drift
-/// between the single-engine and the parallel path.
-Model unigen_trivial_single(const UniGenPrepared& prep, Rng& rng);
+/// The post-accept_cell tail of one sampling request: the request's rng
+/// continues from wherever accept_cell left it — single pick via one
+/// rng.below, batch via rng.shuffle + truncate — which is part of the
+/// request's keyed-stream purity.
+SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng);
+BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
+                                   Rng& rng);
 
-/// Easy-case batch: a uniform subset of up to `max_batch` distinct
-/// witnesses from the full list.
-std::vector<Model> unigen_trivial_batch(const UniGenPrepared& prep,
-                                        std::size_t max_batch, Rng& rng);
+/// The sample task function: one request (lines 12–22, or lines 5–7 in the
+/// easy case) on its own stream.  `max_batch` == 0 asks for a single
+/// witness, else for up to max_batch distinct witnesses of one cell.
+/// `engine` may be null unless prep.mode is kHashed.  Called as is by
+/// UniGen, by SamplerPool's workers and by unigen_workerd, so a request's
+/// bytes cannot depend on which of them served it.
+BatchResult unigen_request(IncrementalBsat* engine,
+                           const std::vector<Var>& sampling_set,
+                           const UniGenPrepared& prep,
+                           const UniGenOptions& options, Var formula_vars,
+                           std::size_t max_batch, Rng& rng,
+                           UniGenStats& stats, std::uint64_t fault_key);
 
 class UniGen final : public WitnessSampler {
  public:
@@ -300,10 +302,9 @@ class UniGen final : public WitnessSampler {
   const UniGenPrepared& prepared() const { return prep_; }
 
  private:
-  /// Lines 12–17: draws hashes until a cell lands in the acceptance
-  /// window; the result keeps ⊥ / timeout / cancellation distinct.
-  AcceptCellResult accept_cell();
-  SampleResult sample_hashed();
+  /// One request through unigen_request on the instance's engine and rng,
+  /// accounted in stats().
+  BatchResult request(std::size_t max_batch);
 
   Cnf cnf_;
   std::vector<Var> sampling_set_;

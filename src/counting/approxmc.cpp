@@ -1,16 +1,15 @@
 #include "counting/approxmc.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include "counting/parallel_approxmc.hpp"
 #include "obs/trace.hpp"
 #include "sat/incremental_bsat.hpp"
-#include "service/process_fleet.hpp"
-#include "service/worker_pool.hpp"
+#include "service/dispatch.hpp"
 
 namespace unigen {
 namespace {
@@ -82,7 +81,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // deadline check.
   if (const RequestStatus adm = budget.admission_status();
       adm != RequestStatus::kComplete && !st.exact_done) {
-    result.timed_out = adm == RequestStatus::kTimedOut;
     return finish(adm);
   }
 
@@ -96,13 +94,13 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     return finish(RequestStatus::kComplete);
   }
 
-  // One persistent solver for the prologue (and, on the serial path, the
-  // whole count); the parallel path moves it into worker 0 so the probe's
-  // warm-up is not wasted and each worker still builds exactly one solver.
-  // With a shared pool (the warm-handoff path) even that build is skipped:
-  // the prologue probes worker 0's persistent engine — legal because the
-  // dispatcher owns the pool between runs — so nothing this count warms up
-  // is ever thrown away.
+  // One persistent solver for the prologue; worker 0 of the pool the
+  // iterations run on adopts it afterwards, so the probe's warm-up is not
+  // wasted and each worker builds exactly one solver.  With a shared pool
+  // (the warm-handoff path) even that build is skipped: the prologue
+  // probes worker 0's persistent engine — legal because the dispatcher
+  // owns the pool between runs — so nothing this count warms up is ever
+  // thrown away.
   WorkerPool* pool = options.shared_pool;
   std::unique_ptr<IncrementalBsat> engine;
   if (pool == nullptr)
@@ -134,7 +132,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     }
     if (r.timed_out) {
       // Nothing settled; a resume retries the prologue from scratch.
-      result.timed_out = true;
       fold_engine();
       return finish(RequestStatus::kTimedOut);
     }
@@ -159,11 +156,10 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     st.prologue_done = true;
     st.iterations_requested = approxmc_iteration_count(options.delta);
     // Per-iteration keyed RNG streams: iteration i draws everything from
-    // fork_stream(i) of a one-draw fork of the caller's rng.  Serial and
-    // parallel paths advance the caller's rng identically (that one draw)
-    // and hand iteration i identical randomness, which — together with the
-    // canonical fold below — makes the count a pure function of
-    // (formula, options, seed), thread count excluded.
+    // fork_stream(i) of a one-draw fork of the caller's rng, whatever
+    // executes it, which — together with the canonical fold below — makes
+    // the count a pure function of (formula, options, seed), thread count
+    // and backend excluded.
     // On the first slice this advances the caller's rng exactly as the
     // classic entry point always has; a resume that reaches here (the
     // first slice's prologue was cut) forks the entry snapshot instead —
@@ -186,122 +182,96 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
 
   // Unit ledger entering this slice: the prologue plus every settled
   // iteration, all of whose costs are stream-pure in deterministic mode.
-  std::uint64_t spent = 1;
-  for (std::size_t i = 0; i < st.outcomes.size(); ++i)
-    if (st.settled[i]) spent += st.outcomes[i].bsat_calls;
-
-  std::size_t threads =
-      options.num_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : options.num_threads;
-  // More workers than iterations would only build idle engines.
-  threads = std::min(
-      threads, static_cast<std::size_t>(st.iterations_requested));
-
-  // Process-fleet backend: ship the unsettled iterations to supervised
-  // worker processes instead of the in-process fan-out.  Each task frame
-  // carries its iteration's raw RNG state and the shared Setup carried the
-  // canonical formula, so every outcome is the same pure function of its
-  // stream the in-process paths compute — a worker crash costs one retry,
-  // a poisoned task just leaves its slot unsettled for the fold below
-  // (partial accounting / resume).  Fleet dispatch always cold-starts
-  // (start_m = 0, the deterministic-mode policy) — outcome-neutral, only
-  // probe counts move.  Falls through to the in-process dispatch when no
-  // worker can be spawned.
-  bool fleet_served = false;
-  if (options.fleet.backend == ExecBackend::kProcessFleet && pool == nullptr) {
-    ProcessFleet fleet(options.fleet);
-    if (fleet.start(ProcessFleet::make_count_setup(formula, sampling_set,
-                                                   st.n, st.pivot, options),
-                    threads)) {
-      std::vector<ProcessFleet::TaskSpec> specs;
-      std::vector<std::size_t> slot;
-      for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-        if (st.settled[i]) continue;
-        ProcessFleet::TaskSpec s;
-        s.id = i;
-        s.rng_state = st.iter_base.fork_stream(i).state();
-        // Trace propagation (observability only): worker spans land under
-        // this run's count.request span, in this run's trace.
-        const obs::TraceContext tctx = obs::current_context();
-        s.trace_id = tctx.trace_id;
-        s.parent_span = tctx.span_id;
-        specs.push_back(s);
-        slot.push_back(i);
-      }
-      ProcessFleet::RunControl control;
-      control.units_granted = grant;
-      control.units_spent = spent;
-      const std::vector<ProcessFleet::TaskOutcome> served =
-          fleet.run(specs, budget, &control);
-      for (std::size_t j = 0; j < served.size(); ++j) {
-        if (!served[j].served) continue;  // poisoned/cut → stays unsettled
-        const ipc::ResultMsg& r = served[j].result;
-        ApproxMcCoreOutcome& o = st.outcomes[slot[j]];
-        o.ok = r.ok != 0;
-        o.timed_out = r.timed_out != 0;
-        o.cancelled = r.cancelled != 0;
-        o.faulted = r.faulted != 0;
-        o.leapfrogged = r.leapfrogged != 0;
-        o.cell_count = r.cell_count;
-        o.hash_count = r.hash_count;
-        o.bsat_calls = r.bsat_calls;
-      }
-      fold_engine();  // the prologue engine's stats; workers are external
-      fleet_served = true;
+  ProcessFleet::RunControl ledger;
+  ledger.units_granted = grant;
+  ledger.units_spent = 1;
+  // The ApproxMC2-style leapfrog hint: the m of the last completed
+  // iteration, 0 (cold) while none has.  Racy on purpose — the hint only
+  // steers where a search starts, never what it finds (approxmc_core.hpp),
+  // so one relaxed atomic is all the coordination it needs.  Settled slots
+  // (from an earlier slice) seed it in iteration order, as a width-1 pool
+  // running them would have.  Deterministic mode never reads it: every
+  // iteration starts cold, so its probe count is a pure function of its
+  // stream at every thread count.
+  std::atomic<std::uint32_t> hint{0};
+  std::vector<std::uint64_t> unsettled;
+  for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
+    if (!st.settled[i]) {
+      unsettled.push_back(i);
+      continue;
     }
+    ledger.units_spent += st.outcomes[i].bsat_calls;
+    if (const auto m = leapfrog_publish(st.outcomes[i])) hint.store(*m);
   }
 
-  if (fleet_served) {
-    // Outcomes are in; the canonical fold below settles them.
-  } else if (pool != nullptr || threads > 1) {
-    // The shared-pool path routes through the fan-out even at width 1:
-    // iterations must run on the pool's persistent workers (so their
-    // warm-up survives the call), and the count's bytes are the same on
-    // every path anyway.  Extra pool workers beyond the iteration count
-    // simply never pull a task (and, engines being lazily built, cost
-    // nothing here).
-    ParallelCountControl control;
-    control.settled = &st.settled;
-    control.units_granted = grant;
-    control.units_spent = spent;
-    control.cold_starts = det;
-    parallel_approxmc_iterations(formula, sampling_set, options, threads,
-                                 st.iter_base, std::move(engine), st.outcomes,
-                                 result, control);
+  // The executor: the shared pool, or a private pool of up to one worker
+  // per iteration (width 1 runs on this thread) whose worker 0 adopts the
+  // prologue engine.
+  std::optional<WorkerPool> owned;
+  if (pool == nullptr) {
+    owned.emplace(std::min<std::size_t>(
+        options.num_threads == 0
+            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+            : options.num_threads,
+        static_cast<std::size_t>(st.iterations_requested)));
+    owned->start(formula, sampling_set, std::move(engine));
+    pool = &*owned;
+  }
+  // Or the process-fleet backend: the task frames carry each iteration's
+  // raw RNG state and the Setup carries the canonical formula, so every
+  // outcome is the same pure function of its stream — a worker crash costs
+  // one retry, a poisoned task just leaves its slot unsettled for the fold
+  // below.  Fleet iterations always start cold (outcome-neutral, only
+  // probe counts move).  When no worker can be spawned the pool serves.
+  std::optional<ProcessFleet> fleet;
+  if (options.fleet.backend == ExecBackend::kProcessFleet &&
+      options.shared_pool == nullptr) {
+    fleet.emplace(options.fleet);
+    if (!fleet->start(ProcessFleet::make_count_setup(formula, sampling_set,
+                                                     st.n, st.pivot),
+                      pool->num_threads()))
+      fleet.reset();
+  }
+
+  std::vector<std::optional<ApproxMcCoreOutcome>> served =
+      run_tasks<ApproxMcCoreOutcome>(
+          *pool, fleet ? &*fleet : nullptr, unsettled, st.iter_base,
+          /*max_batch=*/0, budget, &ledger,
+          [&](IncrementalBsat& engine, std::size_t, std::uint64_t i,
+              Rng& it_rng) {
+            ApproxMcCoreOutcome o = approxmc_core_iteration(
+                engine, st.n, st.pivot, options,
+                det ? 0 : hint.load(std::memory_order_relaxed), it_rng,
+                /*fault_key=*/i);
+            if (!det)
+              if (const auto m = leapfrog_publish(o))
+                hint.store(*m, std::memory_order_relaxed);
+            return o;
+          });
+  for (std::size_t j = 0; j < unsettled.size(); ++j)
+    if (served[j]) st.outcomes[unsettled[j]] = *served[j];
+
+  if (fleet) {
+    fold_engine();  // the prologue engine's stats; workers are external
   } else {
-    LeapfrogHint hint(options.leapfrog_window);
-    for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-      if (st.settled[i]) {
-        // ApproxMC2-style leapfrog: completed iterations (here, from an
-        // earlier slice) seed later searches — same rule as below.
-        if (!det) {
-          if (const auto m = leapfrog_publish(st.outcomes[i]))
-            hint.publish(*m);
-        }
-        continue;
-      }
-      if (budget.cancelled()) break;   // later slots stay "skipped"
-      if (budget.wall_expired()) break;
-      if (grant != 0 && spent >= grant) break;
-      Rng it_rng = st.iter_base.fork_stream(i);
-      st.outcomes[i] = approxmc_core_iteration(*engine, st.n, st.pivot,
-                                               options,
-                                               det ? 0 : hint.suggest(),
-                                               it_rng, /*fault_key=*/i);
-      spent += st.outcomes[i].bsat_calls;
-      if (!det) {
-        if (const auto m = leapfrog_publish(st.outcomes[i]))
-          hint.publish(*m);
-      }
+    // Aggregate through SolverStats::merge (the path the coverage test in
+    // tests/test_solver_stats.cpp guards), then project into the flat
+    // fields.  On a shared pool these are the engines' *lifetime* counters
+    // (they may include the embedding's earlier probes — diagnostics, not
+    // part of any byte-identity contract).
+    result.threads_used = pool->num_threads();
+    SolverStats total;
+    for (std::size_t w = 0; w < pool->num_threads(); ++w) {
+      result.workers.push_back(pool->engine_stats(w));
+      total.merge(result.workers.back());
     }
-    fold_engine();
+    fold_solver_stats(result, total);
   }
 
   // Canonical fold: walk outcomes in iteration order — whatever schedule
-  // produced them — then take the median by value.  Identical on the
-  // serial and every parallel schedule because each outcome is a pure
-  // function of its iteration's stream (approxmc_core.hpp).
+  // produced them — then take the median by value.  Identical at every
+  // pool width and on the fleet because each outcome is a pure function of
+  // its iteration's stream (approxmc_core.hpp).
   //
   // Settlement first.  Deterministic mode admits the longest prefix of
   // stream-pure completions the cumulative grant covers — executed work
@@ -373,9 +343,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
 
   const bool all_settled =
       any.iterations_completed == st.iterations_requested;
-  // Legacy timed_out flag: a budget stopped the run short of any estimate.
-  result.timed_out = !result.valid &&
-                     (budget.wall_expired() || (grant != 0 && !all_settled));
 
   if (cancelled_seen) return finish(RequestStatus::kCancelled);
   if (all_settled)

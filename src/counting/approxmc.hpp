@@ -68,12 +68,12 @@ struct ApproxMcOptions {
   /// per-BSAT-call timeout (the paper's 2500 s budget), deterministic unit
   /// budgets, cancellation, fault plan.  See service/budget.hpp.
   Budget budget;
-  /// Worker threads the t median iterations fan out across: 1 = serial
-  /// (in-place, no threads spawned), 0 = hardware_concurrency, n = n.
-  /// Iterations are independent (that is the median argument), each draws
-  /// from its own keyed RNG stream, and results fold in canonical
-  /// iteration order — so the reported count is byte-identical across all
-  /// values of this switch for a fixed seed (asserted by
+  /// Worker threads the t median iterations fan out across: 1 = a width-1
+  /// pool that runs them on the calling thread, 0 = hardware_concurrency,
+  /// n = n.  Iterations are independent (that is the median argument),
+  /// each draws from its own keyed RNG stream, and results fold in
+  /// canonical iteration order — so the reported count is byte-identical
+  /// across all values of this switch for a fixed seed (asserted by
   /// tests/test_parallel_approxmc.cpp); only wall-clock changes.  Caveat
   /// (as for the sampling service): the contract assumes no *wall-clock*
   /// budget fires — whether a solve beats budget.bsat_timeout_s / the
@@ -91,26 +91,17 @@ struct ApproxMcOptions {
   /// projected counts over S are invariant, see simplify/simplify.hpp).
   /// Callers that already simplified the formula turn it off.
   SimplifyOptions simplify;
-  /// Leapfrog hint policy for the hash-count searches: 1 (default) = the
-  /// classic last-completed-m, k > 1 = median of the last k completed m's
-  /// (see LeapfrogHint in counting/parallel_approxmc.hpp).  Outcome-neutral
-  /// either way — the count's bytes never depend on this — only probe
-  /// counts move; bench_parallel_count A/Bs the policies and the measured
-  /// default stays 1 (windowing cannot reduce cold-start misses, which are
-  /// the dominant term at high thread counts).
-  std::size_t leapfrog_window = 1;
   /// Borrowed, already-started WorkerPool (over the same formula this
   /// count will run on — so set `simplify.enabled = false` and pass the
   /// pool's own formula) whose workers serve the fan-out instead of a
-  /// transient pool built and discarded inside the call.  This is the
+  /// pool built and discarded inside the call.  This is the
   /// counter→sampler warm handoff: worker 0's engine serves the unhashed
-  /// prologue too (no separate prologue engine is built), every engine
-  /// warmed by the count keeps serving whatever the pool does next, and
-  /// one-time solver builds drop from 2N to N per (pool, formula).  The
-  /// count's bytes are unchanged — identical to the serial path and to a
-  /// private pool at every width (engines' learnt history never reaches
-  /// reported values).  num_threads is ignored when set (the pool's width
-  /// rules); scrubbed from anytime resume states like the budget pointers.
+  /// prologue, every engine warmed by the count keeps serving whatever the
+  /// pool does next, and one-time solver builds drop from 2N to N per
+  /// (pool, formula).  The count's bytes are unchanged (engines' learnt
+  /// history never reaches reported values).  num_threads is ignored when
+  /// set (the pool's width rules); scrubbed from anytime resume states
+  /// like the budget pointers.
   WorkerPool* shared_pool = nullptr;
   /// Execution backend for the median-iteration fan-out: the default
   /// in-process pool, or the supervised process fleet (crash isolation; a
@@ -123,8 +114,7 @@ struct ApproxMcOptions {
 };
 
 struct ApproxMcResult {
-  bool valid = false;      ///< an estimate was produced
-  bool timed_out = false;  ///< a budget cut the computation short of any estimate
+  bool valid = false;  ///< an estimate was produced
   /// The estimate is cell_count · 2^hash_count.
   std::uint64_t cell_count = 0;
   std::uint32_t hash_count = 0;
@@ -147,11 +137,10 @@ struct ApproxMcResult {
   int iterations_succeeded = 0;
   std::uint64_t bsat_calls = 0;
   // Incremental-BSAT engine counters for the run: all bsat_calls above are
-  // served by persistent solvers (one on the serial path, one per worker on
-  // the parallel path), so solver_rebuilds stays at the number of engines
-  // built unless the inert-row cap forces a rebuild.  On parallel runs
-  // these flat fields are the SolverStats::merge fold across workers; the
-  // per-worker breakdown is in `workers`.
+  // served by persistent solvers (one per pool worker), so solver_rebuilds
+  // stays at the number of engines built unless the inert-row cap forces a
+  // rebuild.  These flat fields are the SolverStats::merge fold across
+  // workers; the per-worker breakdown is in `workers`.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -163,20 +152,21 @@ struct ApproxMcResult {
   /// warm + cold == iterations actually started (budget skips excluded).
   std::uint64_t leapfrog_warm_starts = 0;
   std::uint64_t leapfrog_cold_starts = 0;
-  /// Worker threads the iterations actually fanned out across (1 when the
-  /// run stayed serial, including exact/unsat short-circuits).
+  /// Pool workers the iterations fanned out across (1 when the run ended
+  /// in the prologue — exact/unsat short-circuits — or served on the
+  /// process fleet).
   std::size_t threads_used = 1;
-  /// Per-worker engine counters of a parallel run, indexed by worker
-  /// (empty on the serial path).  Worker 0 includes the shared prologue:
-  /// it adopts the engine that served the initial exact-count probe.
+  /// Per-worker engine counters of the pool that served the iterations,
+  /// indexed by worker (empty when the run ended in the prologue or served
+  /// on the fleet).  Worker 0's engine also served the prologue.
   std::vector<SolverStats> workers;
   /// What the preprocessing pipeline did (ran == false when disabled).
   SimplifyStats simplify;
 };
 
 /// Folds an engine's counters into the flat diagnostic fields of `result`
-/// (additive).  The one fold both the serial and the parallel path use, so
-/// a counter surfaced in ApproxMcResult cannot drift between them.
+/// (additive).  The one projection of SolverStats into ApproxMcResult, so
+/// a counter cannot drift between the pool and the prologue-only paths.
 void fold_solver_stats(ApproxMcResult& result, const SolverStats& st);
 
 /// pivot(ε) = 2·⌈3·e^{1/2}·(1 + 1/ε)²⌉  (CP 2013).

@@ -1,7 +1,8 @@
 #pragma once
-// ApproxMcCore — one median iteration of ApproxMC, shared verbatim by the
-// serial loop (counting/approxmc.cpp) and the parallel counting service
-// (counting/parallel_approxmc.cpp) so the two paths cannot drift.
+// ApproxMcCore — one median iteration of ApproxMC: the count task
+// function.  In-process pool workers (counting/approxmc.cpp, through
+// run_tasks in service/dispatch.hpp) and unigen_workerd processes both call
+// approxmc_core_iteration as is, so the backends cannot drift.
 //
 // An iteration draws one hash h from H_xor(|S|, ·, 3) lazily (rows appear
 // as the search climbs, nested-prefix style) and finds the smallest hash
@@ -84,8 +85,7 @@ ApproxMcCoreOutcome approxmc_core_iteration(IncrementalBsat& engine,
                                             std::uint32_t start_m, Rng& rng,
                                             std::uint64_t fault_key = 0);
 
-/// The one leapfrog-hint publication rule, shared by the serial loop and
-/// the parallel fan-out so the two cannot drift: an iteration's m may seed
+/// The one leapfrog-hint publication rule: an iteration's m may seed
 /// later searches iff the iteration ran to a completed estimate.  A cut
 /// iteration (timeout, fault, cancel) must publish nothing — its m is
 /// where an aborted search happened to stand, not a concentration point,

@@ -1,0 +1,87 @@
+#pragma once
+// run_tasks — the one fan-out seam.  ApproxMC's median iterations and
+// UniGen's requests are the same shape: independent tasks, each a pure
+// function of (task id, keyed RNG stream), run against one formula.  Both
+// services hand their tasks to this one function, which is the only place
+// that chooses between the execution backends:
+//
+//   * the in-process WorkerPool (width 1 = the caller's own thread), which
+//     calls the service's task function on a worker's engine;
+//   * the ProcessFleet, whose unigen_workerd processes call the same task
+//     function on their own engine and ship its outcome back unchanged
+//     (ipc::ResultMsg::Outcome).
+//
+// Task `id` draws from streams.fork_stream(id) on either backend — the
+// fleet receives the raw state — and `id` doubles as the task's fault-plan
+// key, so where and on which attempt a task runs cannot reach its bytes.
+
+#include <atomic>
+#include <cstdint>
+#include <optional>
+#include <variant>
+#include <vector>
+
+#include "obs/trace.hpp"
+#include "service/budget.hpp"
+#include "service/process_fleet.hpp"
+#include "service/worker_pool.hpp"
+#include "util/rng.hpp"
+
+namespace unigen {
+
+/// Runs one task per entry of `ids` on `fleet` when it is non-null, else on
+/// `pool` (started), and returns the outcomes in `ids` order.  nullopt
+/// marks a task that never produced an outcome: not started because the
+/// budget's token fired, its wall deadline passed or the `ledger` grant
+/// ran out, or — on the fleet — poisoned or stranded by worker loss.
+///
+/// `task(engine, worker, id, rng)` is the in-process body; it returns
+/// `Outcome` (ApproxMcCoreOutcome or BatchResult) and may touch only its
+/// own state plus per-worker state indexed by `worker`.  `max_batch` rides
+/// the fleet's task frames (0 for counts and single witnesses).  `ledger`
+/// (null = no call-level unit grant) is charged ipc::units_of each outcome
+/// on both backends; the check before a task starts is racy by design, and
+/// the caller's fold decides what the grant actually bought.
+template <class Outcome, class Task>
+std::vector<std::optional<Outcome>> run_tasks(
+    WorkerPool& pool, ProcessFleet* fleet,
+    const std::vector<std::uint64_t>& ids, const Rng& streams,
+    std::uint64_t max_batch, const Budget& budget,
+    ProcessFleet::RunControl* ledger, const Task& task) {
+  std::vector<std::optional<Outcome>> out(ids.size());
+  if (fleet != nullptr) {
+    // Trace propagation (observability only): worker spans land under the
+    // caller's current span, in its trace.
+    const obs::TraceContext trace = obs::current_context();
+    std::vector<ProcessFleet::TaskSpec> specs(ids.size());
+    for (std::size_t j = 0; j < ids.size(); ++j)
+      specs[j] = {ids[j], streams.fork_stream(ids[j]).state(), max_batch,
+                  trace.trace_id, trace.span_id};
+    std::vector<ProcessFleet::TaskOutcome> served =
+        fleet->run(specs, budget, ledger);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      Outcome* o = served[j].served
+                       ? std::get_if<Outcome>(&served[j].result.outcome)
+                       : nullptr;
+      if (o != nullptr) out[j] = std::move(*o);
+    }
+    return out;
+  }
+  std::atomic<std::uint64_t> spent{ledger != nullptr ? ledger->units_spent
+                                                     : 0};
+  pool.run(
+      ids.size(),
+      [&](IncrementalBsat& engine, std::size_t worker, std::size_t j) {
+        if (budget.cancelled() || budget.wall_expired()) return;
+        if (ledger != nullptr && ledger->units_granted != 0 &&
+            spent.load(std::memory_order_relaxed) >= ledger->units_granted)
+          return;
+        Rng rng = streams.fork_stream(ids[j]);
+        out[j] = task(engine, worker, ids[j], rng);
+        spent.fetch_add(ipc::units_of(*out[j]), std::memory_order_relaxed);
+      },
+      budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
+  return out;
+}
+
+}  // namespace unigen

@@ -1,5 +1,6 @@
 #include "service/ipc.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -164,7 +165,6 @@ std::string encode_task(const TaskMsg& m) {
   w.u64(m.task_id);
   w.u32(m.attempt);
   for (const std::uint64_t s : m.rng_state) w.u64(s);
-  w.u32(m.start_m);
   w.u64(m.max_batch);
   w.f64(m.deadline_s);
   w.f64(m.bsat_timeout_s);
@@ -181,7 +181,6 @@ TaskMsg decode_task(const std::string& payload) {
   m.task_id = r.u64();
   m.attempt = r.u32();
   for (std::uint64_t& s : m.rng_state) s = r.u64();
-  m.start_m = r.u32();
   m.max_batch = r.u64();
   m.deadline_s = r.f64();
   m.bsat_timeout_s = r.f64();
@@ -195,20 +194,22 @@ TaskMsg decode_task(const std::string& payload) {
 std::string encode_result(const ResultMsg& m) {
   WireWriter w;
   w.u64(m.task_id);
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.u8(m.ok);
-  w.u8(m.timed_out);
-  w.u8(m.cancelled);
-  w.u8(m.faulted);
-  w.u8(m.leapfrogged);
-  w.u64(m.cell_count);
-  w.u32(m.hash_count);
-  w.u64(m.bsat_calls);
-  w.u8(m.sample_status);
-  w.u32(static_cast<std::uint32_t>(m.models.size()));
-  for (const Model& model : m.models) put_model(w, model);
-  w.u64(m.sample_bsat_calls);
-  w.u64(m.timeout_retries);
+  w.u8(static_cast<std::uint8_t>(m.outcome.index()));
+  if (const auto* c = std::get_if<ApproxMcCoreOutcome>(&m.outcome)) {
+    w.u8(c->ok ? 1 : 0);
+    w.u8(c->timed_out ? 1 : 0);
+    w.u8(c->cancelled ? 1 : 0);
+    w.u8(c->faulted ? 1 : 0);
+    w.u8(c->leapfrogged ? 1 : 0);
+    w.u64(c->cell_count);
+    w.u32(c->hash_count);
+    w.u64(c->bsat_calls);
+  } else {
+    const BatchResult& b = std::get<BatchResult>(m.outcome);
+    w.u8(static_cast<std::uint8_t>(b.status));
+    w.u32(static_cast<std::uint32_t>(b.models.size()));
+    for (const Model& model : b.models) put_model(w, model);
+  }
   w.u32(static_cast<std::uint32_t>(
       std::min<std::size_t>(m.spans.size(), ResultMsg::kMaxSpans)));
   std::size_t emitted = 0;
@@ -230,21 +231,34 @@ ResultMsg decode_result(const std::string& payload) {
   WireReader r(payload);
   ResultMsg m;
   m.task_id = r.u64();
-  m.kind = static_cast<TaskKind>(r.u8());
-  m.ok = r.u8();
-  m.timed_out = r.u8();
-  m.cancelled = r.u8();
-  m.faulted = r.u8();
-  m.leapfrogged = r.u8();
-  m.cell_count = r.u64();
-  m.hash_count = r.u32();
-  m.bsat_calls = r.u64();
-  m.sample_status = r.u8();
-  const std::uint32_t k = r.u32();
-  m.models.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) m.models.push_back(get_model(r));
-  m.sample_bsat_calls = r.u64();
-  m.timeout_retries = r.u64();
+  switch (r.u8()) {
+    case static_cast<std::uint8_t>(TaskKind::kCount): {
+      ApproxMcCoreOutcome c;
+      c.ok = r.u8() != 0;
+      c.timed_out = r.u8() != 0;
+      c.cancelled = r.u8() != 0;
+      c.faulted = r.u8() != 0;
+      c.leapfrogged = r.u8() != 0;
+      c.cell_count = r.u64();
+      c.hash_count = r.u32();
+      c.bsat_calls = r.u64();
+      m.outcome = c;
+      break;
+    }
+    case static_cast<std::uint8_t>(TaskKind::kSample): {
+      BatchResult b;
+      const std::uint8_t status = r.u8();
+      if (status > static_cast<std::uint8_t>(SampleResult::Status::kCancelled))
+        throw std::runtime_error("ipc: bad sample status");
+      b.status = static_cast<SampleResult::Status>(status);
+      const std::uint32_t k = r.u32();
+      for (std::uint32_t i = 0; i < k; ++i) b.models.push_back(get_model(r));
+      m.outcome = std::move(b);
+      break;
+    }
+    default:
+      throw std::runtime_error("ipc: bad task kind");
+  }
   const std::uint32_t ns = r.u32();
   if (ns > ResultMsg::kMaxSpans) throw std::runtime_error("ipc: span flood");
   m.spans.reserve(ns);
@@ -324,10 +338,6 @@ WriteOutcome write_frame_bounded(int fd, FrameType type,
   return WriteOutcome::kOk;
 }
 
-bool write_frame(int fd, FrameType type, const std::string& body) {
-  return write_frame_bounded(fd, type, body, 0.0) == WriteOutcome::kOk;
-}
-
 bool FrameReader::next(FrameType& type, std::string& body) {
   const std::size_t avail = buf_.size() - pos_;
   if (avail < 4) return false;
@@ -386,10 +396,6 @@ ReadOutcome read_frame_outcome(int fd, FrameType& type, std::string& body) {
   type = static_cast<FrameType>(type_byte);
   body = payload.substr(1);
   return ReadOutcome::kFrame;
-}
-
-bool read_frame(int fd, FrameType& type, std::string& body) {
-  return read_frame_outcome(fd, type, body) == ReadOutcome::kFrame;
 }
 
 }  // namespace unigen::ipc

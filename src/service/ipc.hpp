@@ -29,9 +29,12 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cnf/types.hpp"
+#include "core/sampler.hpp"
+#include "counting/approxmc_core.hpp"
 #include "simplify/simplify.hpp"
 
 namespace unigen::ipc {
@@ -54,12 +57,13 @@ constexpr bool valid_frame_type(std::uint8_t b) {
          b <= static_cast<std::uint8_t>(FrameType::kError);
 }
 
-/// What kind of work the fleet serves; fixed per fleet at Setup time.
+/// What kind of work the fleet serves; fixed per fleet at Setup time.  The
+/// values are the indices of ResultMsg::Outcome.
 enum class TaskKind : std::uint8_t {
   /// One ApproxMC median iteration (approxmc_core_iteration).
   kCount = 0,
-  /// One UniGen sampling request (unigen_accept_cell + the pool's
-  /// pick/shuffle post-processing); max_batch distinguishes single/batch.
+  /// One UniGen sampling request (unigen_request); max_batch distinguishes
+  /// single/batch.
   kSample = 1,
 };
 
@@ -151,9 +155,8 @@ struct TaskMsg {
   /// parent's base — shipped as raw state so parent and worker agree on
   /// every draw.
   std::array<std::uint64_t, 4> rng_state{};
-  /// kCount: leapfrog hint (0 = cold start).  Outcome-neutral.
-  std::uint32_t start_m = 0;
-  /// kSample: 0 = single witness, else batch cell cap.
+  /// kSample: 0 = single witness, else batch cell cap.  (kCount tasks
+  /// always start their hash-count search cold on a worker process.)
   std::uint64_t max_batch = 0;
   /// Remaining call-level wall budget at dispatch; <= 0 = unarmed.
   double deadline_s = 0.0;
@@ -187,24 +190,15 @@ struct SpanWire {
 };
 
 struct ResultMsg {
+  /// The task function's return value, exactly as an in-process worker
+  /// gets it: a count iteration's outcome, or a sampling request's
+  /// witness(es), already post-processed worker-side (single: the
+  /// rng.below pick; batch: the rng.shuffle + truncate).  The index is the
+  /// TaskKind.
+  using Outcome = std::variant<ApproxMcCoreOutcome, BatchResult>;
+
   std::uint64_t task_id = 0;
-  TaskKind kind = TaskKind::kCount;
-  // kCount payload: the ApproxMcCoreOutcome fields.
-  std::uint8_t ok = 0;
-  std::uint8_t timed_out = 0;
-  std::uint8_t cancelled = 0;
-  std::uint8_t faulted = 0;
-  std::uint8_t leapfrogged = 0;
-  std::uint64_t cell_count = 0;
-  std::uint32_t hash_count = 0;
-  std::uint64_t bsat_calls = 0;
-  // kSample payload: SampleResult::Status + the chosen witness(es), already
-  // post-processed worker-side (single: the rng.below pick; batch: the
-  // rng.shuffle + truncate) so the parent folds bytes, not cells.
-  std::uint8_t sample_status = 0;
-  std::vector<Model> models;
-  std::uint64_t sample_bsat_calls = 0;
-  std::uint64_t timeout_retries = 0;
+  Outcome outcome;
   /// Worker-side trace fragment for this attempt (empty when the task's
   /// trace_id was 0).  Decode caps the count (kMaxSpans) so a corrupt
   /// frame cannot trigger a runaway allocation.
@@ -213,11 +207,25 @@ struct ResultMsg {
   static constexpr std::uint32_t kMaxSpans = 1u << 20;
 };
 
+/// Deterministic units a task charged against its call's grant: a count
+/// iteration's BSAT probes.  Sampling requests spend per-request budgets
+/// only, so they charge nothing here.
+inline std::uint64_t units_of(const ApproxMcCoreOutcome& o) {
+  return o.bsat_calls;
+}
+inline std::uint64_t units_of(const BatchResult&) { return 0; }
+inline std::uint64_t units_of(const ResultMsg::Outcome& o) {
+  return std::visit([](const auto& x) { return units_of(x); }, o);
+}
+
 std::string encode_setup(const SetupMsg& m);
 SetupMsg decode_setup(const std::string& payload);
 std::string encode_task(const TaskMsg& m);
 TaskMsg decode_task(const std::string& payload);
 std::string encode_result(const ResultMsg& m);
+/// Throws std::runtime_error on a truncated frame, an unknown task kind,
+/// an out-of-range lbool or an out-of-range sample status: the bytes came
+/// from another process, so no enum is cast blindly.
 ResultMsg decode_result(const std::string& payload);
 std::string encode_error(const std::string& what);
 std::string decode_error(const std::string& payload);
@@ -260,9 +268,6 @@ WriteOutcome write_frame_bounded(int fd, FrameType type,
                                  const std::string& body,
                                  double send_deadline_s);
 
-/// Unbounded legacy form: true iff the frame was fully flushed.
-bool write_frame(int fd, FrameType type, const std::string& body);
-
 /// Incremental frame decoder for the supervisor's nonblocking reads: feed
 /// whatever bytes arrived, pop complete frames as they materialize.
 class FrameReader {
@@ -302,9 +307,5 @@ bool read_exact(int fd, char* out, std::size_t n);
 ///               (best-effort) and hang up.
 enum class ReadOutcome : std::uint8_t { kFrame, kEof, kBadType, kBadLength };
 ReadOutcome read_frame_outcome(int fd, FrameType& type, std::string& body);
-
-/// Legacy form: true iff a valid frame arrived (protocol errors fold into
-/// false, i.e. end-of-conversation).
-bool read_frame(int fd, FrameType& type, std::string& body);
 
 }  // namespace unigen::ipc

@@ -366,7 +366,7 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         out.result = std::move(msg);
         ++run->settled;
         if (run->control != nullptr)
-          run->control->units_spent += out.result.bsat_calls;
+          run->control->units_spent += ipc::units_of(out.result.outcome);
         // Merge the worker's shipped spans into this process's trace and
         // close the supervisor-side attempt span (observability only).
         const TaskSpec& spec = (*run->tasks)[t];
@@ -433,7 +433,6 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
   msg.task_id = spec.id;
   msg.attempt = out.attempts;
   msg.rng_state = spec.rng_state;
-  msg.start_m = spec.start_m;
   msg.max_batch = spec.max_batch;
   msg.deadline_s =
       budget.deadline.armed() ? budget.deadline.remaining_seconds() : 0.0;
@@ -729,8 +728,7 @@ ProcessFleet::FleetSnapshot ProcessFleet::snapshot() const {
 
 std::string ProcessFleet::make_count_setup(
     const Cnf& formula, const std::vector<Var>& sampling_set, std::uint32_t n,
-    std::uint64_t pivot, const ApproxMcOptions& options) {
-  (void)options;
+    std::uint64_t pivot) {
   ipc::SetupMsg m;
   m.kind = ipc::TaskKind::kCount;
   m.formula_dimacs = to_dimacs_canonical_string(formula);

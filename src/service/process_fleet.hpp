@@ -100,7 +100,6 @@ class ProcessFleet {
   struct TaskSpec {
     std::uint64_t id = 0;
     std::array<std::uint64_t, 4> rng_state{};
-    std::uint32_t start_m = 0;   ///< kCount leapfrog hint (fleet: cold start)
     std::uint64_t max_batch = 0; ///< kSample: 0 = single, else batch cap
     /// Trace propagation (obs/trace.hpp): rides the Task frame so the
     /// worker's spans land in the request's trace; 0 = tracing off.
@@ -120,11 +119,11 @@ class ProcessFleet {
     ipc::ResultMsg result;
   };
 
-  /// Mirror of the in-process run's deterministic-unit ledger: when
-  /// units_granted != 0, dispatch stops once units_spent (incremented by
-  /// every arriving result's bsat_calls) reaches the grant.  Racy in the
-  /// same way the threaded path is — the canonical fold downstream decides
-  /// what the grant actually bought.
+  /// The fan-out's deterministic-unit ledger (run_tasks keeps the same one
+  /// for the in-process pool): when units_granted != 0, dispatch stops once
+  /// units_spent (incremented by every arriving result's ipc::units_of)
+  /// reaches the grant.  Racy in the same way the threaded path is — the
+  /// canonical fold downstream decides what the grant actually bought.
   struct RunControl {
     std::uint64_t units_granted = 0;
     std::uint64_t units_spent = 0;
@@ -143,8 +142,7 @@ class ProcessFleet {
   /// Convenience Setup builders matching what unigen_workerd expects.
   static std::string make_count_setup(const Cnf& formula,
                                       const std::vector<Var>& sampling_set,
-                                      std::uint32_t n, std::uint64_t pivot,
-                                      const ApproxMcOptions& options);
+                                      std::uint32_t n, std::uint64_t pivot);
   static std::string make_sample_setup(const Cnf& original,
                                        const std::vector<Var>& sampling_set,
                                        const UniGenPrepared& prep,

@@ -1,55 +1,17 @@
 #include "service/sampler_pool.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
-#include "service/process_fleet.hpp"
+#include "service/dispatch.hpp"
 #include "util/timer.hpp"
 
 namespace unigen {
-
-// What one fan-out is about: the request kind, the preallocated result
-// slots, and the call's effective options (the per-call budget lives in
-// options->budget).  The thread/cursor machinery lives in WorkerPool.
-struct SamplerPool::Job {
-  enum class Kind { kSingles, kBatches };
-  Kind kind = Kind::kSingles;
-  std::size_t max_batch = 0;
-  const UniGenOptions* options = nullptr;
-  std::uint64_t first_stream = 0;
-  std::vector<SampleResult>* singles = nullptr;
-  std::vector<BatchResult>* batches = nullptr;
-  /// served[k] == 1 iff request k actually ran (a budget cut can leave a
-  /// slot untouched; finish_job stamps those with their honest status).
-  /// Each slot is written by exactly one worker, read after quiescence.
-  std::vector<char> served;
-};
-
-SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng) {
-  if (r.ok())
-    return SampleResult::success(std::move(r.cell[rng.below(r.cell.size())]));
-  SampleResult out;
-  out.status = sample_status_from_request(r.status);
-  return out;
-}
-
-BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
-                                   Rng& rng) {
-  BatchResult out;
-  out.status = sample_status_from_request(r.status);
-  if (r.ok()) {
-    rng.shuffle(r.cell);
-    if (r.cell.size() > max_batch) r.cell.resize(max_batch);
-    out.models = std::move(r.cell);
-  }
-  return out;
-}
 
 SamplerPool::SamplerPool(Cnf cnf, SamplerPoolOptions options)
     : cnf_(std::move(cnf)),
       sampling_set_(cnf_.sampling_set_or_all()),
       options_(options),
-      pool_(options.num_threads, Rng(options.seed)) {
+      streams_(options.seed),
+      pool_(options.num_threads) {
   worker_ugstats_.resize(pool_.num_threads());
 }
 
@@ -63,33 +25,20 @@ bool SamplerPool::prepare(const Budget& budget) {
   // nested count) as one span; the count.request span nests under it.
   obs::Span prepare_span("pool.prepare",
                          obs::trace_id_for_request(options_.seed, 0));
-  Rng prepare_rng = pool_.fork_stream(0);
-  // The one-time ApproxMC call fans its median iterations across as many
-  // threads as this pool serves requests with (unless the caller pinned
-  // counter_threads explicitly), and — the warm handoff — across this
-  // pool's *own* workers: unigen_prepare starts pool_ itself (worker 0
-  // adopting the easy-case engine) and the count warms the very engines
-  // that will serve samples, so exactly one solver is built per worker
-  // over the pool lifetime.  The parallel count is byte-identical across
-  // thread counts, so q — and every sample downstream — still is; sample
-  // bytes are untouched by the richer learnt history (canonical cell
-  // ordering).  A counter_threads pinned to a different width keeps the
-  // legacy transient count at that width instead.
+  Rng prepare_rng = streams_.fork_stream(0);
+  // The warm handoff: unigen_prepare starts pool_ itself (worker 0
+  // adopting the easy-case engine) and the one-time ApproxMC call fans its
+  // median iterations across this pool's *own* workers, warming the very
+  // engines that will serve samples — exactly one solver build per worker
+  // over the pool lifetime.  The count is byte-identical across widths, so
+  // q — and every sample downstream — is too.
   UniGenOptions unigen_options = options_.unigen;
   unigen_options.budget = budget;
-  const bool handoff = unigen_options.counter_threads == 0 ||
-                       unigen_options.counter_threads == pool_.num_threads();
-  if (unigen_options.counter_threads == 0)
-    unigen_options.counter_threads = pool_.num_threads();
-  if (handoff) unigen_options.shared_pool = &pool_;
-  auto engine = unigen_prepare(cnf_, sampling_set_, unigen_options,
-                               prepare_rng, prep_, prepare_stats_);
+  unigen_options.shared_pool = &pool_;
+  unigen_prepare(cnf_, sampling_set_, unigen_options, prepare_rng, prep_,
+                 prepare_stats_);
   prepared_ = true;
   if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    // Handoff path: pool_ is already started (start() is idempotent and
-    // `engine` is null).  Legacy path: worker 0 adopts the engine the
-    // easy-case check built; the others build theirs on first use.
-    pool_.start(prep_.formula(cnf_), sampling_set_, std::move(engine));
     // Crash-isolated backend: bring up the worker processes now, shipping
     // the ORIGINAL formula plus the simplify options — each worker re-runs
     // the deterministic pipeline, reproducing the shrunk formula and the
@@ -112,61 +61,6 @@ bool SamplerPool::prepare(const Budget& budget) {
   return prep_.usable();
 }
 
-void SamplerPool::serve(IncrementalBsat& engine, std::size_t worker, Job& job,
-                        std::size_t k, Rng& rng) {
-  // Call-level cuts are observed between requests: a request that has not
-  // started when the deadline or token fires stays unserved, and
-  // finish_job stamps its honest status after the pool quiesces.
-  const Budget& budget = job.options->budget;
-  if (budget.cancelled() || budget.wall_expired()) return;
-  // Workers solve the formula prepare() simplified (prep_ owns it and
-  // outlives every engine); accept_cell reconstructs the witnesses, so the
-  // service output is over the original formula's variables either way.
-  // The fault key is the request's *stream* index — a pure function of the
-  // submission order, so a plan hits the same request at every thread
-  // count.
-  AcceptCellResult r = unigen_accept_cell(
-      engine, sampling_set_, prep_, *job.options, cnf_.num_vars(), rng,
-      worker_ugstats_[worker], /*fault_key=*/job.first_stream + k);
-  job.served[k] = 1;
-  if (job.kind == Job::Kind::kSingles)
-    (*job.singles)[k] = finish_single_from_cell(std::move(r), rng);
-  else
-    (*job.batches)[k] = finish_batch_from_cell(std::move(r), job.max_batch, rng);
-}
-
-SampleResult SamplerPool::inline_single(std::uint64_t stream) {
-  switch (prep_.mode) {
-    case UniGenPrepared::Mode::kUnsat:
-      return SampleResult::unsat();
-    case UniGenPrepared::Mode::kTrivial: {
-      Rng rng = pool_.fork_stream(stream);
-      return SampleResult::success(unigen_trivial_single(prep_, rng));
-    }
-    default:
-      return SampleResult::timeout();
-  }
-}
-
-BatchResult SamplerPool::inline_batch(std::uint64_t stream,
-                                      std::size_t max_batch) {
-  BatchResult out;
-  switch (prep_.mode) {
-    case UniGenPrepared::Mode::kUnsat:
-      out.status = SampleResult::Status::kUnsat;
-      return out;
-    case UniGenPrepared::Mode::kTrivial: {
-      Rng rng = pool_.fork_stream(stream);
-      out.models = unigen_trivial_batch(prep_, max_batch, rng);
-      out.status = SampleResult::Status::kOk;
-      return out;
-    }
-    default:
-      out.status = SampleResult::Status::kTimeout;
-      return out;
-  }
-}
-
 void SamplerPool::account(SampleResult::Status status) {
   ++requests_;
   switch (status) {
@@ -187,70 +81,80 @@ void SamplerPool::account(SampleResult::Status status) {
   }
 }
 
-void SamplerPool::serve_via_fleet(Job& job, std::size_t count,
-                                  const Budget& budget) {
-  // Request k of this call is task (first_stream + k): the id doubles as
-  // the worker-side fault-plan key and matches the in-process fault_key,
-  // so one injection plan addresses the same request on both backends.
-  // Raw RNG state per task keeps every draw identical to pool_'s keyed
-  // fork; a crashed request's retry re-runs the same pure function.
-  std::vector<ProcessFleet::TaskSpec> specs(count);
-  const obs::TraceContext tctx = obs::current_context();
-  for (std::size_t k = 0; k < count; ++k) {
-    specs[k].id = job.first_stream + k;
-    specs[k].rng_state = pool_.fork_stream(job.first_stream + k).state();
-    specs[k].max_batch =
-        job.kind == Job::Kind::kBatches ? job.max_batch : 0;
-    // Trace propagation (observability only): worker spans land under this
-    // call's pool.request span.
-    specs[k].trace_id = tctx.trace_id;
-    specs[k].parent_span = tctx.span_id;
-  }
-  std::vector<ProcessFleet::TaskOutcome> outcomes = fleet_->run(specs, budget);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (!outcomes[k].served) continue;  // poisoned/cut → finish_job stamps
-    const ipc::ResultMsg& r = outcomes[k].result;
-    if (r.sample_status > static_cast<std::uint8_t>(
-                              SampleResult::Status::kCancelled))
-      continue;  // corrupt status byte: treat as unserved
-    const auto status = static_cast<SampleResult::Status>(r.sample_status);
-    job.served[k] = 1;
-    if (job.kind == Job::Kind::kSingles) {
-      SampleResult& s = (*job.singles)[k];
-      s.status = status;
-      if (status == SampleResult::Status::kOk && !r.models.empty())
-        s.witness = r.models.front();
+SampleBatchesResult SamplerPool::serve(std::size_t count,
+                                       std::size_t max_batch,
+                                       const Budget& budget) {
+  SampleBatchesResult out;
+  if (count == 0) return out;
+  out.batches.resize(count);
+  // Streams are consumed whatever the outcome: the stream ledger advances
+  // per request, so later requests are unaffected by this call's fate.
+  const std::uint64_t first_stream = next_stream_;
+  next_stream_ += count;
+  std::vector<std::optional<BatchResult>> served(count);
+  // Degenerate budget: stamp every slot honestly before prepare() or any
+  // BSAT call.
+  out.status = budget.admission_status();
+  if (out.status == RequestStatus::kComplete) {
+    // Observability only: one span (and one trace id, keyed by the call's
+    // first request stream) per service call.  Cold calls nest prepare
+    // under it; every request span of this call becomes its child.
+    obs::Span call_span("pool.request",
+                        obs::trace_id_for_request(options_.seed, first_stream));
+    call_span.set_value(count);
+    prepare();
+    const Stopwatch watch;
+    UniGenOptions opts = options_.unigen;
+    opts.budget = budget;
+    // Request k of this call is task (first_stream + k): the id is the
+    // request's stream and its fault-plan key on every backend.
+    std::vector<std::uint64_t> ids(count);
+    for (std::size_t k = 0; k < count; ++k) ids[k] = first_stream + k;
+    if (prep_.mode == UniGenPrepared::Mode::kHashed) {
+      served = run_tasks<BatchResult>(
+          pool_, fleet_.get(), ids, streams_, max_batch, budget, nullptr,
+          [&](IncrementalBsat& engine, std::size_t worker, std::uint64_t id,
+              Rng& rng) {
+            return unigen_request(&engine, sampling_set_, prep_, opts,
+                                  cnf_.num_vars(), max_batch, rng,
+                                  worker_ugstats_[worker], id);
+          });
     } else {
-      BatchResult& b = (*job.batches)[k];
-      b.status = status;
-      b.models = std::move(outcomes[k].result.models);
+      // Trivial/unsat/timed-out modes need no engine and no fan-out.
+      UniGenStats unused;
+      for (std::size_t k = 0; k < count; ++k) {
+        if (budget.cancelled() || budget.wall_expired()) break;
+        Rng rng = streams_.fork_stream(ids[k]);
+        served[k] = unigen_request(nullptr, sampling_set_, prep_, opts,
+                                   cnf_.num_vars(), max_batch, rng, unused,
+                                   ids[k]);
+      }
     }
+    service_seconds_ += watch.seconds();
+    // A token that fired at any point during the call makes the whole call
+    // kCancelled (the token cannot un-trip mid-call), so unserved slots are
+    // cancellations; with no token the only thing that leaves a slot
+    // unserved is the wall deadline (or, on the fleet, a poisoned task).
+    std::size_t unserved = 0;
+    for (const auto& s : served) unserved += s ? 0 : 1;
+    if (budget.cancelled())
+      out.status = RequestStatus::kCancelled;
+    else if (unserved == count)
+      out.status = RequestStatus::kTimedOut;
+    else if (unserved > 0)
+      out.status = RequestStatus::kPartial;
   }
-}
-
-RequestStatus SamplerPool::finish_job(const Budget& budget, Job& job) {
-  // After quiescence, on the dispatcher thread.  A token that fired at any
-  // point during the call makes the whole call kCancelled (the token
-  // cannot un-trip mid-call), so unserved slots are cancellations; with no
-  // token the only thing that leaves a slot unserved is the wall deadline.
-  const bool cancelled = budget.cancelled();
-  std::size_t unserved = 0;
-  for (std::size_t k = 0; k < job.served.size(); ++k) {
-    if (job.served[k]) continue;
-    ++unserved;
-    if (job.kind == Job::Kind::kSingles)
-      (*job.singles)[k] =
-          cancelled ? SampleResult::cancelled() : SampleResult::timeout();
+  const SampleResult::Status unserved_status =
+      out.status == RequestStatus::kCancelled ? SampleResult::Status::kCancelled
+                                              : SampleResult::Status::kTimeout;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (served[k])
+      out.batches[k] = std::move(*served[k]);
     else
-      (*job.batches)[k].status = cancelled
-                                     ? SampleResult::Status::kCancelled
-                                     : SampleResult::Status::kTimeout;
+      out.batches[k].status = unserved_status;
+    account(out.batches[k].status);
   }
-  if (cancelled) return RequestStatus::kCancelled;
-  if (unserved == job.served.size() && unserved > 0)
-    return RequestStatus::kTimedOut;
-  if (unserved > 0) return RequestStatus::kPartial;
-  return RequestStatus::kComplete;
+  return out;
 }
 
 std::vector<SampleResult> SamplerPool::sample_many(std::size_t count) {
@@ -265,119 +169,23 @@ std::vector<BatchResult> SamplerPool::sample_batches(std::size_t requests,
 
 SampleManyResult SamplerPool::sample_many_within(std::size_t count,
                                                  const Budget& budget) {
+  SampleBatchesResult r = serve(count, /*max_batch=*/0, budget);
   SampleManyResult out;
-  if (count == 0) return out;
-  // Degenerate budget: stamp every slot honestly before prepare() or any
-  // BSAT call.  Streams are still consumed — the stream ledger advances
-  // per request, whatever the outcome, so later requests are unaffected.
-  if (const RequestStatus adm = budget.admission_status();
-      adm != RequestStatus::kComplete) {
-    next_stream_ += count;
-    out.samples.assign(count, adm == RequestStatus::kCancelled
-                                  ? SampleResult::cancelled()
-                                  : SampleResult::timeout());
-    out.status = adm;
-    for (const SampleResult& r : out.samples) account(r.status);
-    return out;
-  }
-  const std::uint64_t first_stream = next_stream_;
-  next_stream_ += count;  // streams are consumed whatever the outcome
-  // Observability only: one span (and one trace id, keyed by the call's
-  // first request stream) per service call.  Cold calls nest prepare under
-  // it; every request span of this call becomes its child.
-  obs::Span call_span("pool.request",
-                      obs::trace_id_for_request(options_.seed, first_stream));
-  call_span.set_value(count);
-  prepare();
-  const Stopwatch watch;
+  out.status = r.status;
   out.samples.resize(count);
-  UniGenOptions opts = options_.unigen;
-  opts.budget = budget;
-  Job job;
-  job.kind = Job::Kind::kSingles;
-  job.options = &opts;
-  job.first_stream = first_stream;
-  job.singles = &out.samples;
-  job.served.assign(count, 0);
-  if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    if (fleet_ != nullptr)
-      serve_via_fleet(job, count, budget);
-    else
-      pool_.run(count, first_stream,
-                [this, &job](IncrementalBsat& engine, std::size_t worker,
-                             std::size_t k, Rng& rng) {
-                  serve(engine, worker, job, k, rng);
-                },
-                budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (budget.cancelled() || budget.wall_expired()) break;
-      out.samples[k] = inline_single(first_stream + k);
-      job.served[k] = 1;
-    }
+  for (std::size_t k = 0; k < count; ++k) {
+    out.samples[k].status = r.batches[k].status;
+    if (r.batches[k].ok())
+      out.samples[k].witness = std::move(r.batches[k].models.front());
   }
-  out.status = finish_job(budget, job);
-  for (const SampleResult& r : out.samples) account(r.status);
-  service_seconds_ += watch.seconds();
   return out;
 }
 
 SampleBatchesResult SamplerPool::sample_batches_within(std::size_t requests,
                                                        std::size_t max_batch,
                                                        const Budget& budget) {
-  SampleBatchesResult out;
-  if (requests == 0 || max_batch == 0) return out;
-  if (const RequestStatus adm = budget.admission_status();
-      adm != RequestStatus::kComplete) {
-    next_stream_ += requests;
-    out.batches.resize(requests);
-    for (BatchResult& b : out.batches) {
-      b.status = adm == RequestStatus::kCancelled
-                     ? SampleResult::Status::kCancelled
-                     : SampleResult::Status::kTimeout;
-      account(b.status);
-    }
-    out.status = adm;
-    return out;
-  }
-  const std::uint64_t first_stream = next_stream_;
-  next_stream_ += requests;
-  obs::Span call_span("pool.request",
-                      obs::trace_id_for_request(options_.seed, first_stream));
-  call_span.set_value(requests);
-  prepare();
-  const Stopwatch watch;
-  out.batches.resize(requests);
-  UniGenOptions opts = options_.unigen;
-  opts.budget = budget;
-  Job job;
-  job.kind = Job::Kind::kBatches;
-  job.max_batch = max_batch;
-  job.options = &opts;
-  job.first_stream = first_stream;
-  job.batches = &out.batches;
-  job.served.assign(requests, 0);
-  if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    if (fleet_ != nullptr)
-      serve_via_fleet(job, requests, budget);
-    else
-      pool_.run(requests, first_stream,
-                [this, &job](IncrementalBsat& engine, std::size_t worker,
-                             std::size_t k, Rng& rng) {
-                  serve(engine, worker, job, k, rng);
-                },
-                budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
-  } else {
-    for (std::size_t k = 0; k < requests; ++k) {
-      if (budget.cancelled() || budget.wall_expired()) break;
-      out.batches[k] = inline_batch(first_stream + k, max_batch);
-      job.served[k] = 1;
-    }
-  }
-  out.status = finish_job(budget, job);
-  for (const BatchResult& r : out.batches) account(r.status);
-  service_seconds_ += watch.seconds();
-  return out;
+  if (max_batch == 0) return {};
+  return serve(requests, max_batch, budget);
 }
 
 SamplerPoolStats SamplerPool::stats() const {

@@ -7,23 +7,20 @@
 // parallel.  This service exploits exactly that split:
 //
 //   * prepare() runs once, on the caller's thread, producing an immutable
-//     UniGenPrepared that every worker shares by const reference — and,
-//     since PR 3, running the count-safe simplification pipeline whose
-//     shrunk formula (owned by UniGenPrepared::simplifier) is what all
-//     engines load; witnesses are reconstructed onto the original formula
-//     inside unigen_accept_cell.  Since the counting layer went parallel,
-//     the ApproxMC call inside prepare() fans its median iterations across
-//     the same number of threads as this pool (UniGenOptions::
-//     counter_threads = 0 means "match the service"), so the one-time
+//     UniGenPrepared that every worker shares by const reference, and
+//     running the count-safe simplification pipeline whose shrunk formula
+//     (owned by UniGenPrepared::simplifier) is what all engines load;
+//     witnesses are reconstructed onto the original formula inside
+//     unigen_accept_cell.  The ApproxMC call inside prepare() fans its
+//     median iterations across this pool's own workers, so the one-time
 //     phase is no longer the serial latency floor of a deployment.
-//   * The thread/engine machinery lives in WorkerPool (worker_pool.hpp):
-//     N worker threads each own a private IncrementalBsat engine over the
-//     one shared (simplified) Cnf — one solver build per worker for the
-//     whole pool lifetime, observable via
-//     SamplerPoolStats::workers[i].solver_rebuilds == 1.
-//   * Work items are pulled from an atomic cursor, so load balances itself;
-//     results land in a preallocated slot per request — no result-order
-//     nondeterminism.
+//   * Every request is one call of the sample task function
+//     (unigen_request), fanned out by run_tasks (dispatch.hpp) on the
+//     WorkerPool — N workers, each with a private IncrementalBsat over the
+//     one shared (simplified) Cnf, one solver build per worker for the
+//     whole pool lifetime (SamplerPoolStats::workers[i].solver_rebuilds
+//     == 1) — or on the process fleet.  Results land in a preallocated
+//     slot per request — no result-order nondeterminism.
 //
 // Determinism contract: request k draws all of its randomness from
 // Rng(seed).fork_stream(k) — a keyed fork that does not depend on which
@@ -76,20 +73,8 @@ struct SamplerPoolOptions {
   /// Master seed: the whole service output is a deterministic function of
   /// (formula, options, seed, request sequence) — thread count excluded.
   std::uint64_t seed = 0xDAC14;
-  /// ε and the time budgets, shared by prepare and every worker.  Its
-  /// counter_threads = 0 default resolves to this pool's thread count, so
-  /// prepare()'s ApproxMC call parallelizes with the service.
+  /// ε and the time budgets, shared by prepare and every worker.
   UniGenOptions unigen;
-};
-
-/// Outcome of one batched request (one accepted cell), with timeout,
-/// cancellation and ⊥ kept distinct — the vector<Model>-only shape of
-/// UniGen::sample_batch cannot tell them apart.
-struct BatchResult {
-  SampleResult::Status status = SampleResult::Status::kFail;
-  std::vector<Model> models;
-
-  bool ok() const { return status == SampleResult::Status::kOk; }
 };
 
 /// One anytime service call: per-request outcomes plus the call-level
@@ -110,16 +95,6 @@ struct SampleManyResult {
   RequestStatus status = RequestStatus::kComplete;
   std::vector<SampleResult> samples;
 };
-
-/// The post-accept_cell tail of one sampling request, factored out so the
-/// in-process pool (SamplerPool::serve) and the out-of-process worker
-/// (workerd_main.cpp) run byte-identical post-processing: the request's
-/// rng continues from wherever accept_cell left it — single pick via one
-/// rng.below, batch via rng.shuffle + truncate — which is part of the
-/// request's keyed-stream purity.
-SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng);
-BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
-                                   Rng& rng);
 
 struct SampleBatchesResult {
   RequestStatus status = RequestStatus::kComplete;
@@ -179,12 +154,9 @@ class SamplerPool {
   /// Engine ownership: prepare wires this pool's own WorkerPool through to
   /// unigen_prepare (UniGenOptions::shared_pool), so the one-time ApproxMC
   /// call fans out across — and warms — the same N engines that will serve
-  /// samples: one solver build per worker across both phases, where the
-  /// pre-handoff design built a transient counting pool and threw its N
-  /// warmed engines away (asserted via IncrementalBsat::
-  /// total_constructions in tests/test_session_registry.cpp).  Exception:
-  /// a caller that pinned counter_threads to a width different from this
-  /// pool's keeps the legacy transient count at that width.
+  /// samples: one solver build per worker across both phases (asserted via
+  /// IncrementalBsat::total_constructions in
+  /// tests/test_session_registry.cpp).
   bool prepare();
 
   /// prepare() under a caller-supplied budget (deadline / cancellation /
@@ -194,9 +166,10 @@ class SamplerPool {
   bool prepare(const Budget& budget);
 
   /// Draws `count` independent witnesses — request k is one full run of
-  /// lines 12–22 on stream k.  Trivial/UNSAT instances are served inline
-  /// (an array lookup needs no fan-out); hashed instances fan out across
-  /// the workers.  Runs under options.unigen.budget.
+  /// lines 12–22 on stream k.  Trivial/UNSAT instances are served on the
+  /// dispatcher thread (an array lookup needs no fan-out); hashed
+  /// instances fan out across the workers.  Runs under
+  /// options.unigen.budget.
   std::vector<SampleResult> sample_many(std::size_t count);
 
   /// UniGen2-style batches: each request accepts one hash cell and returns
@@ -231,22 +204,11 @@ class SamplerPool {
   SamplerPoolStats stats() const;
 
  private:
-  struct Job;
-
-  /// One request (lines 12–22) on the serving worker's engine and the
-  /// request's keyed stream; writes the result into the job's slot k.
-  void serve(IncrementalBsat& engine, std::size_t worker, Job& job,
-             std::size_t k, Rng& rng);
-  /// Fans the job across the process fleet (fleet_ non-null) instead of
-  /// pool_: same task keying, same bytes, crash-isolated workers.
-  void serve_via_fleet(Job& job, std::size_t count, const Budget& budget);
-  /// Serves trivial/unsat/timed-out modes on the dispatcher thread.
-  SampleResult inline_single(std::uint64_t stream);
-  BatchResult inline_batch(std::uint64_t stream, std::size_t max_batch);
+  /// The one body of both anytime calls: `count` requests on the next
+  /// streams, single witnesses when max_batch == 0 (as on the wire).
+  SampleBatchesResult serve(std::size_t count, std::size_t max_batch,
+                            const Budget& budget);
   void account(SampleResult::Status status);
-  /// Shared tail of the anytime calls: stamps honest statuses onto the
-  /// slots the fan-out never served and derives the call-level verdict.
-  RequestStatus finish_job(const Budget& budget, Job& job);
 
   Cnf cnf_;
   std::vector<Var> sampling_set_;
@@ -254,7 +216,9 @@ class SamplerPool {
   UniGenPrepared prep_;
   UniGenStats prepare_stats_;
   bool prepared_ = false;
-  /// Stream 0 = prepare, streams 1.. = requests in submission order.
+  /// Keyed streams: stream 0 = prepare, streams 1.. = requests in
+  /// submission order.  Only fork_stream (const) is ever used.
+  Rng streams_;
   std::uint64_t next_stream_ = 1;
 
   // Outcome totals (dispatcher thread only).
@@ -265,8 +229,7 @@ class SamplerPool {
   std::uint64_t cancelled_ = 0;
   double service_seconds_ = 0.0;
 
-  /// Threads, engines and keyed streams; started by prepare() in hashed
-  /// mode only.
+  /// Threads and engines; started by prepare() in hashed mode only.
   WorkerPool pool_;
   /// tasks_served snapshot taken when prepare() returns: the counting
   /// iterations the warm handoff ran on these workers, subtracted so

@@ -13,10 +13,8 @@ namespace unigen {
 // dies — while a worker could still touch it.
 struct WorkerPool::Job {
   std::size_t count = 0;
-  std::uint64_t first_stream = 0;  ///< rng stream of task 0
   const TaskFn* fn = nullptr;
   const std::atomic<bool>* cancel = nullptr;  ///< skip fn once tripped
-  const Rng* stream_base = nullptr;  ///< task streams fork from this
   /// Dispatcher's trace context at submission, re-installed around every
   /// task's fn so worker-thread spans parent to the dispatcher's span.
   /// Observability only (invalid when tracing is off).
@@ -28,8 +26,7 @@ struct WorkerPool::Job {
   std::size_t active = 0;  // guarded by WorkerPool::mu_
 };
 
-WorkerPool::WorkerPool(std::size_t num_threads, Rng base_rng)
-    : base_rng_(base_rng) {
+WorkerPool::WorkerPool(std::size_t num_threads) {
   if (num_threads == 0)
     num_threads =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -51,13 +48,13 @@ void WorkerPool::start(const Cnf& formula, std::vector<Var> projection,
   formula_ = &formula;
   projection_ = std::move(projection);
   workers_[0].engine = std::move(adopt);
+  if (workers_.size() == 1) return;  // the caller's thread is the worker
   threads_.reserve(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i)
     threads_.emplace_back([this, i] { worker_main(i); });
 }
 
 void WorkerPool::worker_main(std::size_t worker_index) {
-  Worker& worker = workers_[worker_index];
   std::uint64_t seen_seq = 0;
   for (;;) {
     Job* job = nullptr;
@@ -70,39 +67,7 @@ void WorkerPool::worker_main(std::size_t worker_index) {
       if (job != nullptr) ++job->active;
     }
     if (job == nullptr) continue;
-    for (;;) {
-      const std::size_t k = job->next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= job->count) break;
-      // Cooperative cancellation: a tripped token turns the remaining
-      // tasks into no-ops, but they are still pulled and counted done —
-      // run() keeps its "every task accounted for" exit condition and the
-      // job drains fast instead of wedging.
-      const bool skip = job->cancel != nullptr &&
-                        job->cancel->load(std::memory_order_acquire);
-      if (!skip) {
-        if (!worker.engine)
-          worker.engine =
-              std::make_unique<IncrementalBsat>(*formula_, projection_);
-        // Observability only: first pull of a task after submission is the
-        // queue wait; the dispatcher's context makes this thread's spans
-        // children of the submitting span.
-        if (job->submit_ns != 0 && obs::enabled()) {
-          static obs::Counter& tasks = obs::metrics().counter("pool.tasks");
-          static obs::Histogram& queue_wait =
-              obs::metrics().histogram("pool.queue_wait_seconds");
-          tasks.add();
-          queue_wait.record_ns(obs::now_ns() - job->submit_ns);
-        }
-        obs::ContextScope trace_scope(job->trace_ctx);
-        // All randomness of task k comes from its keyed stream — identical
-        // no matter which worker runs this.
-        Rng rng = job->stream_base->fork_stream(job->first_stream + k);
-        (*job->fn)(*worker.engine, worker_index, k, rng);
-        ++worker.served;
-        job->executed.fetch_add(1, std::memory_order_relaxed);
-      }
-      job->done.fetch_add(1, std::memory_order_acq_rel);
-    }
+    drain(*job, worker_index);
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active;
@@ -111,20 +76,54 @@ void WorkerPool::worker_main(std::size_t worker_index) {
   }
 }
 
-std::size_t WorkerPool::run(std::size_t count, std::uint64_t first_stream,
-                            const TaskFn& fn,
-                            const std::atomic<bool>* cancel,
-                            const Rng* stream_base) {
+void WorkerPool::drain(Job& job, std::size_t worker_index) {
+  Worker& worker = workers_[worker_index];
+  for (;;) {
+    const std::size_t k = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (k >= job.count) break;
+    // Cooperative cancellation: a tripped token turns the remaining
+    // tasks into no-ops, but they are still pulled and counted done —
+    // run() keeps its "every task accounted for" exit condition and the
+    // job drains fast instead of wedging.
+    const bool skip = job.cancel != nullptr &&
+                      job.cancel->load(std::memory_order_acquire);
+    if (!skip) {
+      if (!worker.engine)
+        worker.engine =
+            std::make_unique<IncrementalBsat>(*formula_, projection_);
+      // Observability only: first pull of a task after submission is the
+      // queue wait; the dispatcher's context makes this thread's spans
+      // children of the submitting span.
+      if (job.submit_ns != 0 && obs::enabled()) {
+        static obs::Counter& tasks = obs::metrics().counter("pool.tasks");
+        static obs::Histogram& queue_wait =
+            obs::metrics().histogram("pool.queue_wait_seconds");
+        tasks.add();
+        queue_wait.record_ns(obs::now_ns() - job.submit_ns);
+      }
+      obs::ContextScope trace_scope(job.trace_ctx);
+      (*job.fn)(*worker.engine, worker_index, k);
+      ++worker.served;
+      job.executed.fetch_add(1, std::memory_order_relaxed);
+    }
+    job.done.fetch_add(1, std::memory_order_acq_rel);
+  }
+}
+
+std::size_t WorkerPool::run(std::size_t count, const TaskFn& fn,
+                            const std::atomic<bool>* cancel) {
   if (count == 0) return 0;
   Job job;
   job.count = count;
-  job.first_stream = first_stream;
   job.fn = &fn;
   job.cancel = cancel;
-  job.stream_base = stream_base != nullptr ? stream_base : &base_rng_;
   if (obs::enabled()) {
     job.trace_ctx = obs::current_context();
     job.submit_ns = obs::now_ns();
+  }
+  if (threads_.empty()) {
+    drain(job, 0);
+    return job.executed.load(std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -1,15 +1,16 @@
 #pragma once
-// WorkerPool — the reusable fan-out substrate of the parallel services.
+// WorkerPool — the in-process execution backend of the fan-out seam
+// (service/dispatch.hpp).
 //
 // Both parallel layers of this repository have the same shape: a one-time
 // phase fixes shared immutable state, then t independent work items (UniGen
-// samples, ApproxMC median iterations) run against one formula, and each
-// item's randomness must not depend on which thread serves it.  This class
-// is that shape, extracted from SamplerPool so the counting service
-// (counting/parallel_approxmc.cpp) does not re-implement it:
+// requests, ApproxMC median iterations) run against one formula.  This
+// class is the thread/engine half of that shape:
 //
-//   * N persistent worker threads, started once via start() and joined in
-//     the destructor.
+//   * N persistent workers, started once via start() and joined in the
+//     destructor.  A width-1 pool starts no thread at all: run() executes
+//     its tasks on the calling thread, which makes it the inline executor
+//     (a serial count is a width-1 pool, not a separate loop).
 //   * One lazily-built IncrementalBsat per worker over a single shared
 //     immutable Cnf (the engine keeps a reference — no formula copies);
 //     a worker builds its engine on its first task and reuses it for the
@@ -20,12 +21,10 @@
 //     itself; run() is synchronous and returns only when every item is
 //     done and every worker has detached from the job, which is what makes
 //     the per-worker accessors race-free between calls.
-//   * Per-task keyed RNG: task k of a run with first_stream f draws all of
-//     its randomness from base_rng.fork_stream(f + k) — a pure function of
-//     (seed, f, k), independent of thread count and scheduling.  This is
-//     the pool half of the services' byte-identical-across-threads
-//     contract; the other half (canonical result ordering) is the
-//     callback's job.
+//
+// Task randomness is not the pool's business: run_tasks (dispatch.hpp)
+// forks each task's keyed stream, identically for this pool and for the
+// process fleet.
 //
 // Threading contract: one dispatcher thread drives the pool (start / run /
 // the accessors are not reentrant); the fan-out inside run() is the pool's
@@ -44,7 +43,6 @@
 
 #include "cnf/cnf.hpp"
 #include "sat/incremental_bsat.hpp"
-#include "util/rng.hpp"
 
 namespace unigen {
 
@@ -52,71 +50,45 @@ class WorkerPool {
  public:
   /// One work item: `engine` is the serving worker's private persistent
   /// solver, `worker` its index (for per-worker aggregation on the caller's
-  /// side), `task` the item index within the run, and `rng` the task's
-  /// keyed stream.
+  /// side), `task` the item index within the run.
   using TaskFn = std::function<void(IncrementalBsat& engine,
-                                    std::size_t worker, std::size_t task,
-                                    Rng& rng)>;
+                                    std::size_t worker, std::size_t task)>;
 
-  /// `num_threads` 0 = std::thread::hardware_concurrency() (min 1).  All
-  /// task streams fork from `base_rng`, which is never advanced.
-  WorkerPool(std::size_t num_threads, Rng base_rng);
+  /// `num_threads` 0 = std::thread::hardware_concurrency() (min 1).
+  explicit WorkerPool(std::size_t num_threads);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Starts the worker threads over `formula` (which must outlive the
-  /// pool; engines reference it, they do not copy it).  `projection` is
-  /// the set cells are counted/blocked over.  Worker 0 adopts `adopt` when
-  /// given instead of building its own engine.  Idempotent: only the first
-  /// call starts anything.
+  /// Starts the workers over `formula` (which must outlive the pool;
+  /// engines reference it, they do not copy it).  `projection` is the set
+  /// cells are counted/blocked over.  Worker 0 adopts `adopt` when given
+  /// instead of building its own engine.  Idempotent: only the first call
+  /// starts anything.
   void start(const Cnf& formula, std::vector<Var> projection,
              std::unique_ptr<IncrementalBsat> adopt = nullptr);
-  bool started() const { return !threads_.empty(); }
+  bool started() const { return formula_ != nullptr; }
 
   /// Fans `count` tasks across the workers; task k runs
-  /// fn(engine, worker, k, base_rng.fork_stream(first_stream + k)).
-  /// Synchronous: on return every task is accounted for and every worker
-  /// has quiesced.  Requires start().
+  /// fn(engine, worker, k).  Synchronous: on return every task is
+  /// accounted for and every worker has quiesced.  Requires start().
   ///
   /// `cancel` (a CancelToken's raw atomic; null = not cancellable) is the
   /// pool-level cancellation seam: once it trips, workers keep pulling
   /// the remaining tasks but skip `fn` and mark them done — the job drains
   /// at memory speed, run() still returns normally, and the pool is
-  /// immediately reusable for the next run (nothing about a job outlives
-  /// it; task streams are keyed per-run, so a cancelled run pollutes no
-  /// later one).  The task *currently inside* fn is interrupted at the
-  /// solver's periodic conflict check only if fn threads the same flag
-  /// into its solver calls (the Budget plumbing does).  Returns the number
-  /// of tasks whose fn actually ran — == count iff no cancellation fired.
-  ///
-  /// `stream_base` overrides the generator task streams fork from for this
-  /// one run (default: the pool's own base_rng_).  This is what lets one
-  /// pool serve fan-outs from different stream spaces — the counting phase
-  /// forks its iterations from prepare's stream-0 rng while the sampling
-  /// phase forks requests from the pool seed — without renumbering either:
-  /// each caller keeps drawing the exact streams it would on a private
-  /// pool, which is the byte-identity contract of the warm handoff.  The
-  /// pointee is only read (fork_stream is const) and must stay alive until
-  /// run() returns.
-  std::size_t run(std::size_t count, std::uint64_t first_stream,
-                  const TaskFn& fn,
-                  const std::atomic<bool>* cancel = nullptr,
-                  const Rng* stream_base = nullptr);
-
-  /// The keyed-stream primitive, exposed so the owning service can serve
-  /// inline fast paths (trivial mode) from the same stream space.
-  Rng fork_stream(std::uint64_t stream) const {
-    return base_rng_.fork_stream(stream);
-  }
+  /// immediately reusable for the next run.  The task *currently inside*
+  /// fn is interrupted at the solver's periodic conflict check only if fn
+  /// threads the same flag into its solver calls (the Budget plumbing
+  /// does).  Returns the number of tasks whose fn actually ran — == count
+  /// iff no cancellation fired.
+  std::size_t run(std::size_t count, const TaskFn& fn,
+                  const std::atomic<bool>* cancel = nullptr);
 
   std::size_t num_threads() const { return workers_.size(); }
   /// Tasks served by worker `w` across all runs.
   std::uint64_t tasks_served(std::size_t w) const {
     return workers_[w].served;
-  }
-  bool engine_built(std::size_t w) const {
-    return workers_[w].engine != nullptr;
   }
   /// Engine counters of worker `w` (zero-valued when it never built one).
   SolverStats engine_stats(std::size_t w) const;
@@ -141,14 +113,15 @@ class WorkerPool {
   };
 
   void worker_main(std::size_t worker_index);
+  /// Pulls and runs tasks of `job` as worker `worker_index` until the
+  /// cursor passes the end.
+  void drain(Job& job, std::size_t worker_index);
 
-  /// Only fork_stream() (const) is ever used — the pool never advances it.
-  Rng base_rng_;
   const Cnf* formula_ = nullptr;  // set by start(); caller guarantees lifetime
   std::vector<Var> projection_;
 
   std::vector<Worker> workers_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // empty for a width-1 pool
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

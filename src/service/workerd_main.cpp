@@ -19,10 +19,10 @@
 //                          endpoint is printed to stdout for discovery).
 //
 // Determinism: a task is a pure function of its frame — the formula came
-// in canonical DIMACS, the task's rng as raw state, and the post-
-// processing (pick/shuffle) is the exact helper the in-process pool uses —
-// so the supervisor may re-dispatch a task to any worker, on any host, any
-// number of times, and fold byte-identical results.
+// in canonical DIMACS, the task's rng as raw state, and the task function
+// is the one the in-process pool calls — so the supervisor may re-dispatch
+// a task to any worker, on any host, any number of times, and fold
+// byte-identical results.
 //
 // Protocol errors: an unknown frame-type byte is answered with a
 // structured Error (the length prefix was sound, so the stream is still
@@ -62,7 +62,6 @@
 #include "sat/incremental_bsat.hpp"
 #include "service/ipc.hpp"
 #include "service/net_transport.hpp"
-#include "service/sampler_pool.hpp"
 #include "simplify/simplify.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -120,7 +119,8 @@ struct Writer {
 
   bool send(ipc::FrameType type, const std::string& body) {
     std::lock_guard<std::mutex> lock(mu);
-    return ipc::write_frame(fd, type, body);
+    return ipc::write_frame_bounded(fd, type, body, 0) ==
+           ipc::WriteOutcome::kOk;
   }
   void request_stop() {
     {
@@ -140,8 +140,8 @@ void heartbeat_main(Writer* writer, double interval_s) {
     if (writer->cv.wait_for(lock, period, [writer] { return writer->stop; }))
       return;
     // mu held: write directly (send() would deadlock re-locking).
-    if (!ipc::write_frame(writer->fd, ipc::FrameType::kHeartbeat,
-                          std::string()))
+    if (ipc::write_frame_bounded(writer->fd, ipc::FrameType::kHeartbeat,
+                                 std::string(), 0) != ipc::WriteOutcome::kOk)
       return;  // parent gone
   }
 }
@@ -272,7 +272,6 @@ int worker_main(int fd) {
 
     ipc::ResultMsg result;
     result.task_id = task.task_id;
-    result.kind = setup.kind;
     // Tracing follows the task frame: a nonzero trace id turns recording on
     // for exactly this attempt, and the ring is drained into the Result so
     // the supervisor can merge the fragment.  Observability only — the
@@ -300,41 +299,20 @@ int worker_main(int fd) {
       task_budget.bsat_timeout_s = task.bsat_timeout_s;
       task_budget.max_bsat_calls = task.max_bsat_calls;
       task_budget.conflicts_per_call = task.conflicts_per_call;
+      // The same task functions the in-process pool calls (dispatch.hpp);
+      // counts always start their hash-count search cold here.
       if (setup.kind == ipc::TaskKind::kCount) {
         count_options.budget = task_budget;
-        const ApproxMcCoreOutcome o = approxmc_core_iteration(
-            *engine, setup.n, setup.pivot, count_options, task.start_m, rng,
+        result.outcome = approxmc_core_iteration(
+            *engine, setup.n, setup.pivot, count_options, /*start_m=*/0, rng,
             /*fault_key=*/task.task_id);
-        result.ok = o.ok ? 1 : 0;
-        result.timed_out = o.timed_out ? 1 : 0;
-        result.cancelled = o.cancelled ? 1 : 0;
-        result.faulted = o.faulted ? 1 : 0;
-        result.leapfrogged = o.leapfrogged ? 1 : 0;
-        result.cell_count = o.cell_count;
-        result.hash_count = o.hash_count;
-        result.bsat_calls = o.bsat_calls;
       } else {
         ug_options.budget = task_budget;
-        const std::uint64_t before_calls = scratch_stats.sample_bsat_calls;
-        const std::uint64_t before_retries = scratch_stats.bsat_timeout_retries;
-        AcceptCellResult r = unigen_accept_cell(
-            *engine, setup.sampling_set, prep, ug_options,
-            static_cast<Var>(setup.formula_vars), rng, scratch_stats,
+        result.outcome = unigen_request(
+            engine.get(), setup.sampling_set, prep, ug_options,
+            static_cast<Var>(setup.formula_vars),
+            static_cast<std::size_t>(task.max_batch), rng, scratch_stats,
             /*fault_key=*/task.task_id);
-        result.sample_bsat_calls =
-            scratch_stats.sample_bsat_calls - before_calls;
-        result.timeout_retries =
-            scratch_stats.bsat_timeout_retries - before_retries;
-        if (task.max_batch == 0) {
-          SampleResult s = finish_single_from_cell(std::move(r), rng);
-          result.sample_status = static_cast<std::uint8_t>(s.status);
-          if (s.ok()) result.models.push_back(std::move(s.witness));
-        } else {
-          BatchResult b = finish_batch_from_cell(
-              std::move(r), static_cast<std::size_t>(task.max_batch), rng);
-          result.sample_status = static_cast<std::uint8_t>(b.status);
-          result.models = std::move(b.models);
-        }
       }
     } catch (const std::exception& e) {
       writer.send(ipc::FrameType::kError, ipc::encode_error(e.what()));

@@ -15,7 +15,7 @@
 //      within the (1+ε) band (widened by the empirical slack the unit
 //      suite uses, so a pass is deterministic per seed);
 //   4. simplify-on vs. simplify-off ApproxMC byte-equality (count safety);
-//   5. serial vs. parallel (2-thread) ApproxMC byte-equality (the
+//   5. width-1 vs. width-2 pool ApproxMC byte-equality (the
 //      scheduling-independence contract);
 //   6. the anytime contract under a seed-derived deterministic budget and
 //      injected fault plan: statuses are honest (a Partial estimate comes
@@ -209,9 +209,9 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                    "partial achieved_delta %.6f vs %d estimates",
                    cut.achieved_delta, cut.result.iterations_succeeded);
       } else {
-        FUZZ_CHECK(!cut.result.valid && cut.result.timed_out,
-                   "%s but valid=%d timed_out=%d", to_string(cut.status),
-                   cut.result.valid, cut.result.timed_out);
+        FUZZ_CHECK(!cut.result.valid && cut.status == RequestStatus::kTimedOut,
+                   "%s but valid=%d", to_string(cut.status),
+                   cut.result.valid);
       }
       // A partial estimate is built from completed iterations only:
       // unsettled slots must not have contributed any work to the result.

@@ -114,7 +114,6 @@ TEST_P(AnytimeCutResume, ResumeEqualsUninterrupted) {
                 approxmc_delta_achieved(cut.result.iterations_succeeded));
     } else {
       EXPECT_FALSE(cut.result.valid);
-      EXPECT_TRUE(cut.result.timed_out);
       EXPECT_EQ(cut.achieved_delta, 1.0);
     }
     // The partial estimate must come from completed iterations only: every

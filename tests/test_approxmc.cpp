@@ -101,9 +101,9 @@ TEST(ApproxMc, DeadlineTimeoutReported) {
   Cnf cnf(30);  // 2^30 free-variable models force the hashed path
   ApproxMcOptions opts;
   opts.budget.deadline = Deadline::in_seconds(0.0);
-  const auto r = approx_count(cnf, opts, rng);
-  EXPECT_FALSE(r.valid);
-  EXPECT_TRUE(r.timed_out);
+  const ApproxMcAnytime r = approx_count_anytime(cnf, opts, rng);
+  EXPECT_FALSE(r.result.valid);
+  EXPECT_EQ(r.status, RequestStatus::kTimedOut);
 }
 
 class ApproxMcGuarantee : public ::testing::TestWithParam<int> {};

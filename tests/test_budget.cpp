@@ -111,7 +111,6 @@ TEST(BudgetTest, DegenerateDeadlineCountsReturnBeforeAnyProbe) {
     const ApproxMcAnytime any = approx_count_anytime(cnf, options, rng);
     EXPECT_EQ(any.status, RequestStatus::kTimedOut) << "deadline " << s;
     EXPECT_FALSE(any.result.valid);
-    EXPECT_TRUE(any.result.timed_out);
     EXPECT_EQ(any.result.bsat_calls, 0u) << "probe ran despite dead budget";
   }
   // Pre-tripped cancellation: same guarantee, kCancelled.
@@ -251,14 +250,14 @@ TEST(AchievedDeltaTest, MatchesTheBinomialMedianTail) {
 TEST(WorkerPoolCancelTest, PreTrippedTokenDrainsWithoutExecuting) {
   Cnf cnf(4);
   cnf.add_clause({Lit(0, false), Lit(1, false)});
-  WorkerPool pool(2, Rng(7));
+  WorkerPool pool(2);
   pool.start(cnf, cnf.sampling_set_or_all());
   CancelToken token;
   token.cancel();
   std::atomic<int> ran{0};
   const std::size_t executed =
-      pool.run(16, 0,
-               [&](IncrementalBsat&, std::size_t, std::size_t, Rng&) {
+      pool.run(16,
+               [&](IncrementalBsat&, std::size_t, std::size_t) {
                  ran.fetch_add(1);
                },
                token.flag());
@@ -270,14 +269,14 @@ TEST(WorkerPoolCancelTest, PreTrippedTokenDrainsWithoutExecuting) {
 TEST(WorkerPoolCancelTest, PoolIsReusableAfterCancel) {
   Cnf cnf(4);
   cnf.add_clause({Lit(0, false), Lit(1, false)});
-  WorkerPool pool(2, Rng(7));
+  WorkerPool pool(2);
   pool.start(cnf, cnf.sampling_set_or_all());
 
   CancelToken token;
   std::atomic<int> ran{0};
   // Trip the token from inside task 0: later tasks drain unexecuted.
-  pool.run(64, 0,
-           [&](IncrementalBsat&, std::size_t, std::size_t, Rng&) {
+  pool.run(64,
+           [&](IncrementalBsat&, std::size_t, std::size_t) {
              ran.fetch_add(1);
              token.cancel();
            },
@@ -287,9 +286,8 @@ TEST(WorkerPoolCancelTest, PoolIsReusableAfterCancel) {
 
   // The same pool serves the next run completely.
   std::atomic<int> second{0};
-  const std::size_t executed = pool.run(
-      8, 100,
-      [&](IncrementalBsat&, std::size_t, std::size_t, Rng&) {
+  const std::size_t executed =
+      pool.run(8, [&](IncrementalBsat&, std::size_t, std::size_t) {
         second.fetch_add(1);
       });
   EXPECT_EQ(executed, 8u);

@@ -1,0 +1,213 @@
+// The fan-out seam (service/dispatch.hpp): one task function per kind, one
+// outcome codec, one dispatch.  Every backend must produce the same bytes —
+// a count under a deterministic budget, its per-iteration ledger included,
+// and sample_many / sample_batches streams — whether the tasks run on a
+// width-1 pool (the caller's own thread), a width-4 pool or a socketpair
+// process fleet.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+
+#include "counting/approxmc.hpp"
+#include "service/dispatch.hpp"
+#include "service/sampler_pool.hpp"
+
+namespace unigen {
+namespace {
+
+enum class Backend { kWidth1, kWidth4, kFleet };
+
+std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
+  switch (info.param) {
+    case Backend::kWidth1:
+      return "Width1Pool";
+    case Backend::kWidth4:
+      return "Width4Pool";
+    case Backend::kFleet:
+      return "SocketpairFleet";
+  }
+  return "?";
+}
+
+/// 504 models over 10 vars: above hiThresh(ε=6) and pivot(ε=0.8), so both
+/// the counter and the sampler run hashed and the workers actually solve.
+Cnf hashed_mode_formula() {
+  Cnf cnf(10);
+  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
+  cnf.add_clause({Lit(3, false), Lit(4, true)});
+  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
+  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
+  return cnf;
+}
+
+ApproxMcOptions count_options(Backend b, std::uint64_t grant) {
+  ApproxMcOptions o;
+  o.delta = 0.05;  // more median iterations than the default 3
+  o.budget.max_bsat_calls = grant;  // deterministic mode
+  o.num_threads = b == Backend::kWidth4 ? 4 : 1;
+  if (b == Backend::kFleet) {
+    o.fleet.backend = ExecBackend::kProcessFleet;
+    o.fleet.num_workers = 2;
+  }
+  return o;
+}
+
+SamplerPoolOptions pool_options(Backend b) {
+  SamplerPoolOptions o;
+  o.seed = 4711;
+  o.num_threads = b == Backend::kWidth4 ? 4 : 1;
+  if (b == Backend::kFleet) {
+    o.num_threads = 2;
+    o.unigen.fleet.backend = ExecBackend::kProcessFleet;
+  }
+  return o;
+}
+
+void expect_same_count(const ApproxMcAnytime& a, const ApproxMcAnytime& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.result.valid, b.result.valid);
+  EXPECT_EQ(a.result.cell_count, b.result.cell_count);
+  EXPECT_EQ(a.result.hash_count, b.result.hash_count);
+  EXPECT_EQ(a.result.bsat_calls, b.result.bsat_calls);
+  EXPECT_EQ(a.result.iterations_succeeded, b.result.iterations_succeeded);
+  EXPECT_EQ(a.achieved_delta, b.achieved_delta);
+  ASSERT_EQ(a.state.outcomes.size(), b.state.outcomes.size());
+  EXPECT_EQ(a.state.settled, b.state.settled);
+  for (std::size_t i = 0; i < a.state.outcomes.size(); ++i) {
+    const ApproxMcCoreOutcome& x = a.state.outcomes[i];
+    const ApproxMcCoreOutcome& y = b.state.outcomes[i];
+    EXPECT_EQ(x.ok, y.ok) << "iteration " << i;
+    EXPECT_EQ(x.timed_out, y.timed_out) << "iteration " << i;
+    EXPECT_EQ(x.cancelled, y.cancelled) << "iteration " << i;
+    EXPECT_EQ(x.faulted, y.faulted) << "iteration " << i;
+    EXPECT_EQ(x.leapfrogged, y.leapfrogged) << "iteration " << i;
+    EXPECT_EQ(x.cell_count, y.cell_count) << "iteration " << i;
+    EXPECT_EQ(x.hash_count, y.hash_count) << "iteration " << i;
+    EXPECT_EQ(x.bsat_calls, y.bsat_calls) << "iteration " << i;
+  }
+}
+
+class Seam : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(Seam, CountUnderDeterministicBudgetIsBackendIndependent) {
+  const Cnf cnf = hashed_mode_formula();
+  Rng ref_rng(2024);
+  const ApproxMcAnytime full = approx_count_anytime(
+      cnf, count_options(Backend::kWidth1, 1u << 20), ref_rng);
+  ASSERT_EQ(full.status, RequestStatus::kComplete);
+  ASSERT_GE(full.state.outcomes.size(), 3u);
+  // A grant that buys the prologue and about half the iterations.
+  const std::uint64_t half = full.result.bsat_calls / 2;
+  Rng cut_rng(2024);
+  const ApproxMcAnytime cut = approx_count_anytime(
+      cnf, count_options(Backend::kWidth1, half), cut_rng);
+  ASSERT_NE(cut.status, RequestStatus::kComplete);
+
+  for (const std::uint64_t grant : {std::uint64_t{1} << 20, half}) {
+    Rng rng(2024);
+    const ApproxMcAnytime got =
+        approx_count_anytime(cnf, count_options(GetParam(), grant), rng);
+    expect_same_count(grant == half ? cut : full, got);
+    // Pool workers' engines are reported only when the pool served.
+    EXPECT_EQ(got.result.workers.empty(), GetParam() == Backend::kFleet);
+    // The caller's rng advanced identically (one fork, whatever executes).
+    Rng a = ref_rng;
+    Rng b = rng;
+    EXPECT_EQ(a(), b());
+  }
+}
+
+TEST_P(Seam, SampleStreamsAreBackendIndependent) {
+  const Cnf cnf = hashed_mode_formula();
+  SamplerPool reference(cnf, pool_options(Backend::kWidth1));
+  SamplerPool pool(cnf, pool_options(GetParam()));
+  ASSERT_TRUE(pool.prepare());
+  EXPECT_EQ(pool.fleet() != nullptr, GetParam() == Backend::kFleet)
+      << "the fleet backend should come up (unigen_workerd next to the "
+         "test binary)";
+  // Singles, batches, singles: streams continue across calls of both kinds.
+  for (int round = 0; round < 2; ++round) {
+    const auto want = reference.sample_many(9);
+    const auto got = pool.sample_many(9);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(want[k].status, got[k].status) << "request " << k;
+      EXPECT_EQ(want[k].witness, got[k].witness) << "request " << k;
+    }
+    const auto want_b = reference.sample_batches(4, 6);
+    const auto got_b = pool.sample_batches(4, 6);
+    ASSERT_EQ(want_b.size(), got_b.size());
+    for (std::size_t k = 0; k < want_b.size(); ++k) {
+      EXPECT_EQ(want_b[k].status, got_b[k].status) << "batch " << k;
+      EXPECT_EQ(want_b[k].models, got_b[k].models) << "batch " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, Seam,
+                         ::testing::Values(Backend::kWidth1, Backend::kWidth4,
+                                           Backend::kFleet),
+                         backend_name);
+
+TEST(WorkerPool, WidthOneRunsTasksOnTheCallersThread) {
+  Cnf cnf(4);
+  cnf.add_clause({Lit(0, false), Lit(1, false)});
+  WorkerPool pool(1);
+  pool.start(cnf, cnf.sampling_set_or_all());
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(6);
+  const std::size_t executed =
+      pool.run(ran_on.size(),
+               [&](IncrementalBsat&, std::size_t worker, std::size_t k) {
+                 EXPECT_EQ(worker, 0u);
+                 ran_on[k] = std::this_thread::get_id();
+               });
+  EXPECT_EQ(executed, ran_on.size());
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+
+  // A wider pool runs on its own threads.
+  WorkerPool wide(2);
+  wide.start(cnf, cnf.sampling_set_or_all());
+  std::atomic<int> on_caller{0};
+  wide.run(8, [&](IncrementalBsat&, std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {
+  // On a width-1 pool the racy pre-start check is exact: with 3 units
+  // granted and 2 spent, the first task (charging 4) runs and the rest
+  // never start.
+  Cnf cnf(4);
+  cnf.add_clause({Lit(0, false), Lit(1, false)});
+  WorkerPool pool(1);
+  pool.start(cnf, cnf.sampling_set_or_all());
+  ProcessFleet::RunControl ledger;
+  ledger.units_granted = 3;
+  ledger.units_spent = 2;
+  const std::vector<std::uint64_t> ids = {5, 6, 7};
+  std::vector<std::uint64_t> seen;
+  const auto out = run_tasks<ApproxMcCoreOutcome>(
+      pool, nullptr, ids, Rng(9), 0, Budget{}, &ledger,
+      [&](IncrementalBsat&, std::size_t, std::uint64_t id, Rng& rng) {
+        seen.push_back(id);
+        // Task `id` draws from streams.fork_stream(id).
+        Rng want = Rng(9).fork_stream(id);
+        EXPECT_EQ(rng(), want());
+        ApproxMcCoreOutcome o;
+        o.bsat_calls = 4;
+        return o;
+      });
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_TRUE(out[0].has_value());
+  EXPECT_FALSE(out[1].has_value());
+  EXPECT_FALSE(out[2].has_value());
+  EXPECT_EQ(seen, std::vector<std::uint64_t>{5});
+}
+
+}  // namespace
+}  // namespace unigen

@@ -225,7 +225,9 @@ struct SocketPair {
 
 TEST(ReadFrameOutcome, ValidFrameRoundTrips) {
   SocketPair sp;
-  ASSERT_TRUE(ipc::write_frame(sp.fds[1], ipc::FrameType::kTask, "payload"));
+  ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kTask,
+                                     "payload", 0),
+            ipc::WriteOutcome::kOk);
   ipc::FrameType type;
   std::string body;
   EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
@@ -282,7 +284,9 @@ TEST(ReadFrameOutcome, BadTypeKeepsStreamInSync) {
   // with a structured Error and keep serving.
   SocketPair sp;
   sp.write_raw(raw_frame(0x42, "junk"));
-  ASSERT_TRUE(ipc::write_frame(sp.fds[1], ipc::FrameType::kTask, "real"));
+  ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kTask, "real",
+                                     0),
+            ipc::WriteOutcome::kOk);
   ipc::FrameType type;
   std::string body;
   EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
@@ -312,7 +316,6 @@ TEST(WriteFrame, OversizeRefusedBeforeAnyIo) {
             ipc::WriteOutcome::kOversize);
   EXPECT_EQ(ipc::write_frame_bounded(-1, ipc::FrameType::kSetup, huge, 1.0),
             ipc::WriteOutcome::kOversize);
-  EXPECT_FALSE(ipc::write_frame(-1, ipc::FrameType::kSetup, huge));
 }
 
 TEST(WriteFrame, LargestLegalBodyRoundTrips) {
@@ -379,14 +382,94 @@ TEST(WriteFrame, StalledPeerHitsDeadlineNotForever) {
   EXPECT_LT(elapsed, 10.0);
 }
 
-TEST(WriteFrame, UnboundedLegacyPathStillWorks) {
+TEST(WriteFrame, UnboundedPathRoundTrips) {
+  // send_deadline_s <= 0 blocks until flushed: the worker side's form.
   SocketPair sp;
-  ASSERT_TRUE(ipc::write_frame(sp.fds[1], ipc::FrameType::kError, "e"));
+  ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kError, "e", 0),
+            ipc::WriteOutcome::kOk);
   ipc::FrameType type;
   std::string body;
-  ASSERT_TRUE(ipc::read_frame(sp.fds[0], type, body));
+  ASSERT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+            ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kError);
   EXPECT_EQ(body, "e");
+}
+
+// ---- outcome codec ------------------------------------------------------
+
+TEST(ResultCodec, CountOutcomeRoundTrips) {
+  ipc::ResultMsg m;
+  m.task_id = 7;
+  ApproxMcCoreOutcome o;
+  o.ok = true;
+  o.faulted = true;
+  o.leapfrogged = true;
+  o.cell_count = 41;
+  o.hash_count = 9;
+  o.bsat_calls = 12;
+  m.outcome = o;
+  ipc::SpanWire span;
+  span.name = "worker.task";
+  span.span_id = 3;
+  span.value = 7;
+  m.spans.push_back(span);
+  const ipc::ResultMsg back = ipc::decode_result(ipc::encode_result(m));
+  EXPECT_EQ(back.task_id, 7u);
+  const auto* c = std::get_if<ApproxMcCoreOutcome>(&back.outcome);
+  ASSERT_NE(c, nullptr);
+  EXPECT_TRUE(c->ok);
+  EXPECT_FALSE(c->timed_out);
+  EXPECT_FALSE(c->cancelled);
+  EXPECT_TRUE(c->faulted);
+  EXPECT_TRUE(c->leapfrogged);
+  EXPECT_EQ(c->cell_count, 41u);
+  EXPECT_EQ(c->hash_count, 9u);
+  EXPECT_EQ(c->bsat_calls, 12u);
+  EXPECT_EQ(ipc::units_of(back.outcome), 12u);
+  ASSERT_EQ(back.spans.size(), 1u);
+  EXPECT_EQ(back.spans[0].name, "worker.task");
+  EXPECT_EQ(back.spans[0].value, 7u);
+}
+
+TEST(ResultCodec, SampleOutcomeRoundTrips) {
+  ipc::ResultMsg m;
+  m.task_id = 1u << 20;
+  BatchResult b;
+  b.status = SampleResult::Status::kOk;
+  b.models = {{lbool::True, lbool::False}, {lbool::False, lbool::Undef}};
+  m.outcome = b;
+  const ipc::ResultMsg back = ipc::decode_result(ipc::encode_result(m));
+  EXPECT_EQ(back.task_id, 1u << 20);
+  const auto* s = std::get_if<BatchResult>(&back.outcome);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->status, SampleResult::Status::kOk);
+  EXPECT_EQ(s->models, b.models);
+  EXPECT_EQ(ipc::units_of(back.outcome), 0u);
+  for (const auto status :
+       {SampleResult::Status::kFail, SampleResult::Status::kTimeout,
+        SampleResult::Status::kUnsat, SampleResult::Status::kCancelled}) {
+    m.outcome = BatchResult{status, {}};
+    const ipc::ResultMsg r = ipc::decode_result(ipc::encode_result(m));
+    EXPECT_EQ(std::get<BatchResult>(r.outcome).status, status);
+  }
+}
+
+TEST(ResultCodec, RejectsOutOfRangeStatusAndKind) {
+  // The bytes come from another process: an out-of-range sample status or
+  // task kind is a protocol error, never a blind enum cast.
+  ipc::ResultMsg m;
+  m.outcome = BatchResult{SampleResult::Status::kCancelled, {}};
+  std::string bytes = ipc::encode_result(m);
+  const std::size_t status_at = 8 + 1;  // u64 task id, u8 kind
+  bytes[status_at] = static_cast<char>(
+      static_cast<std::uint8_t>(SampleResult::Status::kCancelled) + 1);
+  EXPECT_THROW(ipc::decode_result(bytes), std::runtime_error);
+  bytes[status_at] = static_cast<char>(0xff);
+  EXPECT_THROW(ipc::decode_result(bytes), std::runtime_error);
+  std::string kind = ipc::encode_result(m);
+  kind[8] = 2;
+  EXPECT_THROW(ipc::decode_result(kind), std::runtime_error);
+  EXPECT_THROW(ipc::decode_result(kind.substr(0, 9)), std::runtime_error);
 }
 
 }  // namespace

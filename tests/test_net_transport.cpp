@@ -131,7 +131,8 @@ TEST(TcpConnect, FramesRoundTripOverRealSockets) {
   EXPECT_EQ(type, ipc::FrameType::kSetup);
   EXPECT_EQ(body, "over-tcp");
 
-  ASSERT_TRUE(ipc::write_frame(server, ipc::FrameType::kReady, ""));
+  ASSERT_EQ(ipc::write_frame_bounded(server, ipc::FrameType::kReady, "", 0),
+            ipc::WriteOutcome::kOk);
   EXPECT_EQ(ipc::read_frame_outcome(client, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kReady);

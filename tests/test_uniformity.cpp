@@ -69,8 +69,8 @@ TEST(Uniformity, HashedPathChiSquareRegression) {
 
 TEST(Uniformity, ParallelPrepareChiSquareRegression) {
   // Seed-fixed regression with the *whole* pipeline parallel: prepare()'s
-  // ApproxMC call fans across the pool width (counter_threads resolves to
-  // it) and sampling fans across the workers.  A q shifted by a counting
+  // ApproxMC call fans across the pool's workers and sampling fans across
+  // the same workers.  A q shifted by a counting
   // regression shows up here as an inflated chi-square statistic.
   const Cnf cnf = chi_square_formula();
   const auto truth = test::brute_force_models(cnf);
