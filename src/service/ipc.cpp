@@ -10,6 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "cnf/dimacs.hpp"
+#include "core/unigen.hpp"
+
 namespace unigen::ipc {
 
 void WireWriter::u32(std::uint32_t v) {
@@ -80,6 +83,13 @@ std::string WireReader::str() {
   return s;
 }
 
+std::uint32_t WireReader::count(std::size_t min_bytes) {
+  const std::uint32_t n = u32();
+  if ((size_ - pos_) / min_bytes < n)
+    throw std::runtime_error("ipc: truncated frame");
+  return n;
+}
+
 namespace {
 
 void put_model(WireWriter& w, const Model& m) {
@@ -88,7 +98,7 @@ void put_model(WireWriter& w, const Model& m) {
 }
 
 Model get_model(WireReader& r) {
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(1);
   Model m(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint8_t v = r.u8();
@@ -132,11 +142,16 @@ std::string encode_setup(const SetupMsg& m) {
 SetupMsg decode_setup(const std::string& payload) {
   WireReader r(payload);
   SetupMsg m;
-  m.kind = static_cast<TaskKind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(TaskKind::kSample))
+    throw std::runtime_error("ipc: bad task kind");
+  m.kind = static_cast<TaskKind>(kind);
   m.formula_dimacs = r.str();
-  const std::uint32_t nvars = r.u32();
-  m.sampling_set.resize(nvars);
-  for (std::uint32_t i = 0; i < nvars; ++i) m.sampling_set[i] = r.i32();
+  m.sampling_set.resize(r.count(4));
+  for (Var& v : m.sampling_set) {
+    v = r.i32();
+    if (v < 0) throw std::runtime_error("ipc: bad sampling variable");
+  }
   m.simplify.enabled = r.u8() != 0;
   m.simplify.max_rounds = r.i32();
   m.simplify.pure_literals = r.u8() != 0;
@@ -157,7 +172,23 @@ SetupMsg decode_setup(const std::string& payload) {
   m.epsilon = r.f64();
   m.sample_timeout_s = r.f64();
   m.bsat_timeout_s = r.f64();
+  // The search runs over levels 1..n of a hash drawn over S.
+  if (m.kind == TaskKind::kCount &&
+      (m.n == 0 || m.n != m.sampling_set.size()))
+    throw std::runtime_error("ipc: bad count setup");
+  if (m.kind == TaskKind::kSample &&
+      m.prep_mode != static_cast<std::uint8_t>(UniGenPrepared::Mode::kHashed))
+    throw std::runtime_error("ipc: bad prepared mode");
   return m;
+}
+
+Cnf setup_formula(const SetupMsg& m) {
+  Cnf cnf = parse_dimacs_string(m.formula_dimacs);
+  cnf.ensure_vars(m.formula_vars);
+  for (const Var v : m.sampling_set)
+    if (v >= cnf.num_vars())
+      throw std::runtime_error("ipc: sampling variable outside the formula");
+  return cnf;
 }
 
 std::string encode_task(const TaskMsg& m) {
@@ -251,7 +282,7 @@ ResultMsg decode_result(const std::string& payload) {
       if (status > static_cast<std::uint8_t>(SampleResult::Status::kCancelled))
         throw std::runtime_error("ipc: bad sample status");
       b.status = static_cast<SampleResult::Status>(status);
-      const std::uint32_t k = r.u32();
+      const std::uint32_t k = r.count(4);  // a model is at least its size
       for (std::uint32_t i = 0; i < k; ++i) b.models.push_back(get_model(r));
       m.outcome = std::move(b);
       break;
@@ -259,7 +290,8 @@ ResultMsg decode_result(const std::string& payload) {
     default:
       throw std::runtime_error("ipc: bad task kind");
   }
-  const std::uint32_t ns = r.u32();
+  // A span is at least its name's length, five u64s and two u32s.
+  const std::uint32_t ns = r.count(4 + 5 * 8 + 2 * 4);
   if (ns > ResultMsg::kMaxSpans) throw std::runtime_error("ipc: span flood");
   m.spans.reserve(ns);
   for (std::uint32_t i = 0; i < ns; ++i) {

@@ -32,6 +32,7 @@
 #include <variant>
 #include <vector>
 
+#include "cnf/cnf.hpp"
 #include "cnf/types.hpp"
 #include "core/sampler.hpp"
 #include "counting/approxmc_core.hpp"
@@ -96,6 +97,10 @@ class WireReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64();
   std::string str();
+  /// An element count (u32) for elements of at least `min_bytes` (>= 1)
+  /// each, checked against the bytes left before the caller sizes anything
+  /// by it: a frame cannot claim more elements than it carries.
+  std::uint32_t count(std::size_t min_bytes);
   bool done() const { return pos_ == size_; }
 
  private:
@@ -219,7 +224,16 @@ inline std::uint64_t units_of(const ResultMsg::Outcome& o) {
 }
 
 std::string encode_setup(const SetupMsg& m);
+/// Throws std::runtime_error on a truncated frame, an unknown task kind, a
+/// negative sampling variable, a count Setup whose n is not |S| >= 1, or a
+/// sample Setup whose prepared mode is not kHashed (the only mode the
+/// fleet serves: trivial witness lists do not travel).
 SetupMsg decode_setup(const std::string& payload);
+/// The formula a worker serves for `m`: the shipped DIMACS, grown to
+/// m.formula_vars.  Throws std::runtime_error on a parse error or when the
+/// sampling set names a variable outside the formula — the engine indexes
+/// per-variable arrays by S.
+Cnf setup_formula(const SetupMsg& m);
 std::string encode_task(const TaskMsg& m);
 TaskMsg decode_task(const std::string& payload);
 std::string encode_result(const ResultMsg& m);

@@ -54,7 +54,6 @@
 #include <csignal>
 #include <unistd.h>
 
-#include "cnf/dimacs.hpp"
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
 #include "counting/approxmc_core.hpp"
@@ -202,8 +201,7 @@ int worker_main(int fd) {
   ApproxMcOptions count_options;
   std::unique_ptr<IncrementalBsat> engine;
   try {
-    original = parse_dimacs_string(setup.formula_dimacs);
-    original.ensure_vars(setup.formula_vars);
+    original = ipc::setup_formula(setup);
     if (setup.kind == ipc::TaskKind::kCount) {
       engine = std::make_unique<IncrementalBsat>(original, setup.sampling_set);
     } else {

@@ -10,12 +10,15 @@
 // must refuse a body that cannot be framed BEFORE any byte hits the wire
 // (a u32 length wrap would silently desynchronize the peer), and its
 // bounded mode must give up on a stalled peer within the deadline instead
-// of wedging the single-threaded supervisor.
+// of wedging the single-threaded supervisor.  The codecs must refuse a
+// count the payload cannot hold before sizing anything by it, and any
+// value the worker would cast or index by unchecked.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/unigen.hpp"
 #include "service/ipc.hpp"
 
 namespace unigen {
@@ -470,6 +474,155 @@ TEST(ResultCodec, RejectsOutOfRangeStatusAndKind) {
   kind[8] = 2;
   EXPECT_THROW(ipc::decode_result(kind), std::runtime_error);
   EXPECT_THROW(ipc::decode_result(kind.substr(0, 9)), std::runtime_error);
+}
+
+// ---- input validation ----------------------------------------------------
+//
+// A frame's bytes come from another process: every count is checked
+// against the bytes left before anything is sized by it, and every value
+// the worker would cast or index by is range-checked.  Each case below is
+// a protocol error (std::runtime_error), never an allocation failure or
+// undefined behaviour.
+
+ipc::SetupMsg count_setup() {
+  ipc::SetupMsg m;
+  m.kind = ipc::TaskKind::kCount;
+  m.formula_dimacs = "p cnf 3 1\n1 -2 0\n";
+  m.sampling_set = {0, 2};
+  m.n = 2;
+  m.pivot = 52;
+  m.formula_vars = 3;
+  return m;
+}
+
+ipc::SetupMsg sample_setup() {
+  ipc::SetupMsg m = count_setup();
+  m.kind = ipc::TaskKind::kSample;
+  m.n = 0;
+  m.prep_mode = static_cast<std::uint8_t>(UniGenPrepared::Mode::kHashed);
+  m.q = 3;
+  return m;
+}
+
+std::string runtime_error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(SetupCodec, ValidSetupsRoundTrip) {
+  const ipc::SetupMsg c = ipc::decode_setup(ipc::encode_setup(count_setup()));
+  EXPECT_EQ(c.kind, ipc::TaskKind::kCount);
+  EXPECT_EQ(c.sampling_set, (std::vector<Var>{0, 2}));
+  EXPECT_EQ(c.n, 2u);
+  EXPECT_EQ(c.pivot, 52u);
+  const ipc::SetupMsg s = ipc::decode_setup(ipc::encode_setup(sample_setup()));
+  EXPECT_EQ(s.kind, ipc::TaskKind::kSample);
+  EXPECT_EQ(s.q, 3);
+  EXPECT_EQ(ipc::setup_formula(c).num_vars(), 3);
+}
+
+TEST(SetupCodec, SamplingSetCountBeyondThePayloadIsTruncated) {
+  // A Setup claiming 2^32 − 1 sampling variables in a 9-byte payload: the
+  // count is refused before the vector is sized (it would ask for 16 GiB).
+  ipc::WireWriter w;
+  w.u8(static_cast<std::uint8_t>(ipc::TaskKind::kCount));
+  w.str("");
+  w.u32(0xFFFFFFFFu);
+  const std::string bytes = w.take();
+  EXPECT_EQ(runtime_error_of([&] { ipc::decode_setup(bytes); }),
+            "ipc: truncated frame");
+}
+
+TEST(SetupCodec, RejectsUnknownKindAndUnservedPreparedMode) {
+  ipc::SetupMsg kind = count_setup();
+  kind.kind = static_cast<ipc::TaskKind>(2);
+  EXPECT_EQ(runtime_error_of(
+                [&] { ipc::decode_setup(ipc::encode_setup(kind)); }),
+            "ipc: bad task kind");
+  for (const auto mode :
+       {UniGenPrepared::Mode::kTrivial, UniGenPrepared::Mode::kUnsat,
+        UniGenPrepared::Mode::kTimedOut}) {
+    ipc::SetupMsg m = sample_setup();
+    m.prep_mode = static_cast<std::uint8_t>(mode);
+    EXPECT_EQ(runtime_error_of([&] { ipc::decode_setup(ipc::encode_setup(m)); }),
+              "ipc: bad prepared mode");
+  }
+  ipc::SetupMsg wild = sample_setup();
+  wild.prep_mode = 0xff;
+  EXPECT_THROW(ipc::decode_setup(ipc::encode_setup(wild)), std::runtime_error);
+}
+
+TEST(SetupCodec, RejectsCountSetupWithoutHashLevels) {
+  // n = 0 would reach the search's clamp(start, 1, n) with hi < lo.
+  ipc::SetupMsg empty = count_setup();
+  empty.sampling_set.clear();
+  empty.n = 0;
+  EXPECT_EQ(runtime_error_of(
+                [&] { ipc::decode_setup(ipc::encode_setup(empty)); }),
+            "ipc: bad count setup");
+  ipc::SetupMsg zero = count_setup();
+  zero.n = 0;
+  EXPECT_THROW(ipc::decode_setup(ipc::encode_setup(zero)), std::runtime_error);
+  ipc::SetupMsg wide = count_setup();
+  wide.n = 0xFFFFFFFFu;  // n + 1 would wrap
+  EXPECT_THROW(ipc::decode_setup(ipc::encode_setup(wide)), std::runtime_error);
+}
+
+TEST(SetupCodec, RejectsSamplingVariablesOutsideTheFormula) {
+  ipc::SetupMsg negative = count_setup();
+  negative.sampling_set = {0, -1};
+  EXPECT_EQ(runtime_error_of(
+                [&] { ipc::decode_setup(ipc::encode_setup(negative)); }),
+            "ipc: bad sampling variable");
+  // In range for the wire, outside the 3-variable formula: the engine
+  // would index its per-variable arrays by it.
+  ipc::SetupMsg beyond = count_setup();
+  beyond.sampling_set = {0, 7};
+  const ipc::SetupMsg decoded =
+      ipc::decode_setup(ipc::encode_setup(beyond));
+  EXPECT_EQ(runtime_error_of([&] { ipc::setup_formula(decoded); }),
+            "ipc: sampling variable outside the formula");
+  beyond.sampling_set = {0, 3};
+  EXPECT_THROW(ipc::setup_formula(beyond), std::runtime_error);
+}
+
+TEST(ResultCodec, ModelSizeBeyondThePayloadIsTruncated) {
+  // A 26-byte Result whose one model claims 2^32 − 1 entries: refused
+  // before the model is sized (it would zero-fill 4 GiB first).
+  ipc::WireWriter w;
+  w.u64(9);                                                  // task id
+  w.u8(static_cast<std::uint8_t>(ipc::TaskKind::kSample));   // kind
+  w.u8(static_cast<std::uint8_t>(SampleResult::Status::kOk));
+  w.u32(1);            // one model
+  w.u32(0xFFFFFFFFu);  // of 2^32 − 1 entries
+  w.u64(0);            // eight of them
+  const std::string bytes = w.take();
+  ASSERT_EQ(bytes.size(), 26u);
+  EXPECT_EQ(runtime_error_of([&] { ipc::decode_result(bytes); }),
+            "ipc: truncated frame");
+}
+
+TEST(ResultCodec, ModelAndSpanCountsBeyondThePayloadAreTruncated) {
+  ipc::ResultMsg m;
+  m.outcome = BatchResult{SampleResult::Status::kOk, {}};
+  std::string models = ipc::encode_result(m);
+  // The model count sits after the u64 task id, the kind and the status.
+  const std::size_t count_at = 8 + 1 + 1;
+  for (std::size_t i = 0; i < 4; ++i) models[count_at + i] = '\xff';
+  EXPECT_EQ(runtime_error_of([&] { ipc::decode_result(models); }),
+            "ipc: truncated frame");
+  // A span count within kMaxSpans but beyond the bytes: refused before the
+  // span vector is reserved.
+  std::string spans = ipc::encode_result(m);
+  const std::uint32_t claim = ipc::ResultMsg::kMaxSpans;
+  for (std::size_t i = 0; i < 4; ++i)
+    spans[spans.size() - 4 + i] = static_cast<char>((claim >> (8 * i)) & 0xff);
+  EXPECT_EQ(runtime_error_of([&] { ipc::decode_result(spans); }),
+            "ipc: truncated frame");
 }
 
 }  // namespace
