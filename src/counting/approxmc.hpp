@@ -13,8 +13,9 @@
 //   * the number of median iterations is the smallest odd t whose binomial
 //     failure tail is below δ (with per-iteration success probability
 //     1 − e^{−3/2}), instead of the loose ⌈35·log2(3/δ)⌉;
-//   * the search for the hash count m gallops/binary-searches from the
-//     previous iteration's m (ApproxMC2-style) instead of scanning from 0;
+//   * the search for the hash count m starts from the previous iteration's
+//     m (ApproxMC2-style) and places each probe below a small cell by that
+//     cell's size (approxmc_core.hpp) instead of scanning from 0;
 //   * within one iteration all probed hash counts m use nested prefixes of
 //     a single lazily drawn hash (rows 1..m of one h), not an independent
 //     (h, α) per probe.  This is ApproxMC2's scheme — its analysis proves

@@ -1,6 +1,7 @@
 #include "counting/approxmc_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "counting/approxmc.hpp"
 #include "hashing/xor_hash.hpp"
@@ -76,13 +77,14 @@ ApproxMcCoreOutcome approxmc_core_iteration(IncrementalBsat& engine,
   span.set_value(fault_key);
 
   // Search for the smallest m with a small cell: lo = largest m known big,
-  // hi = smallest m known small.  Cold runs gallop up from m = 1;
-  // leapfrogged runs start at the hint, which the previous iteration's
-  // concentration makes an excellent first probe (ApproxMC2's observation).
+  // hi = smallest m known small (n + 1 while none is).  The probe placement
+  // is described in approxmc_core.hpp.
   std::uint32_t lo = 0;
   std::uint32_t hi = n + 1;
   std::uint64_t hi_count = 0;
-  std::uint32_t m = std::clamp<std::uint32_t>(std::max(start_m, 1u), 1, n);
+  const std::uint32_t first = std::clamp<std::uint32_t>(start_m, 1, n);
+  std::uint32_t m = first;
+  std::uint64_t stride = 1;  // the leapfrog gallop's next offset
   engine.begin_hash();  // fresh hash per iteration; levels nest within it
   for (;;) {
     if (options.budget.cancelled()) {
@@ -108,12 +110,23 @@ ApproxMcCoreOutcome approxmc_core_iteration(IncrementalBsat& engine,
     }
     if (hi == lo + 1) break;
     if (hi == n + 1) {
-      // still galloping upward
-      m = std::min(n, std::max(lo + 1, 2 * m));
+      // Still galloping upward; lo == m < n here.
+      const std::uint64_t next =
+          out.leapfrogged ? first + stride : 2 * std::uint64_t{m};
+      stride *= 2;
+      m = static_cast<std::uint32_t>(std::min<std::uint64_t>(n, next));
+    } else if (hi_count == 0) {
+      m = (lo + hi) / 2;  // an empty cell says nothing about its level
+    } else if (pr.small) {
+      // Each row halves the cell in expectation, so the smallest small
+      // level sits about k levels down, k = the largest shift with
+      // count · 2^k <= pivot; k == 0 steps one level to confirm.
+      const std::uint32_t k = std::max<std::uint32_t>(
+          1, static_cast<std::uint32_t>(std::bit_width(pivot / pr.count)) - 1);
+      m = hi - std::min(k, hi - lo - 1);
     } else {
-      m = (lo + hi) / 2;
+      m = hi - 1;  // the guess was big: the cell grew faster than halving
     }
-    if (m > n) return out;  // no m <= n yields a small cell
   }
   if (hi == n + 1 || hi_count == 0) return out;
   out.ok = true;

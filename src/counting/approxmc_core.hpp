@@ -24,6 +24,20 @@
 // outcome — which is exactly why the parallel service can share hints
 // across racing iterations and still fold byte-identical results, and why
 // ApproxMC2-style leapfrogging costs no part of the (ε, δ) analysis here.
+// The same argument frees the probe placement, which is size-guided.  The
+// search keeps lo (the largest level known big, 0 at first) and hi (the
+// smallest known small, n + 1 while none is).  A cold start gallops
+// m = 1, 2, 4, ...; a leapfrog start probes the hint and, while its cells
+// stay big, gallops +1, +2, +4, ... levels past it.  Below a small cell of
+// c >= 1 solutions the next probe is hi − k, k the largest shift with
+// c · 2^k <= pivot (at least 1, clamped into (lo, hi)), because each row
+// halves a cell in expectation.  If that guess comes back big, the cell
+// grew faster than halving, and the search probes hi − 1.  Only an empty
+// cell, which says nothing about its level, makes the search bisect.  The
+// big cells just below m* are the costliest probes of an iteration, and
+// this placement skips most of them: a search started at its own m* makes
+// at most 3 probes (m*, the guess, m* − 1), where bisecting up from 0
+// would make 1 + ⌈log2 m*⌉.
 // The single caveat is a cut — per-probe timeout, injected fault, or
 // cancellation: an iteration cut short reports how, and contributes no
 // estimate.  One more consequence of stream purity matters to the anytime

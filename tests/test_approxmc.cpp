@@ -1,12 +1,16 @@
-// Tests for ApproxMC: parameter computations and the (ε, δ) guarantee
-// checked empirically against known counts.
+// Tests for ApproxMC: parameter computations, the (ε, δ) guarantee
+// checked empirically against known counts, and the hash-count search
+// contract of one median iteration (counting/approxmc_core.hpp).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "counting/approxmc.hpp"
 #include "helpers.hpp"
+#include "sat/incremental_bsat.hpp"
+#include "workloads/sketch.hpp"
 
 namespace unigen {
 namespace {
@@ -134,6 +138,117 @@ TEST_P(ApproxMcGuarantee, EstimateWithinToleranceMostOfTheTime) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ApproxMcGuarantee,
                          ::testing::Range(0, 15));
+
+// ---- the hash-count search contract --------------------------------------
+//
+// Where an iteration's search starts, and which probes it makes, must not
+// change what it finds: the smallest level m* with a small cell and that
+// cell's size.  Only the probe count may move.
+
+struct SearchCase {
+  std::string name;
+  Cnf cnf;
+  std::vector<Var> s;
+  std::uint64_t pivot;
+};
+
+/// Fuzz formulas (|S| <= 12) at the production pivot and at small pivots
+/// that push their m* through the whole level range, plus one sketch row
+/// at small scale, whose m* sits well above 4.  The sketch row costs tens
+/// of milliseconds per probe, so it runs at the production pivot only.
+std::vector<SearchCase> search_cases() {
+  std::vector<SearchCase> out;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const test::FuzzCase fc = test::make_fuzz_case(seed);
+    for (const std::uint64_t pivot : {52, 8, 1})
+      out.push_back({"fuzz " + std::to_string(seed) + " pivot " +
+                         std::to_string(pivot),
+                     fc.cnf, fc.sampling_set, pivot});
+  }
+  workloads::SketchOptions o;
+  o.spec_input_bits = 6;
+  o.selector_bits = 15;
+  o.mode_bits = 10;
+  o.threshold = 700;
+  o.seed = 3;
+  workloads::SketchBench b = workloads::make_sketch_bench(o, "LLReverse_like");
+  std::vector<Var> s = b.cnf.sampling_set_or_all();
+  out.push_back({"sketch", std::move(b.cnf), std::move(s), 52});
+  return out;
+}
+
+/// One iteration from `start_m` on `engine`, drawing its hash from stream
+/// `stream`.
+ApproxMcCoreOutcome iteration(IncrementalBsat& engine, const SearchCase& c,
+                              std::uint32_t start_m, std::uint64_t stream) {
+  Rng rng = Rng(0x5EA2C4).fork_stream(stream);
+  return approxmc_core_iteration(engine, static_cast<std::uint32_t>(c.s.size()),
+                                 c.pivot, ApproxMcOptions{}, start_m, rng);
+}
+
+ApproxMcCoreOutcome fresh_iteration(const SearchCase& c, std::uint32_t start_m,
+                                    std::uint64_t stream) {
+  IncrementalBsat engine(c.cnf, c.s);
+  return iteration(engine, c, start_m, stream);
+}
+
+TEST(ApproxMcSearch, EveryStartFindsTheColdOutcome) {
+  for (const SearchCase& c : search_cases()) {
+    const ApproxMcCoreOutcome cold = fresh_iteration(c, 0, 0);
+    for (std::uint32_t start = 1; start <= c.s.size() + 1; ++start) {
+      const ApproxMcCoreOutcome o = fresh_iteration(c, start, 0);
+      SCOPED_TRACE(c.name + " start " + std::to_string(start));
+      EXPECT_TRUE(o.leapfrogged);
+      EXPECT_EQ(o.ok, cold.ok);
+      EXPECT_EQ(o.cell_count, cold.cell_count);
+      EXPECT_EQ(o.hash_count, cold.hash_count);
+    }
+  }
+}
+
+TEST(ApproxMcSearch, StartAtOwnMStarCostsAtMostThreeProbes) {
+  // Bisecting down from 0 costs 1 + ⌈log2 m*⌉ probes; the size-guided
+  // search probes m*, its guess below, and at most m* − 1.
+  std::uint32_t deepest = 0;
+  for (const SearchCase& c : search_cases()) {
+    for (std::uint64_t stream = 0; stream < 3; ++stream) {
+      const ApproxMcCoreOutcome cold = fresh_iteration(c, 0, stream);
+      if (!cold.ok) continue;
+      const ApproxMcCoreOutcome own =
+          fresh_iteration(c, cold.hash_count, stream);
+      SCOPED_TRACE(c.name + " m* " + std::to_string(cold.hash_count));
+      EXPECT_TRUE(own.ok);
+      EXPECT_EQ(own.hash_count, cold.hash_count);
+      EXPECT_EQ(own.cell_count, cold.cell_count);
+      EXPECT_LE(own.bsat_calls, 3u);
+      deepest = std::max(deepest, cold.hash_count);
+    }
+  }
+  EXPECT_GE(deepest, 8u) << "no case reaches the levels the bound is about";
+}
+
+TEST(ApproxMcSearch, ColdStartCostIsAPureFunctionOfTheStream) {
+  // Deterministic budgets charge an iteration its probe count, so a cold
+  // start must make the same probes on any engine: fresh, or one that has
+  // served another iteration first.
+  for (const SearchCase& c : search_cases()) {
+    for (std::uint64_t stream = 0; stream < 3; ++stream) {
+      const ApproxMcCoreOutcome a = fresh_iteration(c, 0, stream);
+      const ApproxMcCoreOutcome b = fresh_iteration(c, 0, stream);
+      IncrementalBsat used(c.cnf, c.s);
+      iteration(used, c, static_cast<std::uint32_t>(c.s.size() / 2),
+                stream + 100);
+      const ApproxMcCoreOutcome u = iteration(used, c, 0, stream);
+      SCOPED_TRACE(c.name + " stream " + std::to_string(stream));
+      EXPECT_FALSE(a.leapfrogged);
+      EXPECT_EQ(a.bsat_calls, b.bsat_calls);
+      EXPECT_EQ(a.bsat_calls, u.bsat_calls);
+      EXPECT_EQ(a.ok, u.ok);
+      EXPECT_EQ(a.cell_count, u.cell_count);
+      EXPECT_EQ(a.hash_count, u.hash_count);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace unigen
