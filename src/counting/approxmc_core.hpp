@@ -24,6 +24,14 @@
 // outcome — which is exactly why the parallel service can share hints
 // across racing iterations and still fold byte-identical results, and why
 // ApproxMC2-style leapfrogging costs no part of the (ε, δ) analysis here.
+// The single caveat is a cut — per-probe timeout, injected fault, or
+// cancellation: an iteration cut short reports how, and contributes no
+// estimate.  One more consequence of stream purity matters to the anytime
+// layer (approxmc.hpp): with a *cold* start (start_m = 0) the probe
+// sequence, and therefore bsat_calls — the unit cost — is itself a pure
+// function of the stream, which is why deterministic-budget runs force
+// cold starts everywhere instead of chasing the racy hint.
+//
 // The same argument frees the probe placement, which is size-guided.  The
 // search keeps lo (the largest level known big, 0 at first) and hi (the
 // smallest known small, n + 1 while none is).  A cold start gallops
@@ -36,15 +44,8 @@
 // cell, which says nothing about its level, makes the search bisect.  The
 // big cells just below m* are the costliest probes of an iteration, and
 // this placement skips most of them: a search started at its own m* makes
-// at most 3 probes (m*, the guess, m* − 1), where bisecting up from 0
-// would make 1 + ⌈log2 m*⌉.
-// The single caveat is a cut — per-probe timeout, injected fault, or
-// cancellation: an iteration cut short reports how, and contributes no
-// estimate.  One more consequence of stream purity matters to the anytime
-// layer (approxmc.hpp): with a *cold* start (start_m = 0) the probe
-// sequence, and therefore bsat_calls — the unit cost — is itself a pure
-// function of the stream, which is why deterministic-budget runs force
-// cold starts everywhere instead of chasing the racy hint.
+// at most 3 probes (m*, the guess, m* − 1), where bisection from 0 would
+// make 1 + ⌈log2 m*⌉.
 
 #include <cstdint>
 #include <optional>
