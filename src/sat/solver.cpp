@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
+#include <functional>
 
 #include "obs/metrics.hpp"
 #include "util/gf2.hpp"
@@ -584,12 +584,18 @@ void Solver::drop_worst_learnts(std::vector<Clause*>& removable,
               if (a->lbd != b->lbd) return a->lbd > b->lbd;  // worst first
               return a->activity < b->activity;
             });
-  std::unordered_set<Clause*> doomed(
-      removable.begin(),
-      removable.begin() + static_cast<std::ptrdiff_t>(target));
-  for (Clause* c : doomed) detach_clause(c);
+  // Detach in the sorted order: the swap-removes reorder the watch lists,
+  // so an order that followed heap addresses would make two solvers given
+  // the same calls search differently.  The address-sorted copy is only
+  // for membership tests, which do not depend on order.
+  const auto doomed_end =
+      removable.begin() + static_cast<std::ptrdiff_t>(target);
+  for (auto it = removable.begin(); it != doomed_end; ++it) detach_clause(*it);
+  std::vector<Clause*> doomed(removable.begin(), doomed_end);
+  std::sort(doomed.begin(), doomed.end(), std::less<Clause*>());
   std::erase_if(learnts_, [&](const std::unique_ptr<Clause>& up) {
-    return doomed.count(up.get()) > 0;
+    return std::binary_search(doomed.begin(), doomed.end(), up.get(),
+                              std::less<Clause*>());
   });
   stats_.removed_clauses += target;
 }
