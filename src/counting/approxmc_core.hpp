@@ -45,7 +45,10 @@
 // big cells just below m* are the costliest probes of an iteration, and
 // this placement skips most of them: a search started at its own m* makes
 // at most 3 probes (m*, the guess, m* − 1), where bisection from 0 would
-// make 1 + ⌈log2 m*⌉.
+// make 1 + ⌈log2 m*⌉.  The m* − 1 probe, the costliest at pivot + 1
+// models, is cheap for a second reason: the c models of cell(m*) lie in
+// cell(m* − 1), and the engine's model store (incremental_bsat.hpp) hands
+// them over, so that probe enumerates only pivot + 1 − c more.
 
 #include <cstdint>
 #include <optional>

@@ -60,6 +60,7 @@ EnumerateResult enumerate_models(Solver& solver,
     }
     const Model& m = solver.model();
     ++result.count;
+    if (options.on_model) options.on_model(m);
     if (options.store_models) result.models.push_back(m);
 
     // Block this S-projection: at least one sampling variable must differ.

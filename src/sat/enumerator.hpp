@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cnf/types.hpp"
@@ -55,6 +56,10 @@ struct EnumerateOptions {
   /// caller must also assume its negation via `assumptions`, otherwise the
   /// blocks are inert from the start.
   Lit block_activation = kUndefLit;
+  /// When set, called with each model found, straight from the solver and
+  /// before it is blocked (IncrementalBsat records the epoch's projections
+  /// this way, also for count-only calls).
+  std::function<void(const Model&)> on_model;
 };
 
 struct EnumerateResult {

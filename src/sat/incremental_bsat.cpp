@@ -1,6 +1,8 @@
 #include "sat/incremental_bsat.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 
 #include "obs/metrics.hpp"
@@ -10,17 +12,122 @@ namespace unigen {
 
 namespace {
 std::atomic<std::uint64_t> g_total_constructions{0};
+
+std::vector<Var> all_vars_if_empty(std::vector<Var> projection, Var n) {
+  if (projection.empty()) {
+    projection.resize(static_cast<std::size_t>(n));
+    for (Var v = 0; v < n; ++v) projection[static_cast<std::size_t>(v)] = v;
+  }
+  return projection;
+}
+
+bool odd_overlap(const std::uint64_t* a, const std::uint64_t* b,
+                 std::size_t words) {
+  std::uint64_t acc = 0;
+  for (std::size_t w = 0; w < words; ++w) acc ^= a[w] & b[w];
+  return (std::popcount(acc) & 1) != 0;
+}
 }  // namespace
+
+IncrementalBsat::ModelStore::ModelStore(const std::vector<Var>& projection,
+                                        Var formula_vars)
+    : vars_(projection),
+      position_(static_cast<std::size_t>(formula_vars), -1),
+      words_((projection.size() + 63) / 64),
+      scratch_(words_) {
+  for (std::size_t i = 0; i < vars_.size(); ++i)
+    position_[static_cast<std::size_t>(vars_[i])] =
+        static_cast<std::int32_t>(i);
+}
+
+void IncrementalBsat::ModelStore::clear() {
+  usable_ = true;
+  row_bits_.clear();
+  row_rhs_.clear();
+  bits_.clear();
+  depth_.clear();
+  hashes_.clear();
+}
+
+void IncrementalBsat::ModelStore::push_rows(const XorHash& h) {
+  if (!usable_) return;
+  const std::size_t old_rows = row_rhs_.size();
+  for (const XorConstraint& row : h.rows) {
+    const std::size_t at = row_bits_.size();
+    row_bits_.resize(at + words_, 0);
+    for (const Var v : row.vars) {
+      const std::int32_t i =
+          static_cast<std::size_t>(v) < position_.size()
+              ? position_[static_cast<std::size_t>(v)]
+              : -1;
+      if (i < 0) {
+        usable_ = false;  // the row reads a variable S does not determine
+        return;
+      }
+      row_bits_[at + static_cast<std::size_t>(i) / 64] ^=
+          std::uint64_t{1} << (i % 64);
+    }
+    row_rhs_.push_back(row.rhs ? 1 : 0);
+  }
+  for (std::size_t j = 0; j < depth_.size(); ++j)
+    if (depth_[j] == old_rows)
+      depth_[j] = depth_from(bits_.data() + j * words_, old_rows);
+}
+
+std::size_t IncrementalBsat::ModelStore::depth_from(const std::uint64_t* bits,
+                                                    std::size_t from) const {
+  std::size_t d = from;
+  while (d < row_rhs_.size() &&
+         odd_overlap(bits, row_bits_.data() + d * words_, words_) ==
+             (row_rhs_[d] != 0))
+    ++d;
+  return d;
+}
+
+void IncrementalBsat::ModelStore::record(const Model& model) {
+  std::fill(scratch_.begin(), scratch_.end(), 0);
+  for (std::size_t i = 0; i < vars_.size(); ++i)
+    if (model[static_cast<std::size_t>(vars_[i])] == lbool::True)
+      scratch_[i / 64] |= std::uint64_t{1} << (i % 64);
+  std::uint64_t hash = 0x9e3779b97f4a7c15ull;
+  for (const std::uint64_t w : scratch_) {
+    hash = (hash ^ w) * 0xff51afd7ed558ccdull;
+    hash ^= hash >> 29;
+  }
+  if (!hashes_.insert(hash).second) return;
+  bits_.insert(bits_.end(), scratch_.begin(), scratch_.end());
+  depth_.push_back(depth_from(scratch_.data(), 0));
+}
+
+std::uint64_t IncrementalBsat::ModelStore::count_in_cell(std::size_t m) const {
+  if (!usable_) return 0;
+  std::uint64_t n = 0;
+  for (const std::size_t d : depth_) n += d >= m ? 1 : 0;
+  return n;
+}
+
+void IncrementalBsat::ModelStore::block_cell(std::size_t m, Lit activation,
+                                             Solver& solver) const {
+  std::vector<Lit> block;
+  block.reserve(vars_.size() + 1);
+  for (std::size_t j = 0; j < depth_.size(); ++j) {
+    if (depth_[j] < m) continue;
+    const std::uint64_t* bits = bits_.data() + j * words_;
+    block.clear();
+    for (std::size_t i = 0; i < vars_.size(); ++i)
+      block.push_back(Lit(vars_[i], ((bits[i / 64] >> (i % 64)) & 1u) != 0));
+    block.push_back(activation);
+    solver.add_clause_from(block.data(), block.size());
+  }
+}
 
 IncrementalBsat::IncrementalBsat(const Cnf& cnf, std::vector<Var> projection,
                                  IncrementalBsatOptions options)
-    : cnf_(cnf), projection_(std::move(projection)), options_(options) {
+    : cnf_(cnf),
+      projection_(all_vars_if_empty(std::move(projection), cnf.num_vars())),
+      options_(options),
+      store_(projection_, cnf.num_vars()) {
   g_total_constructions.fetch_add(1, std::memory_order_relaxed);
-  if (projection_.empty()) {
-    projection_.resize(static_cast<std::size_t>(cnf_.num_vars()));
-    for (Var v = 0; v < cnf_.num_vars(); ++v)
-      projection_[static_cast<std::size_t>(v)] = v;
-  }
   rebuild();
 }
 
@@ -41,6 +148,7 @@ void IncrementalBsat::rebuild() {
 }
 
 void IncrementalBsat::begin_hash() {
+  store_.clear();
   retired_rows_ += activations_.size();
   if (retired_rows_ > options_.max_retired_rows) {
     // The rebuild replaces the solver wholesale; skip the (discarded)
@@ -59,6 +167,7 @@ void IncrementalBsat::begin_hash() {
 
 void IncrementalBsat::push_rows(const XorHash& h) {
   h.attach_to(*solver_, activations_);
+  store_.push_rows(h);
 }
 
 EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
@@ -84,8 +193,18 @@ EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
   obs::ScopedTimer cell_timer(cell_seconds);
   obs::Span span("bsat.call");
   span.set_value(m);
+  if (++solves_on_build_ > 1) ++accum_.reused_solves;
+
+  // Only count-only calls read the store, so a witness call searches
+  // exactly as it would without one.
+  const std::uint64_t known = store_models ? 0 : store_.count_in_cell(m);
+  if (known >= max_models) {
+    EnumerateResult full;
+    full.count = max_models;
+    return full;
+  }
   EnumerateOptions eopts;
-  eopts.max_models = max_models;
+  eopts.max_models = max_models - known;
   eopts.deadline = limits.deadline;
   eopts.conflict_budget = limits.conflict_budget;
   eopts.cancel = limits.cancel;
@@ -101,8 +220,15 @@ EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
   const Var selector = solver_->new_var();
   eopts.assumptions.push_back(Lit(selector, true));
   eopts.block_activation = Lit(selector, false);
+  // The known members of the cell get the blocks their enumeration would
+  // have added, so they retract with the cell and the search skips them.
+  if (known > 0) store_.block_cell(m, eopts.block_activation, *solver_);
+  if (store_.usable())
+    eopts.on_model = [this](const Model& model) { store_.record(model); };
 
-  const EnumerateResult result = enumerate_models(*solver_, eopts);
+  EnumerateResult result = enumerate_models(*solver_, eopts);
+  result.count += known;
+  result.blocks_added += known;
 
   // The unit is added even for empty cells: it freezes the selector at the
   // root, so later solves never branch on it.
@@ -112,7 +238,6 @@ EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
                           // sweep them (and any stale learnts) out
     accum_.retracted_blocks += result.blocks_added;
   }
-  if (++solves_on_build_ > 1) ++accum_.reused_solves;
   return result;
 }
 

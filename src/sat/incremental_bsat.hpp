@@ -25,6 +25,15 @@
 //     surviving learnts are implied by the base formula alone (each row is
 //     a conservative extension — it only defines its fresh absorber), so
 //     retirement costs nothing at solve time.
+//   * Within an epoch the levels nest, so every cell(m) contains the cells
+//     of the deeper levels.  The engine keeps, per epoch, the rows it was
+//     given and the S-projection of every model any call found.  A
+//     count-only call (store_models == false) counts the remembered
+//     projections that lie in cell(m) and enumerates only the rest of the
+//     cell, or none of it once they reach the cap; witness calls record
+//     into the store but never read it, so every witness still comes from
+//     a search.  The count, min(|cell(m)|, max_models), and the
+//     `exhausted` flag are exactly what a full enumeration returns.
 //
 // Each retired row leaves one frozen absorber variable behind, so a
 // long-lived engine rebuilds the solver once `max_retired_rows` have
@@ -32,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "cnf/cnf.hpp"
@@ -80,7 +90,8 @@ class IncrementalBsat {
       delete;
 
   /// Starts a new hash epoch: the rows of the previous epoch become inert
-  /// (their absorbers are simply never assumed again).
+  /// (their absorbers are simply never assumed again), and the epoch's
+  /// model store is emptied.
   void begin_hash();
 
   /// Extends the active hash with `h`'s rows; hash levels grow by h.m().
@@ -93,7 +104,9 @@ class IncrementalBsat {
 
   /// BSAT(F ∧ first-m-rows-of-the-active-hash, max_models): enumerates the
   /// target cell at hash level m on the persistent solver.  All blocking
-  /// clauses added during the call are retracted before returning.
+  /// clauses added during the call are retracted before returning.  A
+  /// count-only call may be served in part, or wholly, from the models the
+  /// epoch's earlier calls found (see the file comment).
   EnumerateResult enumerate_cell(std::size_t m, std::uint64_t max_models,
                                  const Deadline& deadline, bool store_models);
   /// Same, under the full probe envelope (deadline + deterministic conflict
@@ -120,6 +133,47 @@ class IncrementalBsat {
   static std::uint64_t total_constructions();
 
  private:
+  /// The epoch's model store: each distinct S-projection found, as a
+  /// bitset in projection order (bit i = projection[i] is true), with its
+  /// depth, the number of leading rows of the epoch it satisfies.  A
+  /// projection lies in cell(m) iff its depth is at least m: it came from a
+  /// model of F, and the rows read only S.  When a row reads a variable
+  /// outside S that test is not possible, and the store stays unused until
+  /// the next epoch.
+  class ModelStore {
+   public:
+    ModelStore(const std::vector<Var>& projection, Var formula_vars);
+    void clear();
+    void push_rows(const XorHash& h);
+    /// Adds the S-projection of `model` unless the store already has it.
+    void record(const Model& model);
+    bool usable() const { return usable_; }
+    std::uint64_t count_in_cell(std::size_t m) const;
+    /// Adds to `solver`, for every stored projection in cell(m), the
+    /// blocking clause its enumeration would have added: some variable of
+    /// S differs, or `activation` holds.
+    void block_cell(std::size_t m, Lit activation, Solver& solver) const;
+
+   private:
+    /// Leading rows `bits` satisfies, given that it satisfies the first
+    /// `from`.
+    std::size_t depth_from(const std::uint64_t* bits, std::size_t from) const;
+
+    std::vector<Var> vars_;               // the projection, in order
+    std::vector<std::int32_t> position_;  // formula var -> index in vars_
+    std::size_t words_ = 0;               // 64-bit words per bitset
+    bool usable_ = true;
+    std::vector<std::uint64_t> row_bits_;  // one bitset per row
+    std::vector<char> row_rhs_;
+    std::vector<std::uint64_t> bits_;  // one bitset per stored projection
+    std::vector<std::size_t> depth_;
+    // Hashes of the stored bitsets.  Two projections whose hashes collide
+    // keep only the first: a projection missing from the store is merely
+    // enumerated again, while one stored twice would be counted twice.
+    std::unordered_set<std::uint64_t> hashes_;
+    std::vector<std::uint64_t> scratch_;
+  };
+
   void rebuild();
 
   const Cnf& cnf_;  // not owned; rare rebuilds reload the base formula
@@ -130,6 +184,7 @@ class IncrementalBsat {
   std::size_t retired_rows_ = 0;         // rows retired on the current build
   std::uint64_t solves_on_build_ = 0;
   SolverStats accum_;  // folded stats of retired builds + engine counters
+  ModelStore store_;
 };
 
 /// Drops the engine's auxiliary variables (absorbers, selectors) from a

@@ -29,7 +29,11 @@
 //      response's `warm` flag says when an eviction restarted a session's
 //      streams, at which point the reference pool is rebuilt too), and a
 //      cancelled request reports honest statuses while leaving the session
-//      byte-exactly reusable.
+//      byte-exactly reusable;
+//   8. the incremental engine's model store: count-only and witness calls
+//      in a random order within one hash epoch, at random levels and caps,
+//      each return min(|cell(m)|, cap) over S, exhausted exactly when the
+//      cell is below the cap (S is usually not an independent support).
 //
 // Exit code 0 when every seed passes; on the first failure it prints a
 // one-line repro (`fuzz_cnf <seed>` / `fuzz_cnf.py --repro <seed>`) plus
@@ -38,6 +42,8 @@
 // Usage: fuzz_cnf <seed> [<seed> ...]
 //        fuzz_cnf --range <first> <count>
 
+#include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -52,7 +58,9 @@
 #include "counting/approxmc.hpp"
 #include "counting/exact_counter.hpp"
 #include "fault_inject.hpp"
+#include "hashing/xor_hash.hpp"
 #include "helpers.hpp"
+#include "sat/incremental_bsat.hpp"
 #include "service/budget.hpp"
 #include "service/sampling_server.hpp"
 
@@ -336,6 +344,71 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                "server leg: ledger broken (%" PRIu64 "+%" PRIu64
                " != %" PRIu64 ", %zu live)",
                st.hits, st.misses, st.requests, st.sessions);
+  }
+
+  // 8. The engine's model store against the brute-forced cells.
+  {
+    // Distinct S-projections of F's models, bit i = s[i].
+    std::vector<std::uint64_t> projections;
+    for (const Model& m : test::brute_force_models(cnf)) {
+      std::uint64_t key = 0;
+      for (std::size_t i = 0; i < s.size(); ++i)
+        if (m[static_cast<std::size_t>(s[i])] == lbool::True)
+          key |= std::uint64_t{1} << i;
+      projections.push_back(key);
+    }
+    std::sort(projections.begin(), projections.end());
+    projections.erase(std::unique(projections.begin(), projections.end()),
+                      projections.end());
+    std::vector<std::size_t> position(static_cast<std::size_t>(cnf.num_vars()));
+    for (std::size_t i = 0; i < s.size(); ++i)
+      position[static_cast<std::size_t>(s[i])] = i;
+
+    Rng rng(seed + 5);
+    IncrementalBsat engine(cnf, s);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      engine.begin_hash();
+      const std::size_t rows = 1 + static_cast<std::size_t>(rng.below(s.size()));
+      const XorHash h = draw_xor_hash(s, rows, rng);
+      // Rows arrive in two pushes, as a climbing count search draws them.
+      const std::size_t split = static_cast<std::size_t>(rng.below(rows + 1));
+      XorHash first, second;
+      first.rows.assign(h.rows.begin(),
+                        h.rows.begin() + static_cast<std::ptrdiff_t>(split));
+      second.rows.assign(h.rows.begin() + static_cast<std::ptrdiff_t>(split),
+                         h.rows.end());
+      std::vector<std::uint64_t> row_mask;
+      for (const XorConstraint& row : h.rows) {
+        std::uint64_t mask = 0;
+        for (const Var v : row.vars)
+          mask ^= std::uint64_t{1} << position[static_cast<std::size_t>(v)];
+        row_mask.push_back(mask);
+      }
+      engine.push_rows(first);
+      for (int call = 0; call < 10; ++call) {
+        if (call == 5) engine.push_rows(second);
+        const std::size_t m =
+            static_cast<std::size_t>(rng.below(engine.hash_level() + 1));
+        const std::uint64_t cap = 1 + rng.below(projections.size() + 2);
+        const bool witness = rng.flip(0.3);
+        const EnumerateResult r =
+            engine.enumerate_cell(m, cap, Deadline::never(), witness);
+        std::uint64_t truth = 0;
+        for (const std::uint64_t p : projections) {
+          bool in_cell = true;
+          for (std::size_t j = 0; j < m && in_cell; ++j)
+            in_cell = (std::popcount(p & row_mask[j]) & 1) ==
+                      static_cast<int>(h.rows[j].rhs);
+          truth += in_cell ? 1 : 0;
+        }
+        FUZZ_CHECK(r.count == std::min(truth, cap) &&
+                       r.exhausted == (truth < cap),
+                   "model store: epoch %d call %d (m=%zu cap=%" PRIu64
+                   " witness=%d) counted %" PRIu64 " exhausted=%d, "
+                   "cell has %" PRIu64,
+                   epoch, call, m, cap, witness, r.count, r.exhausted, truth);
+      }
+    }
   }
 
   return std::nullopt;

@@ -1,15 +1,21 @@
 // Tests for the incremental BSAT engine: assumption-activated XOR hash
-// rows, blocking-clause retraction, learnt-clause retention, and the
-// one-persistent-solver guarantee (solver_rebuilds stays at 1) for both
-// ApproxMC runs and UniGen instances.
+// rows, blocking-clause retraction, learnt-clause retention, the epoch's
+// model store, the one-persistent-solver guarantee (solver_rebuilds stays
+// at 1) for both ApproxMC runs and UniGen instances, and that two engines
+// given the same calls do the same solver work.
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
 #include "hashing/xor_hash.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
+#include "obs/stats_json.hpp"
 #include "sat/incremental_bsat.hpp"
+#include "workloads/circuits.hpp"
 
 namespace unigen {
 namespace {
@@ -144,6 +150,156 @@ TEST(IncrementalBsat, UnsatBaseFormulaStaysUnsat) {
   engine.push_rows(draw_xor_hash({0, 1}, 1, rng));
   EXPECT_EQ(engine.enumerate_cell(0, 10, Deadline::never(), false).count, 0u);
   EXPECT_EQ(engine.enumerate_cell(1, 10, Deadline::never(), false).count, 0u);
+}
+
+/// Solver calls made by `f`, read off the `bsat.solves` counter (recorded
+/// only while observability is on).
+template <class F>
+std::uint64_t solver_calls(F&& f) {
+  static obs::Counter& solves = obs::metrics().counter("bsat.solves");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = solves.value();
+  f();
+  const std::uint64_t calls = solves.value() - before;
+  obs::set_enabled(was_enabled);
+  return calls;
+}
+
+TEST(IncrementalBsat, StoreKeepsCountsExactUnderMixedCalls) {
+  // Count-only calls read the epoch's model store, witness calls only
+  // write it; in any order, at any level and cap, a call still returns
+  // min(|cell(m)|, cap) and is exhausted exactly when the cell is below
+  // the cap.  Rows arrive in two pushes, so stored depths must extend.
+  // Odd epochs hash over all variables, which S does not determine, so
+  // the store must stay unused there.
+  Rng rng(606);
+  const std::vector<Var> proj{0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<Var> all{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  for (int round = 0; round < 8; ++round) {
+    const Cnf cnf = random_cnf_xor(10, 14, 3, 1, rng);
+    IncrementalBsat engine(cnf, proj);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      engine.begin_hash();
+      const XorHash h = draw_xor_hash(epoch % 2 == 0 ? proj : all, 6, rng);
+      XorHash first, second;
+      first.rows.assign(h.rows.begin(), h.rows.begin() + 3);
+      second.rows.assign(h.rows.begin() + 3, h.rows.end());
+      engine.push_rows(first);
+      for (int call = 0; call < 12; ++call) {
+        if (call == 6) engine.push_rows(second);
+        const std::size_t m = rng.below(engine.hash_level() + 1);
+        const std::uint64_t cap = 1 + rng.below(40);
+        const bool witness = rng.flip(0.3);
+        const auto r = engine.enumerate_cell(m, cap, Deadline::never(), witness);
+        const std::uint64_t truth = reference_cell_count(cnf, h, m, proj);
+        EXPECT_EQ(r.count, std::min(truth, cap))
+            << "round " << round << " epoch " << epoch << " call " << call
+            << " m " << m << " cap " << cap << " witness " << witness;
+        EXPECT_EQ(r.exhausted, truth < cap)
+            << "round " << round << " epoch " << epoch << " call " << call;
+        if (witness) {
+          EXPECT_EQ(r.models.size(), r.count);
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalBsat, CountAfterWitnessEnumerationMakesNoSolverCall) {
+  // UniGen's easy-case check enumerates hiThresh + 1 witnesses at level 0;
+  // the nested count's unhashed probe right after it on the same engine
+  // needs only pivot + 1 of them, all already known.
+  const Cnf cnf(10);  // 1024 models
+  IncrementalBsat engine(cnf, {});
+  const auto witnesses = engine.enumerate_cell(0, 90, Deadline::never(), true);
+  ASSERT_EQ(witnesses.count, 90u);
+  EnumerateResult count;
+  const std::uint64_t calls = solver_calls([&] {
+    count = engine.enumerate_cell(0, 53, Deadline::never(), false);
+  });
+  EXPECT_EQ(count.count, 53u);
+  EXPECT_FALSE(count.exhausted);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(IncrementalBsat, CountBelowAnExhaustedCellEnumeratesOnlyTheRest) {
+  // Levels nest: after cell(m) is exhausted with c models, those c are
+  // members of cell(m - 1), so counting it to the cap takes at most
+  // cap - c solver calls (cap - c models, or fewer models plus the final
+  // unsatisfiable call).
+  Rng rng(707);
+  const std::vector<Var> proj{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::uint64_t cap = 54;
+  int checked = 0;
+  for (int round = 0; round < 6; ++round) {
+    const Cnf cnf = random_cnf(12, 10, 3, rng);
+    IncrementalBsat engine(cnf, proj);
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      engine.begin_hash();
+      const XorHash h = draw_xor_hash(proj, 8, rng);
+      engine.push_rows(h);
+      const std::size_t m = 2 + rng.below(6);
+      const auto small = engine.enumerate_cell(m, cap, Deadline::never(), false);
+      if (!small.exhausted || small.count == 0) continue;
+      EnumerateResult big;
+      const std::uint64_t calls = solver_calls([&] {
+        big = engine.enumerate_cell(m - 1, cap, Deadline::never(), false);
+      });
+      EXPECT_EQ(big.count,
+                std::min(reference_cell_count(cnf, h, m - 1, proj), cap));
+      EXPECT_LE(calls, cap - small.count)
+          << "round " << round << " epoch " << epoch << " m " << m;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10);
+}
+
+TEST(IncrementalBsat, TwoEnginesGivenTheSameCallsDoTheSameWork) {
+  // Learnt-clause removal must not depend on heap addresses: two engines
+  // built at different addresses and given the prologue plus the same
+  // leapfrogged iteration sequence report identical solver work.  With
+  // model reuse, even the number of solver calls would differ otherwise.
+  workloads::CircuitParityOptions o;
+  o.state_bits = 12;
+  o.input_bits = 4;
+  o.rounds = 2;
+  o.parity_constraints = 5;
+  o.seed = 1;
+  const Cnf cnf = workloads::make_circuit_parity_bench(o, "determinism");
+  const std::vector<Var> s = cnf.sampling_set_or_all();
+  ApproxMcOptions amc;
+  amc.epsilon = 0.8;
+  amc.delta = 0.2;
+  const std::uint64_t pivot = approxmc_pivot(amc.epsilon);
+  const auto run = [&](IncrementalBsat& engine) {
+    const SolverStats before = engine.stats();
+    const std::uint64_t calls = solver_calls([&] {
+      engine.enumerate_cell(0, pivot + 1, Deadline::never(), false);
+      const Rng base(99);
+      std::uint32_t hint = 0;
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        Rng stream = base.fork_stream(i);
+        const ApproxMcCoreOutcome out = approxmc_core_iteration(
+            engine, static_cast<std::uint32_t>(s.size()), pivot, amc, hint,
+            stream, i);
+        if (const auto m = leapfrog_publish(out)) hint = *m;
+      }
+    });
+    const SolverStats work = engine.stats();
+    EXPECT_GT(work.removed_clauses, before.removed_clauses);
+    return std::make_pair(obs::to_json(work).dump(), calls);
+  };
+  const auto a = std::make_unique<IncrementalBsat>(cnf, s);
+  std::vector<std::unique_ptr<char[]>> spacer;
+  for (std::size_t k = 0; k < 64; ++k)
+    spacer.push_back(std::make_unique<char[]>(48 + k));
+  const auto b = std::make_unique<IncrementalBsat>(cnf, s);
+  const auto work_a = run(*a);
+  const auto work_b = run(*b);
+  EXPECT_EQ(work_a.first, work_b.first);
+  EXPECT_EQ(work_a.second, work_b.second);
 }
 
 TEST(ApproxMc, OnePersistentSolverPerRun) {
