@@ -41,7 +41,7 @@ int main() {
     Rng rng(4242);
     UniGenOptions opts;
     opts.epsilon = 6.0;
-    opts.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
+    opts.budget.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
     opts.prepare_timeout_s = env_double("UNIGEN_PREPARE_TIMEOUT_S", 90.0);
     opts.sample_timeout_s = env_double("UNIGEN_SAMPLE_TIMEOUT_S", 30.0);
     UniGen sampler(cnf, opts, rng);

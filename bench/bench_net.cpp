@@ -1,26 +1,30 @@
-// bench_net — the TCP transport's byte-transparency contract, gated:
+// bench_net — the TCP transport's byte-transparency contract, gated.
+// Every TCP leg runs on pre-started `unigen_workerd --listen 127.0.0.1:0`
+// servers that the supervisor dials (FleetOptions::endpoints; nothing is
+// spawned, one worker per endpoint):
 //
-//   * three-way count identity: approx_count over the TCP-loopback fleet
-//     at 1/2/4 workers equals both the socketpair fleet and the in-process
-//     path exactly (the keyed-stream determinism contract crossing the
-//     network stack);
-//   * three-way stream identity: a TCP-fleet SamplerPool's sample_many /
+//   * three-way count identity: approx_count over dialed servers at 1/2/4
+//     workers equals both the socketpair fleet and the in-process path
+//     exactly (the keyed-stream determinism contract crossing the network
+//     stack);
+//   * three-way stream identity: a dialed SamplerPool's sample_many /
 //     sample_batches streams byte-equal the socketpair fleet's and the
 //     in-process pool's at every worker count;
-//   * crash-run identity: with a deterministic fault plan SIGKILLing
-//     workers mid-task, the TCP fleet's streams are STILL byte-identical —
-//     a killed connection costs one re-dispatched attempt, never a changed
-//     byte — with zero poisoned tasks;
-//   * remote identity: the multi-host shape (pre-started `unigen_workerd
-//     --listen` servers the supervisor dials; nothing spawned) serves the
-//     same bytes again;
+//   * crash-run identity: servers started with a deterministic fault plan
+//     that SIGKILLs them mid-task (one more server than the plan has
+//     kills, since a kill ends the whole server) STILL serve byte-identical
+//     streams — a killed connection costs one re-dispatched attempt, never
+//     a changed byte — with zero poisoned tasks;
+//   * remote identity: every dialed fleet is the multi-host shape — no
+//     local child, one worker per endpoint — and each server serves the
+//     whole sequence of supervisors in turn, resetting between them;
 //   * clean hygiene: un-faulted TCP runs record zero crashes, zero
 //     poisoned tasks, zero send stalls and zero protocol errors.
 //
-// The headline numbers are the TCP fleet's crash-recovery latencies and
-// the wall-clock comparison across the three execution shapes, recorded in
-// BENCH_net.json.  On a 1-core container the identity gates are the
-// trustworthy signal; the clocks are context.
+// The headline numbers are the TCP crash-recovery latencies and the
+// wall-clock comparison across the three execution shapes, recorded in
+// BENCH_net.json.  The identity gates are the trustworthy signal; the
+// clocks are context.
 //
 // `--smoke` shrinks the request counts so the whole run fits in the tier-1
 // ctest budget; every gate is identical in both modes.
@@ -28,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <thread>
 #include <utility>
@@ -83,21 +88,17 @@ std::vector<Instance> instances() {
   return out;
 }
 
-SamplerPoolOptions pool_options(std::size_t threads, std::size_t workers,
-                                FleetTransport transport,
-                                const std::string& fault_plan = {},
-                                std::vector<std::string> endpoints = {}) {
-  SamplerPoolOptions o;
-  o.num_threads = threads;
-  o.seed = kSeed;
+/// In-process with no workers and no endpoints; else a fleet of `workers`
+/// spawned children, or of one dialed worker per endpoint.
+FleetOptions fleet_options(std::size_t workers,
+                           std::vector<std::string> endpoints) {
+  FleetOptions f;
   if (workers > 0 || !endpoints.empty()) {
-    o.unigen.fleet.backend = ExecBackend::kProcessFleet;
-    o.unigen.fleet.num_workers = workers;
-    o.unigen.fleet.transport = transport;
-    o.unigen.fleet.fault_plan = fault_plan;
-    o.unigen.fleet.endpoints = std::move(endpoints);
+    f.backend = ExecBackend::kProcessFleet;
+    f.num_workers = workers;
+    f.endpoints = std::move(endpoints);
   }
-  return o;
+  return f;
 }
 
 bool same_samples(const std::vector<SampleResult>& a,
@@ -123,17 +124,20 @@ struct SampleRun {
   std::vector<BatchResult> batches;
   FleetStats stats;          // zero for the in-process reference
   bool fleet_up = false;
+  std::size_t fleet_workers = 0;
+  std::size_t local_children = 0;  // live pids after the run
   double wall_s = 0.0;
 };
 
-SampleRun run_samples(const Cnf& cnf, std::size_t workers,
-                      FleetTransport transport, std::size_t singles,
-                      std::size_t batches, std::size_t batch_size,
-                      const std::string& fault_plan = {},
-                      std::vector<std::string> endpoints = {}) {
+SampleRun run_samples(const Cnf& cnf, const FleetOptions& fleet,
+                      std::size_t singles, std::size_t batches,
+                      std::size_t batch_size) {
   SampleRun out;
-  SamplerPool pool(cnf, pool_options(2, workers, transport, fault_plan,
-                                     std::move(endpoints)));
+  SamplerPoolOptions o;
+  o.num_threads = 2;
+  o.seed = kSeed;
+  o.unigen.fleet = fleet;
+  SamplerPool pool(cnf, o);
   const Stopwatch watch;
   out.singles = pool.sample_many(singles);
   out.batches = pool.sample_batches(batches, batch_size);
@@ -141,6 +145,8 @@ SampleRun run_samples(const Cnf& cnf, std::size_t workers,
   if (pool.fleet() != nullptr) {
     out.fleet_up = true;
     out.stats = pool.fleet()->stats();
+    out.fleet_workers = pool.fleet()->num_workers();
+    out.local_children = pool.fleet()->worker_pids().size();
   }
   return out;
 }
@@ -150,6 +156,10 @@ SampleRun run_samples(const Cnf& cnf, std::size_t workers,
 struct RemoteWorkerd {
   pid_t pid = -1;
   net::Endpoint endpoint;
+
+  RemoteWorkerd() = default;
+  RemoteWorkerd(const RemoteWorkerd&) = delete;
+  RemoteWorkerd& operator=(const RemoteWorkerd&) = delete;
 
   static std::string workerd_path() {
     char buf[4096];
@@ -162,7 +172,17 @@ struct RemoteWorkerd {
     return path.substr(0, slash + 1) + "unigen_workerd";
   }
 
-  bool start() {
+  /// The server sees this process's environment with its UNIGEN_WORKERD_*
+  /// settings replaced by `env` ("NAME=value" entries), as a server on
+  /// another host would start with its own.
+  bool start(const std::vector<std::string>& env = {}) {
+    std::vector<std::string> vars;
+    for (char** e = environ; *e != nullptr; ++e)
+      if (std::strncmp(*e, "UNIGEN_WORKERD_", 15) != 0) vars.emplace_back(*e);
+    vars.insert(vars.end(), env.begin(), env.end());
+    std::vector<char*> envp;
+    for (std::string& v : vars) envp.push_back(v.data());
+    envp.push_back(nullptr);
     int out[2];
     if (::pipe(out) != 0) return false;
     const std::string path = workerd_path();
@@ -172,11 +192,8 @@ struct RemoteWorkerd {
       ::dup2(out[1], 1);
       ::close(out[0]);
       ::close(out[1]);
-      // A real remote server starts with its own clean environment; this
-      // process's env still carries the crash run's fault plan.
-      ::unsetenv("UNIGEN_WORKERD_FAULTS");
-      ::execl(path.c_str(), path.c_str(), "--listen", "127.0.0.1:0",
-              static_cast<char*>(nullptr));
+      ::execle(path.c_str(), path.c_str(), "--listen", "127.0.0.1:0",
+               static_cast<char*>(nullptr), envp.data());
       _exit(127);
     }
     ::close(out[1]);
@@ -198,6 +215,25 @@ struct RemoteWorkerd {
       ::kill(pid, SIGKILL);
       ::waitpid(pid, nullptr, 0);
     }
+  }
+};
+
+/// `n` servers started with the same `env`, and their endpoints.
+struct Servers {
+  std::deque<RemoteWorkerd> servers;
+  std::vector<std::string> endpoints;
+
+  bool start(std::size_t n, const std::vector<std::string>& env = {}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      RemoteWorkerd& s = servers.emplace_back();
+      if (!s.start(env)) return false;
+      endpoints.push_back(net::to_string(s.endpoint));
+    }
+    return true;
+  }
+  std::vector<std::string> first(std::size_t k) const {
+    return {endpoints.begin(),
+            endpoints.begin() + static_cast<std::ptrdiff_t>(k)};
   }
 };
 
@@ -240,20 +276,27 @@ int main(int argc, char** argv) {
   double inproc_wall_s = 0.0;
   double socketpair_wall_s = 0.0;  // 2-worker clean runs
   double tcp_wall_s = 0.0;         // 2-worker clean runs
-  double remote_wall_s = 0.0;
 
   for (const Instance& inst : suite) {
+    // Four clean servers serve every TCP leg of this instance in turn, the
+    // first k of them for a k-worker fleet; each resets between
+    // supervisors.
+    Servers servers;
+    if (!servers.start(4)) {
+      fleet_came_up = false;
+      std::printf("SERVERS FAILED TO START %s\n", inst.name.c_str());
+      continue;
+    }
+
     // --- counting: TCP fleet vs socketpair fleet vs in-process.
     ApproxMcOptions co;
     Rng ref_rng(kSeed);
     const ApproxMcResult ref_count = approx_count(inst.cnf, co, ref_rng);
     for (const std::size_t workers : worker_counts) {
-      for (const FleetTransport transport :
-           {FleetTransport::kSocketpair, FleetTransport::kTcp}) {
+      for (const bool tcp : {false, true}) {
         ApproxMcOptions fo = co;
-        fo.fleet.backend = ExecBackend::kProcessFleet;
-        fo.fleet.transport = transport;
-        fo.fleet.num_workers = workers;
+        fo.fleet = tcp ? fleet_options(0, servers.first(workers))
+                       : fleet_options(workers, {});
         Rng rng(kSeed);
         const ApproxMcResult got = approx_count(inst.cnf, fo, rng);
         if (got.valid != ref_count.valid ||
@@ -262,61 +305,71 @@ int main(int argc, char** argv) {
             got.exact != ref_count.exact) {
           count_identity = false;
           std::printf("COUNT MISMATCH %s workers=%zu transport=%s\n",
-                      inst.name.c_str(), workers,
-                      transport == FleetTransport::kTcp ? "tcp" : "sp");
+                      inst.name.c_str(), workers, tcp ? "tcp" : "sp");
         }
       }
     }
 
     // --- sampling: in-process reference streams.
-    const SampleRun ref = run_samples(inst.cnf, /*workers=*/0,
-                                      FleetTransport::kSocketpair, singles,
-                                      batches, batch_size);
+    const SampleRun ref = run_samples(inst.cnf, fleet_options(0, {}),
+                                      singles, batches, batch_size);
     inproc_wall_s += ref.wall_s;
 
-    // Clean runs, both fleet transports, across worker counts.
+    // Clean runs, both fleet shapes, across worker counts.
     for (const std::size_t workers : worker_counts) {
-      for (const FleetTransport transport :
-           {FleetTransport::kSocketpair, FleetTransport::kTcp}) {
-        const SampleRun got = run_samples(inst.cnf, workers, transport,
-                                          singles, batches, batch_size);
+      for (const bool tcp : {false, true}) {
+        const SampleRun got = run_samples(
+            inst.cnf,
+            tcp ? fleet_options(0, servers.first(workers))
+                : fleet_options(workers, {}),
+            singles, batches, batch_size);
         // The easy-case formula never goes hashed, so no fleet is built
         // for it — the identity gate still applies (served in-process).
         if (!got.fleet_up && inst.name != "trivial_c") fleet_came_up = false;
-        if (workers == 2) {
-          if (transport == FleetTransport::kTcp)
-            tcp_wall_s += got.wall_s;
-          else
-            socketpair_wall_s += got.wall_s;
-        }
-        if (!same_samples(ref.singles, got.singles) ||
-            !same_batches(ref.batches, got.batches)) {
+        if (workers == 2) (tcp ? tcp_wall_s : socketpair_wall_s) += got.wall_s;
+        const bool same = same_samples(ref.singles, got.singles) &&
+                          same_batches(ref.batches, got.batches);
+        if (!same) {
           sample_identity = false;
           std::printf("SAMPLE MISMATCH %s workers=%zu transport=%s\n",
-                      inst.name.c_str(), workers,
-                      transport == FleetTransport::kTcp ? "tcp" : "sp");
+                      inst.name.c_str(), workers, tcp ? "tcp" : "sp");
         }
         if (got.fleet_up &&
             (got.stats.crashes != 0 || got.stats.poisoned_tasks != 0 ||
              got.stats.send_stalls != 0 || got.stats.protocol_errors != 0))
           clean_hygiene = false;
-        if (got.fleet_up && transport == FleetTransport::kTcp) {
+        if (got.fleet_up && tcp) {
           dials_total += got.stats.dials;
           if (got.stats.dials == 0) clean_hygiene = false;  // not TCP at all
+          // The multi-host shape: nothing spawned, one worker per endpoint.
+          if (!same || got.local_children != 0 ||
+              got.fleet_workers != workers) {
+            remote_identity = false;
+            std::printf("REMOTE SHAPE BROKEN %s workers=%zu\n",
+                        inst.name.c_str(), workers);
+          }
         }
       }
     }
 
     if (inst.name == "trivial_c") continue;  // fault runs need live workers
 
-    // Crash run over TCP: three request streams lose their connection
-    // mid-task (the child is SIGKILLed, the supervisor sees EOF on the
-    // accepted socket) — recovery must be invisible in the bytes.
+    // Crash run over TCP: three request streams kill their server mid-task
+    // (the supervisor sees EOF on the dialed socket) — recovery must be
+    // invisible in the bytes.  A kill ends the server for good, so four
+    // servers carry the three-kill plan.
     {
+      Servers faulty;
       const std::string plan =
           ProcessFaultPlan().kill_task(2).kill_task(5).kill_task(8).to_env();
-      const SampleRun got = run_samples(inst.cnf, 2, FleetTransport::kTcp,
-                                        singles, batches, batch_size, plan);
+      if (!faulty.start(4, {"UNIGEN_WORKERD_FAULTS=" + plan})) {
+        fleet_came_up = false;
+        std::printf("FAULTY SERVERS FAILED TO START %s\n", inst.name.c_str());
+        continue;
+      }
+      const SampleRun got =
+          run_samples(inst.cnf, fleet_options(0, faulty.endpoints), singles,
+                      batches, batch_size);
       if (!got.fleet_up) fleet_came_up = false;
       if (!same_samples(ref.singles, got.singles) ||
           !same_batches(ref.batches, got.batches)) {
@@ -338,28 +391,6 @@ int main(int argc, char** argv) {
                            : got.stats.max_recovery_seconds;
       recovery_events += got.stats.redispatches;
     }
-
-    // Remote shape: two pre-started --listen servers, nothing spawned.
-    {
-      RemoteWorkerd a, b;
-      if (!a.start() || !b.start()) {
-        remote_identity = false;
-        std::printf("REMOTE SERVERS FAILED TO START %s\n", inst.name.c_str());
-        continue;
-      }
-      const SampleRun got = run_samples(
-          inst.cnf, /*workers=*/0, FleetTransport::kTcp, singles, batches,
-          batch_size, /*fault_plan=*/{},
-          {net::to_string(a.endpoint), net::to_string(b.endpoint)});
-      remote_wall_s += got.wall_s;
-      if (!got.fleet_up) fleet_came_up = false;
-      if (!same_samples(ref.singles, got.singles) ||
-          !same_batches(ref.batches, got.batches)) {
-        remote_identity = false;
-        std::printf("REMOTE MISMATCH %s\n", inst.name.c_str());
-      }
-      if (got.fleet_up && got.stats.dials < 2) remote_identity = false;
-    }
   }
 
   const double recovery_avg_s =
@@ -379,16 +410,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(crashes_total),
               static_cast<unsigned long long>(redispatches_total),
               static_cast<unsigned long long>(poisoned_total));
-  std::printf("remote (--listen) identity:             %s\n",
+  std::printf("remote shape (--listen, 1/2/4):         %s\n",
               remote_identity ? "yes" : "NO");
   std::printf("clean runs stall/protocol/crash free:   %s (%llu dials)\n",
               clean_hygiene ? "yes" : "NO",
               static_cast<unsigned long long>(dials_total));
   std::printf("tcp recovery latency avg / max:         %.4f s / %.4f s\n",
               recovery_avg_s, recovery_max_s);
-  std::printf("wall 2-worker (inproc / sp / tcp / remote): %.3f / %.3f / "
-              "%.3f / %.3f s\n",
-              inproc_wall_s, socketpair_wall_s, tcp_wall_s, remote_wall_s);
+  std::printf("wall 2-worker (inproc / sp / tcp):       %.3f / %.3f / "
+              "%.3f s\n",
+              inproc_wall_s, socketpair_wall_s, tcp_wall_s);
 
   bench::BenchJson json("net");
   json.add("suite", smoke ? "smoke" : "full");
@@ -398,7 +429,6 @@ int main(int argc, char** argv) {
   json.add("inproc_wall_s", inproc_wall_s);
   json.add("socketpair_wall_s", socketpair_wall_s);
   json.add("tcp_wall_s", tcp_wall_s);
-  json.add("remote_wall_s", remote_wall_s);
   json.add("dials", dials_total);
   json.add("dial_failures", dial_failures_total);
   json.add("send_stalls", send_stalls_total);

@@ -45,7 +45,8 @@ RunResult run_at(const Cnf& cnf, std::size_t threads, std::size_t requests) {
   SamplerPoolOptions opts;
   opts.num_threads = threads;
   opts.seed = kSeed;
-  opts.unigen.bsat_timeout_s = bench::env_double("UNIGEN_BSAT_TIMEOUT_S", 60.0);
+  opts.unigen.budget.bsat_timeout_s =
+      bench::env_double("UNIGEN_BSAT_TIMEOUT_S", 60.0);
   opts.unigen.prepare_timeout_s =
       bench::env_double("UNIGEN_PREPARE_TIMEOUT_S", 600.0);
   opts.unigen.sample_timeout_s =

@@ -71,7 +71,7 @@ int main() {
       {
         UniGenOptions opts;
         opts.epsilon = 6.0;
-        opts.bsat_timeout_s = bsat_timeout_s;
+        opts.budget.bsat_timeout_s = bsat_timeout_s;
         opts.prepare_timeout_s = count_budget_s;
         opts.sample_timeout_s = sample_budget_s;
         opts.simplify.enabled = simplify_on;

@@ -58,7 +58,7 @@ int main() {
     Rng rng(777);
     UniGenOptions opts;
     opts.epsilon = 6.0;
-    opts.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
+    opts.budget.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
     UniGen sampler(inst.cnf, opts, rng);
     if (!sampler.prepare()) {
       std::printf("%-24s prepare failed\n", inst.name.c_str());

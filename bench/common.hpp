@@ -153,7 +153,7 @@ inline TableRow run_instance(const workloads::SuiteInstance& instance,
     Rng rng(seed);
     UniGenOptions opts;
     opts.epsilon = 6.0;  // the paper's experimental setting
-    opts.bsat_timeout_s = budgets.bsat_timeout_s;
+    opts.budget.bsat_timeout_s = budgets.bsat_timeout_s;
     opts.prepare_timeout_s = budgets.prepare_timeout_s;
     opts.sample_timeout_s = budgets.sample_timeout_s;
     UniGen sampler(instance.cnf, opts, rng);

@@ -2,7 +2,7 @@
 // instance's (projected) model count on N threads.
 //
 //   $ ./parallel_counter [--trace-out t.jsonl] [--stats-json s.json]
-//                        [--fleet N] [--fleet-tcp]
+//                        [--fleet N]
 //                        [--fleet-endpoints host:port[,host:port...]]
 //                        formula.cnf [threads] [epsilon] [delta]
 //   $ ./parallel_counter                       # built-in demo workload
@@ -10,9 +10,9 @@
 // --trace-out / --stats-json switch the observability layer on and export
 // the count's span tree (count.request → count.iteration → hash.probe →
 // bsat.call) and the metric registry.  --fleet N runs the iterations on N
-// crash-isolated unigen_workerd processes, --fleet-tcp over TCP loopback,
-// --fleet-endpoints against pre-started `unigen_workerd --listen` servers;
-// the estimate is identical in every configuration.
+// crash-isolated unigen_workerd processes, --fleet-endpoints on one
+// pre-started `unigen_workerd --listen` server per endpoint instead; the
+// estimate is identical in every configuration.
 //
 // The count is a deterministic function of (formula, epsilon, delta, seed)
 // alone: running with 1, 4 or 32 threads returns the same estimate, only
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
 
   std::string trace_out, stats_json;
   std::size_t fleet_workers = 0;
-  bool fleet_tcp = false;
   std::vector<std::string> fleet_endpoints;
   std::vector<char*> pos;
   for (int i = 1; i < argc; ++i) {
@@ -58,8 +57,6 @@ int main(int argc, char** argv) {
       stats_json = next("--stats-json");
     else if (std::strcmp(argv[i], "--fleet") == 0)
       fleet_workers = static_cast<std::size_t>(std::atoll(next("--fleet")));
-    else if (std::strcmp(argv[i], "--fleet-tcp") == 0)
-      fleet_tcp = true;
     else if (std::strcmp(argv[i], "--fleet-endpoints") == 0) {
       const std::string list = next("--fleet-endpoints");
       for (std::size_t b = 0; b < list.size();) {
@@ -99,8 +96,6 @@ int main(int argc, char** argv) {
   if (fleet_workers > 0 || !fleet_endpoints.empty()) {
     opts.fleet.backend = ExecBackend::kProcessFleet;
     opts.fleet.num_workers = fleet_workers;
-    if (fleet_tcp || !fleet_endpoints.empty())
-      opts.fleet.transport = FleetTransport::kTcp;
     opts.fleet.endpoints = fleet_endpoints;
   }
 

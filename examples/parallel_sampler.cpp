@@ -5,7 +5,7 @@
 // thread count is purely a throughput knob.
 //
 //   usage: parallel_sampler [--trace-out t.jsonl] [--stats-json s.json]
-//                           [--fleet N] [--fleet-tcp]
+//                           [--fleet N]
 //                           [--fleet-endpoints host:port[,host:port...]]
 //                           <file.cnf> [num_samples=10] [threads=0(auto)]
 //                           [epsilon=6] [seed]
@@ -14,10 +14,9 @@
 // --trace-out / --stats-json switch the observability layer on and export
 // the pool.request span tree and the pool's stats struct as JSON.
 // --fleet N serves the hashed path from N crash-isolated unigen_workerd
-// processes; --fleet-tcp moves their frames onto TCP loopback, and
-// --fleet-endpoints dials pre-started `unigen_workerd --listen` servers
-// (any host) instead of spawning — the printed v-lines are identical in
-// every configuration.
+// processes; --fleet-endpoints instead dials one pre-started
+// `unigen_workerd --listen` server per endpoint (any host) and spawns
+// nothing — the printed v-lines are identical in every configuration.
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +34,6 @@ int main(int argc, char** argv) {
 
   std::string trace_out, stats_json;
   std::size_t fleet_workers = 0;
-  bool fleet_tcp = false;
   std::vector<std::string> fleet_endpoints;
   std::vector<char*> pos;
   for (int i = 1; i < argc; ++i) {
@@ -52,8 +50,6 @@ int main(int argc, char** argv) {
       stats_json = next("--stats-json");
     else if (std::strcmp(argv[i], "--fleet") == 0)
       fleet_workers = static_cast<std::size_t>(std::atoll(next("--fleet")));
-    else if (std::strcmp(argv[i], "--fleet-tcp") == 0)
-      fleet_tcp = true;
     else if (std::strcmp(argv[i], "--fleet-endpoints") == 0) {
       const std::string list = next("--fleet-endpoints");
       for (std::size_t b = 0; b < list.size();) {
@@ -104,8 +100,6 @@ int main(int argc, char** argv) {
   if (fleet_workers > 0 || !fleet_endpoints.empty()) {
     options.unigen.fleet.backend = ExecBackend::kProcessFleet;
     options.unigen.fleet.num_workers = fleet_workers;
-    if (fleet_tcp || !fleet_endpoints.empty())
-      options.unigen.fleet.transport = FleetTransport::kTcp;
     options.unigen.fleet.endpoints = fleet_endpoints;
   }
   SamplerPool pool(std::move(cnf), options);
@@ -116,11 +110,9 @@ int main(int argc, char** argv) {
   std::printf("c serving with %zu worker thread(s), seed %llu\n",
               pool.num_threads(), static_cast<unsigned long long>(seed));
   if (pool.fleet() != nullptr)
-    std::printf("c process fleet up: %zu worker(s), transport %s\n",
+    std::printf("c process fleet up: %zu worker(s), %s\n",
                 pool.fleet()->num_workers(),
-                !fleet_endpoints.empty()
-                    ? "tcp-remote"
-                    : (fleet_tcp ? "tcp-loopback" : "socketpair"));
+                fleet_endpoints.empty() ? "spawned" : "dialed");
   else if (fleet_workers > 0 || !fleet_endpoints.empty())
     std::printf("c process fleet unavailable; serving in-process\n");
 

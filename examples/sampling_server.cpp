@@ -6,15 +6,15 @@
 //
 //   usage: sampling_server [--samples N] [--rounds R] [--threads T]
 //                          [--max-sessions M] [--seed S]
-//                          [--fleet N] [--fleet-tcp]
+//                          [--fleet N]
 //                          [--fleet-endpoints host:port[,host:port...]]
 //                          [--trace-out trace.jsonl] [--stats-json stats.json]
 //                          [file.cnf ...]
 //
 // --fleet N serves every session's hashed path from N crash-isolated
-// unigen_workerd processes (--fleet-tcp: over TCP loopback;
-// --fleet-endpoints: dialing pre-started `unigen_workerd --listen`
-// servers); the served witnesses are identical in every configuration.
+// unigen_workerd processes (--fleet-endpoints: dialing one pre-started
+// `unigen_workerd --listen` server per endpoint instead); the served
+// witnesses are identical in every configuration.
 //
 // --trace-out / --stats-json switch the observability layer on and export
 // the run: per-request span trees as JSONL, and a JSON document holding the
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0xDAC14;
   std::string trace_out, stats_json;
   std::size_t fleet_workers = 0;
-  bool fleet_tcp = false;
   std::vector<std::string> fleet_endpoints;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
       stats_json = next("--stats-json");
     else if (std::strcmp(argv[i], "--fleet") == 0)
       fleet_workers = static_cast<std::size_t>(std::atoll(next("--fleet")));
-    else if (std::strcmp(argv[i], "--fleet-tcp") == 0)
-      fleet_tcp = true;
     else if (std::strcmp(argv[i], "--fleet-endpoints") == 0) {
       const std::string list = next("--fleet-endpoints");
       for (std::size_t b = 0; b < list.size();) {
@@ -123,8 +120,6 @@ int main(int argc, char** argv) {
   if (fleet_workers > 0 || !fleet_endpoints.empty()) {
     options.registry.pool.unigen.fleet.backend = ExecBackend::kProcessFleet;
     options.registry.pool.unigen.fleet.num_workers = fleet_workers;
-    if (fleet_tcp || !fleet_endpoints.empty())
-      options.registry.pool.unigen.fleet.transport = FleetTransport::kTcp;
     options.registry.pool.unigen.fleet.endpoints = fleet_endpoints;
   }
   SamplingServer server(options);

@@ -153,7 +153,7 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
   amc.epsilon = options.counter_epsilon;
   amc.delta = 1.0 - options.counter_confidence;
   amc.budget.deadline = deadline;
-  amc.budget.bsat_timeout_s = options.bsat_timeout_s;
+  amc.budget.bsat_timeout_s = options.budget.bsat_timeout_s;
   // Cancellation reaches the nested count; the deterministic per-request
   // knobs (max_bsat_calls, fault) deliberately do not — they are scoped to
   // sampling requests, and a fault plan keyed by request streams must not
@@ -196,13 +196,13 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
   // request's stream/fault key.  Strictly outside every RNG draw.
   obs::Span request_span("sample.request");
   request_span.set_value(fault_key);
-  const Budget& budget = options.budget;
-  // Per-request wall deadline: sample_timeout_s tightened by the overall
-  // anytime deadline when that one is nearer.
-  Deadline deadline = Deadline::in_seconds(options.sample_timeout_s);
-  if (budget.deadline.armed() &&
-      budget.deadline.remaining_seconds() < deadline.remaining_seconds())
-    deadline = budget.deadline;
+  // The request's budget: the caller's, with its wall deadline tightened
+  // to sample_timeout_s when that one is nearer.
+  Budget budget = options.budget;
+  const Deadline sample_deadline =
+      Deadline::in_seconds(options.sample_timeout_s);
+  if (sample_deadline.remaining_seconds() < budget.deadline.remaining_seconds())
+    budget.deadline = sample_deadline;
   const int n = static_cast<int>(sampling_set.size());
   const int i_last = std::clamp(prep.q, 1, n);
   const int i_first = std::clamp(prep.q - 3, 1, i_last);
@@ -217,7 +217,7 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
         out.status = RequestStatus::kCancelled;
         return out;
       }
-      if (deadline.expired() ||
+      if (budget.wall_expired() ||
           (budget.max_bsat_calls != 0 && calls >= budget.max_bsat_calls)) {
         out.status = RequestStatus::kTimedOut;
         return out;
@@ -252,8 +252,7 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
       engine.begin_hash();
       engine.push_rows(hash);
       ProbeLimits limits;
-      limits.deadline = Deadline::in_seconds(std::min(
-          options.bsat_timeout_s, deadline.remaining_seconds()));
+      limits.deadline = budget.per_call_deadline();
       limits.conflict_budget = budget.conflicts_per_call;
       limits.cancel = budget.cancel != nullptr ? budget.cancel->flag()
                                                : nullptr;

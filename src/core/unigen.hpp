@@ -47,8 +47,6 @@ struct UniGenOptions {
   /// Witnesses are reconstructed onto the original formula, so samples are
   /// genuine models of the input (simplify/simplify.hpp).
   SimplifyOptions simplify;
-  /// Per-BSAT-invocation timeout in seconds (paper: 2500 s).
-  double bsat_timeout_s = 2500.0;
   /// Budget for prepare() in seconds (paper: part of the 20 h total).
   double prepare_timeout_s = 72000.0;
   /// Budget for one sample() call in seconds.
@@ -59,6 +57,10 @@ struct UniGenOptions {
   /// Anytime/robustness controls, scoped *per request* (one accept_cell
   /// run), except for `deadline` and `cancel` which are shared seams the
   /// embedding arms per service call:
+  ///   * budget.bsat_timeout_s — wall-clock cap on each BSAT probe (paper
+  ///     Section 5: 2500 s), in accept_cell and in prepare's nested count;
+  ///     a probe that hits it is retried with a fresh hash.  The default is
+  ///     Budget's, none: probes are bounded only by the request deadline.
   ///   * budget.max_bsat_calls — deterministic cap on BSAT probes within
   ///     one request; it bounds the otherwise-unbounded fresh-hash retry
   ///     loop machine-independently (expiry reports kTimedOut).

@@ -6,10 +6,13 @@
 // location-independent: task k draws everything from fork_stream(k) and
 // results fold in canonical order, so *where* a task runs — which thread,
 // which process, which attempt after a crash — cannot reach the reported
-// bytes.  FleetOptions selects the transport that exploits this: the
-// default in-process WorkerPool, or N supervised child processes
-// (unigen_workerd) that contain a solver crash to one task retry instead
-// of taking down the whole service.
+// bytes.  FleetOptions selects the backend that exploits this: the
+// default in-process WorkerPool, or supervised unigen_workerd processes
+// that contain a solver crash to one task retry instead of taking down the
+// whole service.  `endpoints` alone decides where those processes live:
+// empty, the fleet spawns `num_workers` local children over socketpairs;
+// set, it dials one pre-started `unigen_workerd --listen` server per
+// endpoint (any host) and spawns nothing.
 
 #include <cstdint>
 #include <string>
@@ -21,57 +24,43 @@ enum class ExecBackend : std::uint8_t {
   /// Threads of the caller's process (WorkerPool) — the default.
   kInProcess,
   /// Supervised out-of-process workers; falls back to kInProcess when no
-  /// worker can be spawned (fork failure, missing unigen_workerd binary).
+  /// worker comes up (fork failure, missing unigen_workerd binary, no
+  /// endpoint answering).
   kProcessFleet,
-};
-
-/// Which byte pipe carries the fleet's frame protocol.  The supervision
-/// code is transport-blind (service/ipc.hpp is fd-agnostic); this knob
-/// only decides how a worker's connected fd comes to exist.
-enum class FleetTransport : std::uint8_t {
-  /// fork/exec + AF_UNIX socketpair — the single-host default.
-  kSocketpair,
-  /// TCP (service/net_transport.hpp).  With `endpoints` empty the fleet
-  /// still spawns local unigen_workerd children, but they dial back into
-  /// a loopback listener (`--connect host:port`) — the full network stack
-  /// on one box, which is what the tests and bench_net exercise.  With
-  /// `endpoints` set, nothing is spawned: each worker slot dials a
-  /// pre-started `unigen_workerd --listen host:port` server (any host),
-  /// and a crashed/dropped connection is "respawned" by re-dialing under
-  /// the same bounded backoff.  That is the multi-host fan-out the paper's
-  /// no-communication argument promises: adding machines is adding
-  /// endpoints.
-  kTcp,
 };
 
 struct FleetOptions {
   ExecBackend backend = ExecBackend::kInProcess;
-  /// Child processes; 0 = match the embedding's thread count.
+  /// Local children to spawn when `endpoints` is empty; 0 = match the
+  /// embedding's thread count.  Unused when `endpoints` is set.
   std::size_t num_workers = 0;
-  FleetTransport transport = FleetTransport::kSocketpair;
-  /// kTcp only: "host:port" workerd servers to dial instead of spawning
-  /// locally.  Slot i dials endpoints[i % endpoints.size()], so more
-  /// workers than endpoints multiplexes slots across hosts (each slot is
-  /// its own connection and its own remote serving loop).  num_workers
-  /// == 0 with endpoints set means one worker per endpoint.
+  /// "host:port" `unigen_workerd --listen` servers to dial instead of
+  /// spawning: one worker per endpoint, since a server serves one
+  /// supervisor connection at a time.  A dropped connection is
+  /// "respawned" by re-dialing under the same bounded backoff.  Adding
+  /// machines is adding endpoints — the multi-host fan-out the paper's
+  /// no-communication argument promises.
   std::vector<std::string> endpoints;
-  /// Dial/accept deadline for TCP connection establishment; an
-  /// unreachable host costs this much, never an indefinite stall.
+  /// Dial deadline per endpoint; an unreachable host costs this much,
+  /// never an indefinite stall.
   double connect_timeout_s = 5.0;
   /// Bounded-write discipline for every supervisor-side frame send: a
   /// worker that stops draining its socket for this long is classified a
   /// stalled transport and killed like a heartbeat-silent hang (the
   /// single-threaded poll loop must never block in send).  0 = unbounded.
   double send_timeout_s = 5.0;
-  /// Path to the unigen_workerd binary.  Empty = $UNIGEN_WORKERD, else
-  /// "unigen_workerd" next to the running executable (/proc/self/exe).
+  /// Path to the unigen_workerd binary spawned children run.  Empty =
+  /// $UNIGEN_WORKERD, else "unigen_workerd" next to the running executable
+  /// (/proc/self/exe).
   std::string workerd_path;
   /// Wall-clock ceiling per task attempt; expiry kills the worker and
   /// re-dispatches the task.  0 = none (heartbeats still police hangs).
   double task_deadline_s = 0.0;
   /// Worker-side heartbeat period.  The worker emits an unsolicited
   /// heartbeat frame this often from a dedicated thread, so a busy solve
-  /// is distinguishable from a hung or dead process.
+  /// is distinguishable from a hung or dead process.  Reaches spawned
+  /// children through their environment (UNIGEN_WORKERD_HEARTBEAT_S); a
+  /// `--listen` server reads its own.
   double heartbeat_interval_s = 0.25;
   /// Supervisor-side silence ceiling: a busy worker that produced no frame
   /// (result or heartbeat) for this long is declared hung, killed, and its
@@ -87,9 +76,9 @@ struct FleetOptions {
   /// degrades to the surviving workers (and poisons what it must) rather
   /// than fork-bombing on a crash loop.
   int max_respawns_per_worker = 8;
-  /// UNIGEN_WORKERD_FAULTS value handed to every spawned worker — the
+  /// UNIGEN_WORKERD_FAULTS value handed to every spawned child — the
   /// process-level fault-injection seam (see ProcessFaultPlan).  Empty =
-  /// no injected faults.
+  /// no injected faults.  A `--listen` server reads its own environment.
   std::string fault_plan;
 };
 

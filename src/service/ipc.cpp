@@ -83,6 +83,10 @@ std::string WireReader::str() {
   return s;
 }
 
+void WireReader::finish() const {
+  if (pos_ != size_) throw std::runtime_error("ipc: trailing bytes");
+}
+
 std::uint32_t WireReader::count(std::size_t min_bytes) {
   const std::uint32_t n = u32();
   if ((size_ - pos_) / min_bytes < n)
@@ -135,7 +139,6 @@ std::string encode_setup(const SetupMsg& m) {
   w.i32(m.formula_vars);
   w.f64(m.epsilon);
   w.f64(m.sample_timeout_s);
-  w.f64(m.bsat_timeout_s);
   return w.take();
 }
 
@@ -171,7 +174,7 @@ SetupMsg decode_setup(const std::string& payload) {
   m.formula_vars = r.i32();
   m.epsilon = r.f64();
   m.sample_timeout_s = r.f64();
-  m.bsat_timeout_s = r.f64();
+  r.finish();
   // The search runs over levels 1..n of a hash drawn over S.
   if (m.kind == TaskKind::kCount &&
       (m.n == 0 || m.n != m.sampling_set.size()))
@@ -219,6 +222,7 @@ TaskMsg decode_task(const std::string& payload) {
   m.conflicts_per_call = r.u64();
   m.trace_id = r.u64();
   m.parent_span = r.u64();
+  r.finish();
   return m;
 }
 
@@ -306,6 +310,7 @@ ResultMsg decode_result(const std::string& payload) {
     s.attempt = r.u32();
     m.spans.push_back(std::move(s));
   }
+  r.finish();
   return m;
 }
 
@@ -317,7 +322,9 @@ std::string encode_error(const std::string& what) {
 
 std::string decode_error(const std::string& payload) {
   WireReader r(payload);
-  return r.str();
+  std::string what = r.str();
+  r.finish();
+  return what;
 }
 
 WriteOutcome write_frame_bounded(int fd, FrameType type,

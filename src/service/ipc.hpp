@@ -69,8 +69,9 @@ enum class TaskKind : std::uint8_t {
 };
 
 /// Bounds-checked little-endian serializer/deserializer.  The reader
-/// throws std::runtime_error on underflow — a truncated or corrupt frame
-/// becomes a structured worker error, never an out-of-bounds read.
+/// throws std::runtime_error on underflow, and finish() on bytes left over
+/// — a truncated, padded or corrupt frame becomes a structured worker
+/// error, never an out-of-bounds read or a half-read message.
 class WireWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -101,7 +102,10 @@ class WireReader {
   /// each, checked against the bytes left before the caller sizes anything
   /// by it: a frame cannot claim more elements than it carries.
   std::uint32_t count(std::size_t min_bytes);
-  bool done() const { return pos_ == size_; }
+  /// Throws unless every byte was read: a payload longer than its message
+  /// (say, a Setup from a build with a different layout) is refused, not
+  /// half-read.
+  void finish() const;
 
  private:
   void need(std::size_t n);
@@ -139,13 +143,11 @@ struct SetupMsg {
   double approx_log2_count = 0.0;
   std::int32_t formula_vars = 0;  ///< original Cnf::num_vars()
   double epsilon = 0.0;
+  /// UniGenOptions::sample_timeout_s.  The per-call Budget scalars travel
+  /// on each TaskMsg instead; pointers (cancel token, in-process fault
+  /// injector) cannot cross the boundary — cancellation is supervisor-side
+  /// (kill), faults are process-level (UNIGEN_WORKERD_FAULTS).
   double sample_timeout_s = 0.0;
-  /// UniGenOptions::bsat_timeout_s (the static per-probe wall cap).  The
-  /// per-call Budget scalars travel on each TaskMsg instead; pointers
-  /// (cancel token, in-process fault injector) cannot cross the boundary —
-  /// cancellation is supervisor-side (kill), faults are process-level
-  /// (UNIGEN_WORKERD_FAULTS).
-  double bsat_timeout_s = 0.0;
 };
 
 struct TaskMsg {
@@ -224,7 +226,8 @@ inline std::uint64_t units_of(const ResultMsg::Outcome& o) {
 }
 
 std::string encode_setup(const SetupMsg& m);
-/// Throws std::runtime_error on a truncated frame, an unknown task kind, a
+/// Every decoder throws std::runtime_error on a truncated frame or on
+/// trailing bytes.  decode_setup also throws on an unknown task kind, a
 /// negative sampling variable, a count Setup whose n is not |S| >= 1, or a
 /// sample Setup whose prepared mode is not kHashed (the only mode the
 /// fleet serves: trivial witness lists do not travel).
@@ -237,9 +240,9 @@ Cnf setup_formula(const SetupMsg& m);
 std::string encode_task(const TaskMsg& m);
 TaskMsg decode_task(const std::string& payload);
 std::string encode_result(const ResultMsg& m);
-/// Throws std::runtime_error on a truncated frame, an unknown task kind,
-/// an out-of-range lbool or an out-of-range sample status: the bytes came
-/// from another process, so no enum is cast blindly.
+/// Also throws on an unknown task kind, an out-of-range lbool or an
+/// out-of-range sample status: the bytes came from another process, so no
+/// enum is cast blindly.
 ResultMsg decode_result(const std::string& payload);
 std::string encode_error(const std::string& what);
 std::string decode_error(const std::string& payload);

@@ -23,8 +23,8 @@
 // Endpoints are "host:port" strings (IPv4/IPv6/hostname via getaddrinfo;
 // a bracketed or bare IPv6 address needs the last ':' as the separator,
 // which parse_endpoint handles).  Port 0 binds ephemerally and
-// TcpListener::endpoint() reports the kernel's choice — how tests and the
-// loopback fleet avoid port collisions.
+// TcpListener::endpoint() reports the kernel's choice — how tests and
+// `unigen_workerd --listen` servers avoid port collisions.
 
 #include <cstdint>
 #include <string>
@@ -64,8 +64,7 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   /// Bind + listen on host:port (port 0 = ephemeral; endpoint() then
-  /// reports the bound port).  False on resolution/bind failure — the
-  /// caller degrades (fleet: fall back to socketpair/in-process).
+  /// reports the bound port).  False on resolution/bind failure.
   bool listen(const std::string& host, std::uint16_t port);
 
   /// Deadline-bounded accept: the accepted fd (blocking, tuned) or -1 on
@@ -74,7 +73,6 @@ class TcpListener {
 
   bool listening() const { return fd_ >= 0; }
   const Endpoint& endpoint() const { return endpoint_; }
-  int fd() const { return fd_; }
   void close();
 
  private:

@@ -17,6 +17,7 @@
 #include "cnf/dimacs_write.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/net_transport.hpp"
 
 extern char** environ;
 
@@ -51,10 +52,9 @@ struct ProcessFleet::Worker {
   pid_t pid = -1;
   int fd = -1;
   State state = State::kDown;
-  /// Remote slot (TCP endpoint list): no local process exists — pid stays
-  /// -1, "kill" drops the connection, "respawn" re-dials remote_ep.
-  bool remote = false;
-  net::Endpoint remote_ep{};
+  /// Dialed slot (FleetOptions::endpoints set): no local process exists —
+  /// pid stays -1, "kill" drops the connection, "respawn" re-dials this.
+  net::Endpoint endpoint{};
   ipc::FrameReader reader;
   /// Last frame of any kind (Ready/Heartbeat/Result) — the liveness clock.
   Clock::time_point last_frame{};
@@ -135,16 +135,10 @@ std::string ProcessFleet::resolve_workerd_path() const {
   return path.substr(0, slash + 1) + "unigen_workerd";
 }
 
-bool ProcessFleet::spawn(Worker& w) {
-  if (w.remote) return dial_remote(w);
-  if (options_.transport == FleetTransport::kTcp) return spawn_tcp_local(w);
-  return spawn_socketpair(w);
-}
-
 bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
-  // CLOEXEC on every supervisor-side channel (TCP fds got it at
-  // accept/connect; socketpair ends need it here): a later spawn's child
-  // must not inherit — and keep alive — a sibling's connection.
+  // CLOEXEC on every supervisor-side channel (dialed fds got it at
+  // connect; socketpair ends need it here): a later spawn's child must not
+  // inherit — and keep alive — a sibling's connection.
   net::tune_stream_socket(fd);
   w.pid = pid;
   w.fd = fd;
@@ -168,7 +162,17 @@ bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
   return true;
 }
 
-bool ProcessFleet::spawn_socketpair(Worker& w) {
+bool ProcessFleet::spawn(Worker& w) {
+  if (!options_.endpoints.empty()) {
+    const int fd = net::tcp_connect(w.endpoint, options_.connect_timeout_s);
+    if (fd < 0) {
+      ++stats_.spawn_failures;
+      ++stats_.dial_failures;
+      return false;
+    }
+    ++stats_.dials;
+    return adopt_connection(w, fd, /*pid=*/-1);
+  }
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     ++stats_.spawn_failures;
@@ -198,62 +202,16 @@ bool ProcessFleet::spawn_socketpair(Worker& w) {
   return adopt_connection(w, sv[0], pid);
 }
 
-bool ProcessFleet::spawn_tcp_local(Worker& w) {
-  // Local child over the real network stack: fork/exec with no inherited
-  // channel, the child dials our loopback listener.  Everything downstream
-  // of the accepted fd is identical to the socketpair path — including
-  // SIGKILL supervision, since the pid is ours.
-  if (listener_ == nullptr || !listener_->listening()) {
-    ++stats_.spawn_failures;
-    return false;
-  }
-  const std::string connect_arg = net::to_string(listener_->endpoint());
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ++stats_.spawn_failures;
-    return false;
-  }
-  if (pid == 0) {
-    ::execl(workerd_path_.c_str(), workerd_path_.c_str(), "--connect",
-            connect_arg.c_str(), static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  // One dialer is in flight at a time (spawns are sequential in the poll
-  // loop and failures kill their child before returning), so the next
-  // accepted connection is this child's.
-  const int fd = listener_->accept(options_.connect_timeout_s);
-  if (fd < 0) {
-    ++stats_.spawn_failures;
-    ++stats_.dial_failures;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    return false;
-  }
-  ++stats_.dials;
-  return adopt_connection(w, fd, pid);
-}
-
-bool ProcessFleet::dial_remote(Worker& w) {
-  const int fd = net::tcp_connect(w.remote_ep, options_.connect_timeout_s);
-  if (fd < 0) {
-    ++stats_.spawn_failures;
-    ++stats_.dial_failures;
-    return false;
-  }
-  ++stats_.dials;
-  return adopt_connection(w, fd, /*pid=*/-1);
-}
-
 void ProcessFleet::kill_worker(Worker& w) {
   if (!w.alive()) return;
   w.supervisor_kill = true;
   if (w.pid > 0) {
     ::kill(w.pid, SIGKILL);  // death observed as EOF in the poll loop
   } else if (w.fd >= 0) {
-    // Remote worker: no pid to signal — dropping the connection IS the
-    // kill.  The remote serving loop sees EOF, abandons the task, resets
-    // its state and re-accepts; our poll loop sees EOF and runs the same
-    // death path a SIGKILL produces.
+    // Dialed worker: no pid to signal — dropping the connection IS the
+    // kill.  The serving loop sees EOF, abandons the task, resets its
+    // state and re-accepts; our poll loop sees EOF and runs the same death
+    // path a SIGKILL produces.
     ::shutdown(w.fd, SHUT_RDWR);
   }
 }
@@ -580,55 +538,36 @@ bool ProcessFleet::start(std::string setup_payload,
   // embedding falls back to the in-process pool — not write a frame every
   // worker rejects (or a wrapped length that desynchronizes the stream).
   if (!ipc::frame_body_fits(setup_payload_.size())) return false;
-  const bool remote_mode =
-      options_.transport == FleetTransport::kTcp && !options_.endpoints.empty();
-  std::vector<net::Endpoint> remote_eps;
-  if (remote_mode) {
-    // Remote fan-out: nothing is spawned, so no local binary is needed —
+  if (!options_.endpoints.empty()) {
+    // Dialed servers: nothing is spawned, so no local binary is needed —
     // but every endpoint must parse or the option set is rejected whole.
-    for (const std::string& text : options_.endpoints) {
-      net::Endpoint ep;
-      if (!net::parse_endpoint(text, ep)) return false;
-      remote_eps.push_back(std::move(ep));
-    }
+    workers_ = std::vector<Worker>(options_.endpoints.size());
+    for (std::size_t i = 0; i < workers_.size(); ++i)
+      if (!net::parse_endpoint(options_.endpoints[i], workers_[i].endpoint)) {
+        workers_.clear();
+        return false;
+      }
   } else {
     workerd_path_ = resolve_workerd_path();
     if (workerd_path_.empty() ||
         ::access(workerd_path_.c_str(), X_OK) != 0)
       return false;
-    if (options_.transport == FleetTransport::kTcp) {
-      listener_ = std::make_unique<net::TcpListener>();
-      if (!listener_->listen("127.0.0.1", 0)) {
-        listener_.reset();
-        return false;
-      }
-    }
+    // The fault plan and heartbeat interval reach spawned children via
+    // the environment; set them once here, before any fork.
+    if (!options_.fault_plan.empty())
+      ::setenv("UNIGEN_WORKERD_FAULTS", options_.fault_plan.c_str(), 1);
+    else
+      ::unsetenv("UNIGEN_WORKERD_FAULTS");
+    ::setenv("UNIGEN_WORKERD_HEARTBEAT_S",
+             std::to_string(options_.heartbeat_interval_s).c_str(), 1);
+    const std::size_t n =
+        options_.num_workers != 0 ? options_.num_workers : default_workers;
+    workers_ = std::vector<Worker>(std::max<std::size_t>(n, 1));
   }
-  // The fault plan and heartbeat interval reach workers via the
-  // environment; set them once here, before any fork.
-  if (!options_.fault_plan.empty())
-    ::setenv("UNIGEN_WORKERD_FAULTS", options_.fault_plan.c_str(), 1);
-  else
-    ::unsetenv("UNIGEN_WORKERD_FAULTS");
-  ::setenv("UNIGEN_WORKERD_HEARTBEAT_S",
-           std::to_string(options_.heartbeat_interval_s).c_str(), 1);
-
-  std::size_t n =
-      options_.num_workers != 0
-          ? options_.num_workers
-          : (remote_mode ? remote_eps.size() : default_workers);
-  if (n == 0) n = 1;
-  workers_ = std::vector<Worker>(n);
-  if (remote_mode)
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      workers_[i].remote = true;
-      workers_[i].remote_ep = remote_eps[i % remote_eps.size()];
-    }
   bool any = false;
   for (Worker& w : workers_) any = spawn(w) || any;
   if (!any) {
     workers_.clear();
-    listener_.reset();
     return false;
   }
   // Wait (bounded) for the first Ready: a fleet whose every worker dies in
@@ -648,7 +587,6 @@ bool ProcessFleet::start(std::string setup_payload,
   for (Worker& w : workers_)
     if (w.alive()) handle_death(w, nullptr);
   workers_.clear();
-  listener_.reset();
   return false;
 }
 
@@ -757,7 +695,6 @@ std::string ProcessFleet::make_sample_setup(
   m.formula_vars = original.num_vars();
   m.epsilon = options.epsilon;
   m.sample_timeout_s = options.sample_timeout_s;
-  m.bsat_timeout_s = options.bsat_timeout_s;
   return ipc::encode_setup(m);
 }
 

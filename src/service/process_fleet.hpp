@@ -30,27 +30,27 @@
 //     deadline     workers (honest statuses for their tasks); dead slots
 //                  respawn lazily, so the fleet object stays reusable.
 //
-// Transports (FleetOptions::transport): the supervision loop never sees
-// anything but a connected SOCK_STREAM fd per worker, so the same poll()
-// polices fork/exec'd socketpair children, locally-spawned children that
-// dialled back over TCP loopback, and never-spawned remote workers
-// (`unigen_workerd --listen`) reached through FleetOptions::endpoints.
-// For remote workers there is no pid to SIGKILL; dropping the connection
-// is the kill (the remote serving loop sees EOF, resets, and re-accepts),
-// and a respawn is a re-dial under the same bounded backoff.  All frame
-// sends are deadline-bounded (send_timeout_s): a peer that stops draining
-// is a stalled transport, classified and killed exactly like a
-// heartbeat-silent hang — the single-threaded supervisor never blocks.
+// Where workers come from (FleetOptions::endpoints): the supervision loop
+// never sees anything but a connected SOCK_STREAM fd per worker, so the
+// same poll() polices fork/exec'd socketpair children (no endpoints) and
+// never-spawned `unigen_workerd --listen` servers it dialed (one worker
+// per endpoint, on any host).  A dialed worker has no pid to SIGKILL;
+// dropping the connection is the kill (the serving loop sees EOF, resets,
+// and re-accepts), and a respawn is a re-dial under the same bounded
+// backoff.  All frame sends are deadline-bounded (send_timeout_s): a peer
+// that stops draining is a stalled transport, classified and killed
+// exactly like a heartbeat-silent hang — the single-threaded supervisor
+// never blocks.
 //
 // Graceful degradation: start() returns false when no worker can be
-// brought up (missing binary, fork failure); embeddings then fall back to
-// the in-process WorkerPool.  If the last live worker dies mid-run and no
-// slot can respawn, run() returns with the remaining tasks unserved rather
-// than spinning.
+// brought up (missing binary, fork failure, a malformed endpoint, no
+// endpoint answering); embeddings then fall back to the in-process
+// WorkerPool.  If the last live worker dies mid-run and no slot can
+// respawn, run() returns with the remaining tasks unserved rather than
+// spinning.
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,16 +60,14 @@
 #include "service/budget.hpp"
 #include "service/fleet_options.hpp"
 #include "service/ipc.hpp"
-#include "service/net_transport.hpp"
 
 namespace unigen {
 
 struct FleetStats {
   std::uint64_t spawns = 0;
   std::uint64_t spawn_failures = 0;
-  /// TCP transport only: outbound connections established / refused
-  /// (remote-endpoint dials and loopback accepts both count as dials —
-  /// each produces one connected worker channel).
+  /// Dialed endpoints only: connections to `--listen` servers established
+  /// / refused (the first dial and every re-dial each count once).
   std::uint64_t dials = 0;
   std::uint64_t dial_failures = 0;
   /// Frame sends that hit the bounded-write deadline (send_timeout_s);
@@ -134,9 +132,11 @@ class ProcessFleet {
   ProcessFleet(const ProcessFleet&) = delete;
   ProcessFleet& operator=(const ProcessFleet&) = delete;
 
-  /// Spawns the workers, ships `setup_payload` (an encoded ipc::SetupMsg)
-  /// to each, and waits for the first Ready.  False = no worker could be
-  /// brought up — the caller should fall back in-process.  Idempotent.
+  /// Spawns `default_workers` children (FleetOptions::num_workers when
+  /// set), or dials every endpoint instead, ships `setup_payload` (an
+  /// encoded ipc::SetupMsg) to each, and waits for the first Ready.  False
+  /// = no worker could be brought up — the caller should fall back
+  /// in-process.  Idempotent.
   bool start(std::string setup_payload, std::size_t default_workers);
 
   /// Convenience Setup builders matching what unigen_workerd expects.
@@ -185,10 +185,9 @@ class ProcessFleet {
   struct RunState;
 
   std::string resolve_workerd_path() const;
+  /// Brings a slot's connection up: dials its endpoint, or forks/execs a
+  /// child over a socketpair when the fleet has no endpoints.
   bool spawn(Worker& w);
-  bool spawn_socketpair(Worker& w);
-  bool spawn_tcp_local(Worker& w);
-  bool dial_remote(Worker& w);
   /// Completes a spawn/dial: register the connected fd, ship Setup.
   bool adopt_connection(Worker& w, int fd, int pid);
   void kill_worker(Worker& w);
@@ -207,9 +206,6 @@ class ProcessFleet {
   std::vector<Worker> workers_;
   FleetStats stats_;
   std::vector<std::uint32_t> last_run_attempts_;
-  /// kTcp with no endpoints: the loopback listener locally-spawned workers
-  /// dial back into (each spawn passes `--connect 127.0.0.1:<port>`).
-  std::unique_ptr<net::TcpListener> listener_;
 };
 
 }  // namespace unigen

@@ -39,12 +39,13 @@
 // deterministic sequence.  One caveat: the contract assumes no per-BSAT
 // timeout fires — a timeout retry (paper Section 5) draws a fresh hash from
 // the request's stream, and whether a solve beats its wall-clock budget is
-// machine- and contention-dependent.  Keep bsat_timeout_s comfortably above
-// the workload's per-cell solve time (orders of magnitude, as the defaults
-// are) when byte-identical replicas matter.  The same caveat covers the
-// parallel count inside prepare(): a per-probe budget firing mid-iteration
-// is schedule-dependent and can shift q (see ApproxMcOptions::num_threads);
-// with budgets that never bind, q is thread-count-independent.
+// machine- and contention-dependent.  Leave budget.bsat_timeout_s unset
+// (the default), or comfortably above the workload's per-cell solve time
+// (orders of magnitude), when byte-identical replicas matter.  The same
+// caveat covers the parallel count inside prepare(): a per-probe budget
+// firing mid-iteration is schedule-dependent and can shift q (see
+// ApproxMcOptions::num_threads); with budgets that never bind, q is
+// thread-count-independent.
 //
 // Threading contract: one dispatcher thread drives the pool (prepare /
 // sample_many / sample_batches / stats are not reentrant); the fan-out

@@ -4,16 +4,14 @@
 // a byte stream, sends one Setup frame, then Task frames one at a time;
 // the worker answers each with a Result (or a structured Error) and emits
 // unsolicited Heartbeat frames from a dedicated thread so the supervisor
-// can tell a long solve from a hung process.  How the stream comes to
-// exist is the transport's business, selected on the command line:
+// can tell a long solve from a hung process.  Where the stream comes
+// from is the one command-line argument; anything else is a usage error
+// (exit 3):
 //
-//   --fd N                 inherited socketpair end (single-host fleet);
-//   --connect host:port    dial the supervisor's TCP listener — used by
-//                          the loopback-TCP fleet's locally-spawned
-//                          children, and by any remote agent pointing a
-//                          worker at a supervisor across the network;
-//   --listen host:port     serve mode for multi-host fan-out: accept one
-//                          supervisor connection at a time, serve the
+//   --fd N                 inherited socketpair end — how ProcessFleet
+//                          spawns its local children;
+//   --listen host:port     serve mode for FleetOptions::endpoints: accept
+//                          one supervisor connection at a time, serve the
 //                          whole Setup→Task* conversation, then reset and
 //                          re-accept (port 0 binds ephemerally; the bound
 //                          endpoint is printed to stdout for discovery).
@@ -30,15 +28,20 @@
 // the worker complains best-effort and hangs up.  Neither is ever a blind
 // enum cast.
 //
-// Fault injection (tests only): UNIGEN_WORKERD_FAULTS holds a
-// ;-separated plan of `kill@task:attempt` / `sleep@task:attempt`
+// Environment: UNIGEN_WORKERD_HEARTBEAT_S sets the heartbeat period
+// (default 0.25 s).  Fault injection (tests only): UNIGEN_WORKERD_FAULTS
+// holds a ;-separated plan of `kill@task:attempt` / `sleep@task:attempt`
 // directives (ProcessFaultPlan).  `kill` raises SIGKILL on receipt of the
-// matching task — the crash-mid-task case; `sleep` grabs the heartbeat
-// mutex and sleeps forever — the hang case, detectable only through
-// heartbeat silence.  Keyed on (task, attempt) so a retry runs clean.
+// matching task — the crash-mid-task case, which ends a `--listen` server
+// too; `sleep` grabs the heartbeat mutex and sleeps forever — the hang
+// case, detectable only through heartbeat silence.  Keyed on (task,
+// attempt) so a retry runs clean.  A spawned child gets both from the
+// supervisor's FleetOptions; a `--listen` server reads the environment it
+// was started with.
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -217,7 +220,6 @@ int worker_main(int fd) {
             original, setup.simplify, setup.sampling_set);
       ug_options.epsilon = setup.epsilon;
       ug_options.simplify = setup.simplify;
-      ug_options.bsat_timeout_s = setup.bsat_timeout_s;
       ug_options.sample_timeout_s = setup.sample_timeout_s;
       engine = std::make_unique<IncrementalBsat>(prep.formula(original),
                                                  setup.sampling_set);
@@ -374,26 +376,17 @@ int listen_main(const net::Endpoint& at) {
 }  // namespace unigen
 
 int main(int argc, char** argv) {
-  int fd = 3;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--fd") == 0) fd = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--connect") == 0 ||
-        std::strcmp(argv[i], "--listen") == 0) {
-      unigen::net::Endpoint ep;
-      if (!unigen::net::parse_endpoint(argv[i + 1], ep)) {
-        std::fprintf(stderr, "unigen_workerd: bad endpoint '%s'\n",
-                     argv[i + 1]);
-        return 3;
-      }
-      if (std::strcmp(argv[i], "--listen") == 0)
-        return unigen::listen_main(ep);
-      fd = unigen::net::tcp_connect(ep, 10.0);
-      if (fd < 0) {
-        std::fprintf(stderr, "unigen_workerd: cannot connect to %s\n",
-                     unigen::net::to_string(ep).c_str());
-        return 3;
-      }
-    }
+  if (argc == 3 && std::strcmp(argv[1], "--fd") == 0) {
+    char* end = nullptr;
+    const long fd = std::strtol(argv[2], &end, 10);
+    if (*argv[2] != '\0' && *end == '\0' && fd >= 0 && fd <= INT_MAX)
+      return unigen::worker_main(static_cast<int>(fd));
   }
-  return unigen::worker_main(fd);
+  unigen::net::Endpoint ep;
+  if (argc == 3 && std::strcmp(argv[1], "--listen") == 0 &&
+      unigen::net::parse_endpoint(argv[2], ep))
+    return unigen::listen_main(ep);
+  std::fprintf(stderr,
+               "usage: unigen_workerd --fd N | --listen host:port\n");
+  return 3;
 }

@@ -302,6 +302,19 @@ TEST(AnytimeSampling, UnitCapBoundsTheRetryLoopDeterministically) {
   EXPECT_EQ(sampler.stats().samples_failed, 0u);
 }
 
+TEST(AnytimeSampling, PrepareCountHonoursTheProbeCap) {
+  // The nested count in prepare probes under the budget's per-call cap too:
+  // at 1 ns no count probe completes, so q cannot be fixed.  The easy-case
+  // check is uncapped, so the instance does reach the count.
+  UniGenOptions opts;
+  opts.budget.bsat_timeout_s = 1e-9;
+  Rng rng(23);
+  UniGen sampler(sampling_instance(), opts, rng);
+  EXPECT_FALSE(sampler.prepare());
+  EXPECT_FALSE(sampler.stats().trivial);
+  EXPECT_GT(sampler.stats().prepare_bsat_calls, 1u);
+}
+
 TEST(AnytimeSampling, CancelledSampleIsDistinctFromBottom) {
   const Cnf cnf = sampling_instance();
   CancelToken token;

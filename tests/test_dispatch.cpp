@@ -1,9 +1,9 @@
 // The fan-out seam (service/dispatch.hpp): one task function per kind, one
 // outcome codec, one dispatch.  Every backend must produce the same bytes —
 // a count under a deterministic budget, its per-iteration ledger included,
-// and sample_many / sample_batches streams — whether the tasks run on a
-// width-1 pool (the caller's own thread), a width-4 pool or a socketpair
-// process fleet.
+// sample_many / sample_batches streams, and the statuses a per-call probe
+// cap produces — whether the tasks run on a width-1 pool (the caller's own
+// thread), a width-4 pool or a socketpair process fleet.
 
 #include <gtest/gtest.h>
 
@@ -145,6 +145,29 @@ TEST_P(Seam, SampleStreamsAreBackendIndependent) {
       EXPECT_EQ(want_b[k].models, got_b[k].models) << "batch " << k;
     }
   }
+}
+
+TEST_P(Seam, PerCallProbeCapReachesEverySamplingProbe) {
+  // The call's Budget::bsat_timeout_s caps each probe wherever the request
+  // runs.  At 1 ns no probe completes, so every request spends its
+  // three-probe unit cap on Section-5 retries and times out.
+  const Cnf cnf = hashed_mode_formula();
+  SamplerPool pool(cnf, pool_options(GetParam()));
+  ASSERT_TRUE(pool.prepare());
+  Budget b;
+  b.bsat_timeout_s = 1e-9;
+  b.max_bsat_calls = 3;
+  const SampleManyResult r = pool.sample_many_within(4, b);
+  EXPECT_EQ(r.status, RequestStatus::kComplete);
+  ASSERT_EQ(r.samples.size(), 4u);
+  for (const SampleResult& s : r.samples)
+    EXPECT_EQ(s.status, SampleResult::Status::kTimeout);
+  // Retries are counted where the requests ran: in this process only when
+  // the pool served them.
+  std::uint64_t retries = 0;
+  for (const SamplerPoolWorkerStats& w : pool.stats().workers)
+    retries += w.bsat_timeout_retries;
+  EXPECT_EQ(retries, GetParam() == Backend::kFleet ? 0u : 4u * 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, Seam,

@@ -11,8 +11,8 @@
 // (a u32 length wrap would silently desynchronize the peer), and its
 // bounded mode must give up on a stalled peer within the deadline instead
 // of wedging the single-threaded supervisor.  The codecs must refuse a
-// count the payload cannot hold before sizing anything by it, and any
-// value the worker would cast or index by unchecked.
+// count the payload cannot hold before sizing anything by it, any value
+// the worker would cast or index by unchecked, and any trailing byte.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -588,6 +589,37 @@ TEST(SetupCodec, RejectsSamplingVariablesOutsideTheFormula) {
             "ipc: sampling variable outside the formula");
   beyond.sampling_set = {0, 3};
   EXPECT_THROW(ipc::setup_formula(beyond), std::runtime_error);
+}
+
+TEST(PayloadCodecs, TrailingBytesAreRefused) {
+  // A payload longer than its message — a Setup from a build with another
+  // layout, say — is refused rather than half-read.
+  ipc::TaskMsg task;
+  task.task_id = 5;
+  ipc::ResultMsg count_result;
+  count_result.outcome = ApproxMcCoreOutcome{};
+  ipc::ResultMsg sample_result;
+  sample_result.outcome =
+      BatchResult{SampleResult::Status::kOk, {{lbool::True}}};
+  const std::vector<std::pair<std::string, std::function<void(std::string)>>>
+      payloads = {
+          {ipc::encode_setup(count_setup()),
+           [](std::string p) { ipc::decode_setup(p); }},
+          {ipc::encode_setup(sample_setup()),
+           [](std::string p) { ipc::decode_setup(p); }},
+          {ipc::encode_task(task), [](std::string p) { ipc::decode_task(p); }},
+          {ipc::encode_result(count_result),
+           [](std::string p) { ipc::decode_result(p); }},
+          {ipc::encode_result(sample_result),
+           [](std::string p) { ipc::decode_result(p); }},
+          {ipc::encode_error("boom"),
+           [](std::string p) { ipc::decode_error(p); }},
+      };
+  for (const auto& [bytes, decode] : payloads) {
+    EXPECT_NO_THROW(decode(bytes));
+    EXPECT_EQ(runtime_error_of([&] { decode(bytes + '\0'); }),
+              "ipc: trailing bytes");
+  }
 }
 
 TEST(ResultCodec, ModelSizeBeyondThePayloadIsTruncated) {

@@ -1,7 +1,7 @@
 // TCP transport of the process fleet (service/net_transport.hpp): the
-// socket layer in isolation, then the whole fleet over TCP loopback, then
-// the multi-host shape — pre-started `unigen_workerd --listen` servers the
-// supervisor dials instead of spawning.
+// socket layer in isolation, the worker binary's command line, then the
+// dialed fleet — pre-started `unigen_workerd --listen` servers on loopback
+// that the supervisor dials instead of spawning, one worker per endpoint.
 //
 // The load-bearing claim is the same one the socketpair fleet makes: the
 // transport is invisible in the bytes.  Counts and sample/batch streams
@@ -17,8 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -143,144 +145,7 @@ TEST(TcpConnect, FramesRoundTripOverRealSockets) {
   ::close(server);
 }
 
-// ---- TCP-loopback fleet ----------------------------------------------
-
-/// Same 504-model hashed-mode formula the fleet suite uses: big enough
-/// that both embeddings actually run hashed and the workers solve.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
-
-SamplerPoolOptions tcp_pool_options(std::size_t threads, std::uint64_t seed,
-                                    const std::string& fault_plan = {}) {
-  SamplerPoolOptions o;
-  o.num_threads = threads;
-  o.seed = seed;
-  o.unigen.fleet.backend = ExecBackend::kProcessFleet;
-  o.unigen.fleet.transport = FleetTransport::kTcp;
-  o.unigen.fleet.fault_plan = fault_plan;
-  return o;
-}
-
-SamplerPoolOptions inproc_pool_options(std::size_t threads,
-                                       std::uint64_t seed) {
-  SamplerPoolOptions o;
-  o.num_threads = threads;
-  o.seed = seed;
-  return o;
-}
-
-void expect_same_results(const std::vector<SampleResult>& a,
-                         const std::vector<SampleResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].status, b[i].status) << "request " << i;
-    EXPECT_EQ(a[i].witness, b[i].witness) << "request " << i;
-  }
-}
-
-TEST(TcpFleet, CountMatchesInProcessAcrossWorkerCounts) {
-  const Cnf cnf = hashed_mode_formula();
-  ApproxMcOptions base;
-  Rng ref_rng(4242);
-  const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
-  ASSERT_TRUE(reference.valid);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    ApproxMcOptions o = base;
-    o.fleet.backend = ExecBackend::kProcessFleet;
-    o.fleet.transport = FleetTransport::kTcp;
-    o.fleet.num_workers = workers;
-    Rng rng(4242);
-    const ApproxMcResult got = approx_count(cnf, o, rng);
-    ASSERT_TRUE(got.valid) << workers << " workers";
-    EXPECT_EQ(got.cell_count, reference.cell_count) << workers << " workers";
-    EXPECT_EQ(got.hash_count, reference.hash_count) << workers << " workers";
-  }
-}
-
-TEST(TcpFleet, SampleStreamsMatchInProcessPool) {
-  const Cnf cnf = hashed_mode_formula();
-  constexpr std::uint64_t kSeed = 777;
-  constexpr std::size_t kRequests = 24;
-  std::vector<SampleResult> reference;
-  {
-    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
-    reference = pool.sample_many(kRequests);
-  }
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SamplerPoolOptions o = tcp_pool_options(2, kSeed);
-    o.unigen.fleet.num_workers = workers;
-    SamplerPool pool(cnf, o);
-    ASSERT_TRUE(pool.prepare());
-    ASSERT_NE(pool.fleet(), nullptr)
-        << "TCP-loopback fleet should come up at " << workers << " workers";
-    const auto got = pool.sample_many(kRequests);
-    expect_same_results(reference, got);
-    // Every worker came in through the listener, not a socketpair.
-    EXPECT_GE(pool.fleet()->stats().dials, workers);
-  }
-}
-
-TEST(TcpFleet, KilledConnectionRetriesByteIdentically) {
-  const Cnf cnf = hashed_mode_formula();
-  constexpr std::uint64_t kSeed = 31;
-  constexpr std::size_t kRequests = 12;
-  std::vector<SampleResult> reference;
-  {
-    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
-    reference = pool.sample_many(kRequests);
-  }
-  SamplerPool pool(cnf, tcp_pool_options(
-                            2, kSeed,
-                            ProcessFaultPlan().kill_task(2).kill_task(7)
-                                .to_env()));
-  ASSERT_TRUE(pool.prepare());
-  ASSERT_NE(pool.fleet(), nullptr);
-  const auto got = pool.sample_many(kRequests);
-  expect_same_results(reference, got);
-  const FleetStats& fs = pool.fleet()->stats();
-  EXPECT_GE(fs.crashes, 2u);
-  EXPECT_GE(fs.redispatches, 2u);
-  EXPECT_EQ(fs.poisoned_tasks, 0u);
-}
-
-TEST(TcpFleet, BatchStreamsMatchSocketpairFleet) {
-  // Three-way identity: in-process pool, socketpair fleet, TCP fleet —
-  // the exact acceptance gate, on the batch path.
-  const Cnf cnf = hashed_mode_formula();
-  constexpr std::uint64_t kSeed = 88;
-  std::vector<BatchResult> reference;
-  {
-    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
-    reference = pool.sample_batches(6, 5);
-  }
-  auto run_fleet = [&](FleetTransport transport) {
-    SamplerPoolOptions o = inproc_pool_options(2, kSeed);
-    o.unigen.fleet.backend = ExecBackend::kProcessFleet;
-    o.unigen.fleet.transport = transport;
-    o.unigen.fleet.num_workers = 2;
-    SamplerPool pool(cnf, o);
-    EXPECT_TRUE(pool.prepare());
-    EXPECT_NE(pool.fleet(), nullptr);
-    return pool.sample_batches(6, 5);
-  };
-  const auto socketpair_out = run_fleet(FleetTransport::kSocketpair);
-  const auto tcp_out = run_fleet(FleetTransport::kTcp);
-  ASSERT_EQ(socketpair_out.size(), reference.size());
-  ASSERT_EQ(tcp_out.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(socketpair_out[i].models, reference[i].models) << i;
-    EXPECT_EQ(tcp_out[i].models, reference[i].models) << i;
-    EXPECT_EQ(tcp_out[i].status, reference[i].status) << i;
-  }
-}
-
-// ---- remote endpoints (multi-host shape) ------------------------------
+// ---- the worker binary ------------------------------------------------
 
 std::string workerd_path() {
   char buf[4096];
@@ -293,6 +158,112 @@ std::string workerd_path() {
   return path.substr(0, slash + 1) + "unigen_workerd";
 }
 
+/// Runs unigen_workerd with `args` and returns its exit code, with what it
+/// wrote to stderr in `err`; -1 if it had not exited within 5 s (it is
+/// then killed).
+int run_workerd(const std::vector<std::string>& args, std::string& err) {
+  const std::string path = workerd_path();
+  std::vector<char*> argv{const_cast<char*>(path.c_str())};
+  for (const std::string& a : args)
+    argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  int pipe_fds[2];
+  if (::pipe(pipe_fds) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    return -1;
+  }
+  if (pid == 0) {
+    ::dup2(pipe_fds[1], 2);
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    ::execv(path.c_str(), argv.data());
+    _exit(127);
+  }
+  ::close(pipe_fds[1]);
+  int status = 0;
+  bool exited = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!exited && std::chrono::steady_clock::now() < give_up) {
+    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+    if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  char buf[512];
+  ssize_t n;
+  while ((n = ::read(pipe_fds[0], buf, sizeof(buf))) > 0)
+    err.append(buf, static_cast<std::size_t>(n));
+  ::close(pipe_fds[0]);
+  return exited && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Workerd, RejectsArgumentsItDoesNotKnow) {
+  // Anything but `--fd N` or `--listen host:port` is a usage error: the
+  // worker must not fall through to serving an fd nobody handed it.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--bogus"},
+      {"--listen"},
+      {"--" "connect", "127.0.0.1:1"},  // the removed dial-back flag
+      {"--fd"},
+      {"--fd", "3x"},
+      {"--listen", "no-port"},
+      {"--fd", "3", "--listen", "127.0.0.1:0"},
+      {}};
+  for (const auto& args : bad) {
+    std::string joined;
+    for (const std::string& a : args) joined += a + " ";
+    std::string err;
+    EXPECT_EQ(run_workerd(args, err), 3) << joined;
+    EXPECT_NE(err.find("usage: unigen_workerd"), std::string::npos) << joined;
+  }
+}
+
+// ---- dialed fleet -----------------------------------------------------
+
+/// Same 504-model hashed-mode formula the fleet suite uses: big enough
+/// that both embeddings actually run hashed and the workers solve.
+Cnf hashed_mode_formula() {
+  Cnf cnf(10);
+  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
+  cnf.add_clause({Lit(3, false), Lit(4, true)});
+  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
+  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
+  return cnf;
+}
+
+SamplerPoolOptions inproc_pool_options(std::size_t threads,
+                                       std::uint64_t seed) {
+  SamplerPoolOptions o;
+  o.num_threads = threads;
+  o.seed = seed;
+  return o;
+}
+
+/// A pool whose sampling fan-out dials `endpoints` — the only fleet
+/// options a dialed fleet needs.
+SamplerPoolOptions dialed_pool_options(std::size_t threads, std::uint64_t seed,
+                                       std::vector<std::string> endpoints) {
+  SamplerPoolOptions o = inproc_pool_options(threads, seed);
+  o.unigen.fleet.backend = ExecBackend::kProcessFleet;
+  o.unigen.fleet.endpoints = std::move(endpoints);
+  return o;
+}
+
+void expect_same_results(const std::vector<SampleResult>& a,
+                         const std::vector<SampleResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].status, b[i].status) << "request " << i;
+    EXPECT_EQ(a[i].witness, b[i].witness) << "request " << i;
+  }
+}
+
 /// A pre-started `unigen_workerd --listen 127.0.0.1:0` server — the thing
 /// an operator would run on another host.  The ephemeral port is scraped
 /// from the "unigen_workerd listening HOST:PORT" line on its stdout.
@@ -300,7 +271,22 @@ struct RemoteWorkerd {
   pid_t pid = -1;
   net::Endpoint endpoint;
 
-  bool start() {
+  RemoteWorkerd() = default;
+  RemoteWorkerd(const RemoteWorkerd&) = delete;
+  RemoteWorkerd& operator=(const RemoteWorkerd&) = delete;
+
+  /// The server sees this process's environment with its UNIGEN_WORKERD_*
+  /// settings replaced by `env` ("NAME=value" entries): a fleet spawned
+  /// earlier in this binary leaves its fault plan in the environment, and a
+  /// real server starts with its own.
+  bool start(const std::vector<std::string>& env = {}) {
+    std::vector<std::string> vars;
+    for (char** e = environ; *e != nullptr; ++e)
+      if (std::strncmp(*e, "UNIGEN_WORKERD_", 15) != 0) vars.emplace_back(*e);
+    vars.insert(vars.end(), env.begin(), env.end());
+    std::vector<char*> envp;
+    for (std::string& v : vars) envp.push_back(v.data());
+    envp.push_back(nullptr);
     int out[2];
     if (::pipe(out) != 0) return false;
     const std::string path = workerd_path();
@@ -310,12 +296,8 @@ struct RemoteWorkerd {
       ::dup2(out[1], 1);
       ::close(out[0]);
       ::close(out[1]);
-      // A real remote server starts with its own clean environment; this
-      // process's env may still carry a fault plan from an earlier
-      // locally-spawned fleet in the same test binary.
-      ::unsetenv("UNIGEN_WORKERD_FAULTS");
-      ::execl(path.c_str(), path.c_str(), "--listen", "127.0.0.1:0",
-              static_cast<char*>(nullptr));
+      ::execle(path.c_str(), path.c_str(), "--listen", "127.0.0.1:0",
+               static_cast<char*>(nullptr), envp.data());
       _exit(127);
     }
     ::close(out[1]);
@@ -343,10 +325,179 @@ struct RemoteWorkerd {
   ~RemoteWorkerd() { kill_server(); }
 };
 
-TEST(RemoteFleet, DialedWorkersMatchInProcessByteForByte) {
-  RemoteWorkerd a, b;
-  ASSERT_TRUE(a.start());
-  ASSERT_TRUE(b.start());
+/// `n` servers started with the same `env`, and their endpoints.
+struct Servers {
+  std::deque<RemoteWorkerd> servers;
+  std::vector<std::string> endpoints;
+
+  bool start(std::size_t n, const std::vector<std::string>& env = {}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      RemoteWorkerd& s = servers.emplace_back();
+      if (!s.start(env)) return false;
+      endpoints.push_back(net::to_string(s.endpoint));
+    }
+    return true;
+  }
+};
+
+TEST(TcpFleet, CountMatchesInProcessAcrossWorkerCounts) {
+  const Cnf cnf = hashed_mode_formula();
+  ApproxMcOptions base;
+  Rng ref_rng(4242);
+  const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
+  ASSERT_TRUE(reference.valid);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    Servers servers;
+    ASSERT_TRUE(servers.start(workers));
+    ApproxMcOptions o = base;
+    o.fleet.backend = ExecBackend::kProcessFleet;
+    o.fleet.endpoints = servers.endpoints;
+    Rng rng(4242);
+    const ApproxMcResult got = approx_count(cnf, o, rng);
+    ASSERT_TRUE(got.valid) << workers << " workers";
+    EXPECT_EQ(got.cell_count, reference.cell_count) << workers << " workers";
+    EXPECT_EQ(got.hash_count, reference.hash_count) << workers << " workers";
+  }
+}
+
+TEST(TcpFleet, SampleStreamsMatchInProcessPool) {
+  const Cnf cnf = hashed_mode_formula();
+  constexpr std::uint64_t kSeed = 777;
+  constexpr std::size_t kRequests = 24;
+  std::vector<SampleResult> reference;
+  {
+    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
+    reference = pool.sample_many(kRequests);
+  }
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    Servers servers;
+    ASSERT_TRUE(servers.start(workers));
+    SamplerPool pool(cnf, dialed_pool_options(2, kSeed, servers.endpoints));
+    ASSERT_TRUE(pool.prepare());
+    ASSERT_NE(pool.fleet(), nullptr)
+        << "dialed fleet should come up at " << workers << " workers";
+    EXPECT_EQ(pool.fleet()->num_workers(), workers);
+    const auto got = pool.sample_many(kRequests);
+    expect_same_results(reference, got);
+    EXPECT_GE(pool.fleet()->stats().dials, workers);
+  }
+}
+
+TEST(TcpFleet, KilledConnectionRetriesByteIdentically) {
+  // A `kill` ends the whole server process, so each planned kill costs one
+  // server for good: start one more than the plan has kills.
+  const Cnf cnf = hashed_mode_formula();
+  constexpr std::uint64_t kSeed = 31;
+  constexpr std::size_t kRequests = 12;
+  std::vector<SampleResult> reference;
+  {
+    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
+    reference = pool.sample_many(kRequests);
+  }
+  Servers servers;
+  ASSERT_TRUE(servers.start(
+      3, {"UNIGEN_WORKERD_FAULTS=" +
+          ProcessFaultPlan().kill_task(2).kill_task(7).to_env()}));
+  SamplerPool pool(cnf, dialed_pool_options(2, kSeed, servers.endpoints));
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  const auto got = pool.sample_many(kRequests);
+  expect_same_results(reference, got);
+  const FleetStats& fs = pool.fleet()->stats();
+  EXPECT_GE(fs.crashes, 2u);
+  EXPECT_GE(fs.redispatches, 2u);
+  EXPECT_EQ(fs.poisoned_tasks, 0u);
+}
+
+TEST(TcpFleet, BatchStreamsMatchSocketpairFleet) {
+  // Three-way identity: in-process pool, socketpair fleet, dialed fleet —
+  // the exact acceptance gate, on the batch path.
+  const Cnf cnf = hashed_mode_formula();
+  constexpr std::uint64_t kSeed = 88;
+  std::vector<BatchResult> reference;
+  {
+    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
+    reference = pool.sample_batches(6, 5);
+  }
+  auto run_fleet = [&](const std::vector<std::string>& endpoints) {
+    SamplerPoolOptions o = dialed_pool_options(2, kSeed, endpoints);
+    o.unigen.fleet.num_workers = 2;
+    SamplerPool pool(cnf, o);
+    EXPECT_TRUE(pool.prepare());
+    EXPECT_NE(pool.fleet(), nullptr);
+    return pool.sample_batches(6, 5);
+  };
+  Servers servers;
+  ASSERT_TRUE(servers.start(2));
+  const auto socketpair_out = run_fleet({});
+  const auto tcp_out = run_fleet(servers.endpoints);
+  ASSERT_EQ(socketpair_out.size(), reference.size());
+  ASSERT_EQ(tcp_out.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(socketpair_out[i].models, reference[i].models) << i;
+    EXPECT_EQ(tcp_out[i].models, reference[i].models) << i;
+    EXPECT_EQ(tcp_out[i].status, reference[i].status) << i;
+  }
+}
+
+TEST(TcpFleet, EndpointsAloneSelectTheDialedFleet) {
+  // backend + endpoints is the whole configuration: no mode switch beside
+  // the endpoint list, so nothing is spawned and every worker is dialed.
+  RemoteWorkerd server;
+  ASSERT_TRUE(server.start());
+  const Cnf cnf = hashed_mode_formula();
+  constexpr std::uint64_t kSeed = 404;
+  std::vector<SampleResult> reference;
+  {
+    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
+    reference = pool.sample_many(8);
+  }
+  SamplerPool pool(
+      cnf, dialed_pool_options(2, kSeed, {net::to_string(server.endpoint)}));
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  EXPECT_TRUE(pool.fleet()->worker_pids().empty())
+      << "a dialed fleet has no local children";
+  EXPECT_GE(pool.fleet()->stats().dials, 1u);
+  expect_same_results(reference, pool.sample_many(8));
+}
+
+TEST(TcpFleet, OneWorkerPerEndpointWhateverNumWorkersSays) {
+  // A --listen server serves one supervisor connection at a time, so a
+  // second slot on the same endpoint could never get past Setup and would
+  // be hang-killed every heartbeat_timeout_s.  num_workers is unused once
+  // endpoints are set.
+  RemoteWorkerd server;
+  ASSERT_TRUE(server.start({"UNIGEN_WORKERD_HEARTBEAT_S=0.05"}));
+  const Cnf cnf = hashed_mode_formula();
+  SamplerPoolOptions o =
+      dialed_pool_options(2, 5, {net::to_string(server.endpoint)});
+  o.unigen.fleet.num_workers = 2;
+  o.unigen.fleet.heartbeat_timeout_s = 0.5;
+  SamplerPool pool(cnf, o);
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  EXPECT_EQ(pool.fleet()->num_workers(), 1u);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t calls = 0;
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+             .count() < 1.2) {
+    for (const SampleResult& r : pool.sample_many(4))
+      EXPECT_EQ(r.status, SampleResult::Status::kOk);
+    ++calls;
+  }
+  EXPECT_GT(calls, 1u);
+  EXPECT_EQ(pool.fleet()->stats().hang_kills, 0u);
+  EXPECT_EQ(pool.fleet()->stats().crashes, 0u);
+}
+
+TEST(TcpFleet, ServersResetBetweenSupervisors) {
+  // The serving loop resets per connection: a second fleet against the
+  // same servers (fresh Setup) must come up and agree again.  Each server
+  // serves one supervisor at a time, so the first pool must be gone (its
+  // connections EOF'd) before the second can be accepted.
+  Servers servers;
+  ASSERT_TRUE(servers.start(2));
   const Cnf cnf = hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 16;
@@ -355,52 +506,20 @@ TEST(RemoteFleet, DialedWorkersMatchInProcessByteForByte) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_many(kRequests);
   }
-  SamplerPoolOptions o = tcp_pool_options(2, kSeed);
-  o.unigen.fleet.endpoints = {net::to_string(a.endpoint),
-                              net::to_string(b.endpoint)};
+  const SamplerPoolOptions o = dialed_pool_options(2, kSeed, servers.endpoints);
   {
-    // num_workers 0 + endpoints → one worker per endpoint.
     SamplerPool pool(cnf, o);
     ASSERT_TRUE(pool.prepare());
-    ASSERT_NE(pool.fleet(), nullptr) << "remote fleet should dial up";
-    EXPECT_EQ(pool.fleet()->num_workers(), 2u);
-    EXPECT_TRUE(pool.fleet()->worker_pids().empty())
-        << "remote workers have no local pid to kill";
-    const auto got = pool.sample_many(kRequests);
-    expect_same_results(reference, got);
-    EXPECT_GE(pool.fleet()->stats().dials, 2u);
+    ASSERT_NE(pool.fleet(), nullptr);
+    expect_same_results(reference, pool.sample_many(kRequests));
   }
-  // The serving loop resets per connection: a second fleet against the
-  // same servers (fresh Setup) must come up and agree again.  Each server
-  // serves one supervisor at a time, so the first pool must be gone (its
-  // connections EOF'd) before the second can be accepted.
   SamplerPool again(cnf, o);
   ASSERT_TRUE(again.prepare());
   ASSERT_NE(again.fleet(), nullptr);
   expect_same_results(reference, again.sample_many(kRequests));
 }
 
-TEST(RemoteFleet, CountOverRemoteWorkersMatches) {
-  RemoteWorkerd server;
-  ASSERT_TRUE(server.start());
-  const Cnf cnf = hashed_mode_formula();
-  ApproxMcOptions base;
-  Rng ref_rng(4242);
-  const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
-  ASSERT_TRUE(reference.valid);
-  ApproxMcOptions o = base;
-  o.fleet.backend = ExecBackend::kProcessFleet;
-  o.fleet.transport = FleetTransport::kTcp;
-  o.fleet.endpoints = {net::to_string(server.endpoint)};
-  o.fleet.num_workers = 2;  // both slots multiplex onto the one server
-  Rng rng(4242);
-  const ApproxMcResult got = approx_count(cnf, o, rng);
-  ASSERT_TRUE(got.valid);
-  EXPECT_EQ(got.cell_count, reference.cell_count);
-  EXPECT_EQ(got.hash_count, reference.hash_count);
-}
-
-TEST(RemoteFleet, DeadServerSurvivedByTheOtherEndpoint) {
+TEST(TcpFleet, DeadServerSurvivedByTheOtherEndpoint) {
   RemoteWorkerd a, b;
   ASSERT_TRUE(a.start());
   ASSERT_TRUE(b.start());
@@ -412,9 +531,8 @@ TEST(RemoteFleet, DeadServerSurvivedByTheOtherEndpoint) {
     pool.sample_many(6);
     reference = pool.sample_many(6);
   }
-  SamplerPoolOptions o = tcp_pool_options(2, kSeed);
-  o.unigen.fleet.endpoints = {net::to_string(a.endpoint),
-                              net::to_string(b.endpoint)};
+  SamplerPoolOptions o = dialed_pool_options(
+      2, kSeed, {net::to_string(a.endpoint), net::to_string(b.endpoint)});
   // Keep the dead slot's re-dial loop cheap: refused loopback connects
   // fail instantly, and two respawn attempts are plenty to prove decay.
   o.unigen.fleet.max_respawns_per_worker = 2;
@@ -433,7 +551,7 @@ TEST(RemoteFleet, DeadServerSurvivedByTheOtherEndpoint) {
   expect_same_results(reference, got);
 }
 
-TEST(RemoteFleet, AllServersDeadDegradesGracefully) {
+TEST(TcpFleet, AllServersDeadDegradesGracefully) {
   // Endpoints that nobody listens on: start() must fail cleanly and the
   // pool must fall back in-process with identical bytes — the same
   // degradation contract as a missing worker binary.
@@ -450,9 +568,8 @@ TEST(RemoteFleet, AllServersDeadDegradesGracefully) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_many(10);
   }
-  SamplerPoolOptions o = tcp_pool_options(2, kSeed);
-  o.unigen.fleet.endpoints = {
-      net::to_string({"127.0.0.1", dead_port})};
+  SamplerPoolOptions o = dialed_pool_options(
+      2, kSeed, {net::to_string({"127.0.0.1", dead_port})});
   o.unigen.fleet.connect_timeout_s = 1.0;
   SamplerPool pool(cnf, o);
   ASSERT_TRUE(pool.prepare());
@@ -460,19 +577,17 @@ TEST(RemoteFleet, AllServersDeadDegradesGracefully) {
   expect_same_results(reference, pool.sample_many(10));
 }
 
-TEST(RemoteFleet, SpansArriveTaggedInTheRequestTrace) {
-  // PR 8's trace contract must survive the wire change: spans recorded in
-  // a never-spawned remote worker ship back over TCP inside the Result
+TEST(TcpFleet, SpansArriveTaggedInTheRequestTrace) {
+  // The trace contract must survive the wire change: spans recorded in a
+  // never-spawned remote worker ship back over TCP inside the Result
   // frame, land in the request's single trace, and carry the REMOTE
   // process's pid and the attempt ordinal.
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RemoteWorkerd server;
   ASSERT_TRUE(server.start());
   const Cnf cnf = hashed_mode_formula();
-  constexpr std::uint64_t kSeed = 31;
-  SamplerPoolOptions o = tcp_pool_options(2, kSeed);
-  o.unigen.fleet.endpoints = {net::to_string(server.endpoint)};
-  SamplerPool pool(cnf, o);
+  SamplerPool pool(
+      cnf, dialed_pool_options(2, 31, {net::to_string(server.endpoint)}));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   obs::clear_all();
@@ -498,11 +613,9 @@ TEST(RemoteFleet, SpansArriveTaggedInTheRequestTrace) {
   EXPECT_EQ(worker_span->attempt, 1u);
 }
 
-TEST(RemoteFleet, MalformedEndpointRejectedUpFront) {
+TEST(TcpFleet, MalformedEndpointRejectedUpFront) {
   const Cnf cnf = hashed_mode_formula();
-  SamplerPoolOptions o = tcp_pool_options(2, 9);
-  o.unigen.fleet.endpoints = {"not-an-endpoint"};
-  SamplerPool pool(cnf, o);
+  SamplerPool pool(cnf, dialed_pool_options(2, 9, {"not-an-endpoint"}));
   ASSERT_TRUE(pool.prepare());
   EXPECT_EQ(pool.fleet(), nullptr);
   EXPECT_EQ(pool.sample_many(4).size(), 4u) << "in-process fallback serves";

@@ -80,7 +80,7 @@ TEST(SessionOptionsFingerprint, SplitsOnMeaningIgnoresDeployment) {
   // output is byte-identical across them, so they must not split sessions.
   other = base;
   other.num_threads = 7;
-  other.unigen.bsat_timeout_s = 1.0;
+  other.unigen.budget.bsat_timeout_s = 1.0;
   other.unigen.prepare_timeout_s = 2.0;
   EXPECT_EQ(fingerprint_session_options(base),
             fingerprint_session_options(other));
