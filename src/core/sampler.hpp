@@ -1,10 +1,8 @@
 #pragma once
-// Common interface for probabilistic witness generators (paper Section 2).
-// All samplers in src/core/ — UniGen, UniWit, XORSample', and the ideal US —
-// implement it, which is what lets the benchmark harnesses compare them
-// uniformly.
+// Result types shared by the probabilistic witness generators (paper
+// Section 2) in src/core/ — UniGen, UniWit, XORSample', and the ideal US —
+// and by the sampling service's wire format.
 
-#include <string>
 #include <vector>
 
 #include "cnf/types.hpp"
@@ -57,21 +55,6 @@ struct BatchResult {
   std::vector<Model> models;
 
   bool ok() const { return status == SampleResult::Status::kOk; }
-};
-
-class WitnessSampler {
- public:
-  virtual ~WitnessSampler() = default;
-
-  /// One-time per-formula work (UniGen lines 1–11).  Returns false when the
-  /// sampler could not get ready within its budgets; sample() then reports
-  /// kTimeout.  Idempotent.
-  virtual bool prepare() = 0;
-
-  /// Draws one witness (UniGen lines 12–22).
-  virtual SampleResult sample() = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace unigen

@@ -27,16 +27,15 @@ struct UniformSamplerOptions {
   double timeout_s = 72000.0;
 };
 
-class UniformSampler final : public WitnessSampler {
+class UniformSampler final {
  public:
   UniformSampler(Cnf cnf, UniformSamplerOptions options, Rng& rng);
 
   /// Runs the exact counter (and the enumeration when small enough).
-  bool prepare() override;
+  bool prepare();
   /// Returns a real witness in materialized mode; kFail otherwise (use
   /// sample_index() for index-only mode).
-  SampleResult sample() override;
-  std::string name() const override { return "US"; }
+  SampleResult sample();
 
   /// |R_F| projected onto the sampling set (== |R_F| when S is an
   /// independent support).  Valid after prepare().

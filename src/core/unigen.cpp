@@ -6,6 +6,7 @@
 
 #include "hashing/xor_hash.hpp"
 #include "obs/trace.hpp"
+#include "service/sampler_pool.hpp"
 #include "service/worker_pool.hpp"
 #include "util/timer.hpp"
 
@@ -30,22 +31,11 @@ void sort_by_projection(std::vector<Model>& cell,
   });
 }
 
-/// Copies the engine counters of `engine` into `stats` (totals, not
-/// deltas: the engine already accumulates across rebuilds).
-void sync_engine_stats(const IncrementalBsat& engine, UniGenStats& stats) {
-  const SolverStats st = engine.stats();
-  stats.solver_rebuilds = st.solver_rebuilds;
-  stats.reused_solves = st.reused_solves;
-  stats.retracted_blocks = st.retracted_blocks;
-  stats.solver_propagations = st.propagations + st.xor_propagations;
-}
-
 }  // namespace
 
-std::unique_ptr<IncrementalBsat> unigen_prepare(
-    const Cnf& cnf, const std::vector<Var>& sampling_set,
-    const UniGenOptions& options, Rng& rng, UniGenPrepared& prep,
-    UniGenStats& stats) {
+void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
+                    const UniGenOptions& options, WorkerPool& pool, Rng& rng,
+                    UniGenPrepared& prep, UniGenStats& stats) {
   const Stopwatch watch;
   // prepare_timeout_s, tightened by the caller's overall anytime deadline
   // when that one is nearer.
@@ -63,11 +53,11 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
   stats.lo_thresh = prep.kp.lo_thresh;
 
   // Count-safe simplification, once per formula: every cell enumerated
-  // below — prepare's easy-case check, the ApproxMC call, and all
-  // accept_cell engines (single-instance and pool workers) — runs on the
-  // shrunk formula.  |R_S| is invariant, so thresholds, q and acceptance
-  // statistics are untouched; witnesses are reconstructed back onto the
-  // original formula before anything leaves this layer.
+  // below — prepare's easy-case check, the ApproxMC call, and every pool
+  // worker's accept_cell — runs on the shrunk formula.  |R_S| is
+  // invariant, so thresholds, q and acceptance statistics are untouched;
+  // witnesses are reconstructed back onto the original formula before
+  // anything leaves this layer.
   // Precondition (header contract): `sampling_set` is the formula's
   // effective sampling set.  Everything downstream assumes the two agree —
   // the Simplifier freezes it, and the nested approx_count projects over
@@ -93,7 +83,7 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
 
   // Lines 4–7: the easy case — enumerate up to hiThresh+1 witnesses; when
   // at most hiThresh exist, uniform sampling is exact.  This builds the
-  // persistent engine a later accept_cell can reuse; the blocking clauses
+  // persistent engine worker 0 adopts in hashed mode; the blocking clauses
   // of the check are retracted, so the hashed queries start from the
   // unblocked formula plus whatever the solver learnt here.
   auto engine = std::make_unique<IncrementalBsat>(formula, sampling_set);
@@ -109,16 +99,15 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
     EnumerateResult r =
         engine->enumerate_cell(0, prep.kp.hi_thresh + 1, limits, true);
     ++stats.prepare_bsat_calls;
-    sync_engine_stats(*engine, stats);
     if (r.timed_out || r.cancelled) {
       prep.mode = UniGenPrepared::Mode::kTimedOut;
       stats.prepare_seconds = watch.seconds();
-      return nullptr;
+      return;
     }
     if (r.count == 0) {
       prep.mode = UniGenPrepared::Mode::kUnsat;
       stats.prepare_seconds = watch.seconds();
-      return nullptr;  // no hashed query will ever run
+      return;  // no hashed query will ever run
     }
     if (r.count <= prep.kp.hi_thresh) {
       prep.trivial_models =
@@ -133,19 +122,17 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
       stats.trivial = true;
       prep.mode = UniGenPrepared::Mode::kTrivial;
       stats.prepare_seconds = watch.seconds();
-      return nullptr;
+      return;
     }
   }
 
   // The counter→sampler warm handoff: the instance is hashed, so the
-  // embedding's pool (when it wired one through) starts *now* — worker 0
-  // adopting the easy-case engine — and the ApproxMC call below fans its
-  // iterations across those same workers.  Every engine the count builds
-  // and warms keeps serving samples for the pool's lifetime; nothing is
-  // discarded between the two phases.
-  WorkerPool* pool = options.shared_pool;
-  if (pool != nullptr)
-    pool->start(formula, sampling_set, std::move(engine));
+  // serving pool starts *now* — worker 0 adopting the easy-case engine —
+  // and the ApproxMC call below fans its iterations across those same
+  // workers.  Every engine the count builds and warms keeps serving
+  // samples for the pool's lifetime; nothing is discarded between the two
+  // phases.
+  pool.start(formula, sampling_set, std::move(engine));
 
   // Lines 9–10: C <- ApproxModelCounter(F, 0.8, 0.8);
   //             q <- ceil(log C + log 1.8 - log pivot)    (logs base 2).
@@ -159,17 +146,15 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
   // sampling requests, and a fault plan keyed by request streams must not
   // also fire inside prepare's iteration-keyed count.
   amc.budget.cancel = options.budget.cancel;
-  // With a shared pool the count runs at the pool's width; without one
-  // (plain UniGen) at the default width 1, on this thread.
-  amc.shared_pool = pool;
   amc.simplify.enabled = false;  // `formula` is already simplified
-  const ApproxMcResult count = approx_count(formula, amc, rng);
+  // On the serving pool, at its width.
+  const ApproxMcResult count = approx_count(formula, amc, pool, rng);
   stats.prepare_bsat_calls += count.bsat_calls;
   stats.counter_solver_rebuilds = count.solver_rebuilds;
   if (!count.valid) {
     prep.mode = UniGenPrepared::Mode::kTimedOut;
     stats.prepare_seconds = watch.seconds();
-    return nullptr;
+    return;
   }
   prep.approx_log2_count = count.log2_value();
   stats.approx_log2_count = prep.approx_log2_count;
@@ -180,7 +165,6 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
 
   prep.mode = UniGenPrepared::Mode::kHashed;
   stats.prepare_seconds = watch.seconds();
-  return engine;
 }
 
 AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
@@ -260,7 +244,6 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
           static_cast<std::size_t>(i), prep.kp.hi_thresh + 1, limits, true);
       ++calls;
       ++stats.sample_bsat_calls;
-      sync_engine_stats(engine, stats);
 
       if (r.cancelled) {
         out.status = RequestStatus::kCancelled;
@@ -372,62 +355,39 @@ BatchResult unigen_request(IncrementalBsat* engine,
 }
 
 UniGen::UniGen(Cnf cnf, UniGenOptions options, Rng& rng)
-    : cnf_(std::move(cnf)),
-      sampling_set_(cnf_.sampling_set_or_all()),
-      options_(options),
-      rng_(rng) {}
+    : pool_(std::make_unique<SamplerPool>(
+          std::move(cnf), SamplerPoolOptions{1, rng(), std::move(options)})) {}
 
-bool UniGen::prepare() {
-  if (prepared_) return prep_.usable();
-  engine_ = unigen_prepare(cnf_, sampling_set_, options_, rng_, prep_, stats_);
-  prepared_ = true;
-  return prep_.usable();
-}
+UniGen::~UniGen() = default;
 
-BatchResult UniGen::request(std::size_t max_batch) {
-  ++stats_.samples_requested;
-  BatchResult out;
-  if (!prepared_ && !prepare()) {
-    out.status = SampleResult::Status::kTimeout;
-  } else {
-    const Stopwatch watch;
-    // Fault plans see request ordinals: the k-th request of this instance
-    // reports as key k-1, matching the pool's stream-keyed convention.
-    out = unigen_request(engine_.get(), sampling_set_, prep_, options_,
-                         cnf_.num_vars(), max_batch, rng_, stats_,
-                         stats_.samples_requested - 1);
-    stats_.sample_seconds += watch.seconds();
-  }
-  switch (out.status) {
-    case SampleResult::Status::kOk:
-      ++stats_.samples_ok;
-      break;
-    case SampleResult::Status::kFail:
-      ++stats_.samples_failed;
-      break;
-    case SampleResult::Status::kTimeout:
-      ++stats_.samples_timed_out;
-      break;
-    case SampleResult::Status::kCancelled:
-      ++stats_.samples_cancelled;
-      break;
-    case SampleResult::Status::kUnsat:
-      break;
-  }
-  return out;
-}
+bool UniGen::prepare() { return pool_->prepare(); }
 
-SampleResult UniGen::sample() {
-  BatchResult r = request(0);
-  SampleResult out;
-  out.status = r.status;
-  if (r.ok()) out.witness = std::move(r.models.front());
-  return out;
-}
+SampleResult UniGen::sample() { return std::move(pool_->sample_many(1)[0]); }
 
 std::vector<Model> UniGen::sample_batch(std::size_t max_batch) {
   if (max_batch == 0) return {};
-  return request(max_batch).models;
+  return std::move(pool_->sample_batches(1, max_batch)[0].models);
+}
+
+UniGenStats UniGen::stats() const {
+  const SamplerPoolStats ps = pool_->stats();
+  UniGenStats out = ps.prepare;
+  out.samples_requested = ps.requests;
+  out.samples_ok = ps.samples_ok;
+  out.samples_failed = ps.samples_failed;
+  out.samples_timed_out = ps.samples_timed_out;
+  out.samples_cancelled = ps.samples_cancelled;
+  out.sample_seconds = ps.service_seconds;
+  const SamplerPoolWorkerStats& w = ps.workers[0];
+  out.sample_bsat_calls = w.sample_bsat_calls;
+  out.bsat_timeout_retries = w.bsat_timeout_retries;
+  out.total_xor_rows = w.total_xor_rows;
+  out.total_xor_row_length = w.total_xor_row_length;
+  out.solver_rebuilds = w.solver_rebuilds;
+  out.reused_solves = w.reused_solves;
+  out.retracted_blocks = w.retracted_blocks;
+  out.solver_propagations = w.solver_propagations;
+  return out;
 }
 
 }  // namespace unigen

@@ -8,18 +8,23 @@
 // independent support of F.
 //
 // The implementation mirrors the paper's structure:
-//   prepare()  = lines 1–11: ComputeKappaPivot, the easy case (|R_F| <=
-//                hiThresh: exact enumeration, perfectly uniform draws), and
-//                otherwise one ApproxMC call fixing the candidate hash-count
-//                range {q−3, …, q}.  Runs once per formula.
-//   sample()   = lines 12–22: iterate i over the 4 candidate values, draw
-//                h ∈ H_xor(|S|, i, 3) and α, enumerate the cell with BSAT,
-//                accept when loThresh <= |cell| <= hiThresh, return a random
-//                element; ⊥ (kFail) when no i works.
+//   unigen_prepare     = lines 1–11: ComputeKappaPivot, the easy case
+//                        (|R_F| <= hiThresh: exact enumeration, perfectly
+//                        uniform draws), and otherwise one ApproxMC call
+//                        fixing the candidate hash-count range {q−3, …, q}.
+//                        Runs once per formula.
+//   unigen_accept_cell = lines 12–17: iterate i over the 4 candidate values,
+//                        draw h ∈ H_xor(|S|, i, 3) and α, enumerate the cell
+//                        with BSAT, accept when loThresh <= |cell| <=
+//                        hiThresh; ⊥ (kFail) when no i works.
+//   unigen_request     = one sampling request: lines 12–22, or lines 5–7 in
+//                        the easy case, on the request's own stream.
 // A BSAT timeout repeats the same i with a fresh hash (paper Section 5).
 //
 // This split is the paper's amortization argument: unlike "leapfrogging" it
-// loses no guarantee, because lines 12–22 are i.i.d. across samples.
+// loses no guarantee, because lines 12–22 are i.i.d. across samples.  The
+// sampling service (service/sampler_pool.hpp) runs the requests on N
+// workers; the UniGen class below is that service at width 1.
 
 #include <cstdint>
 #include <memory>
@@ -37,13 +42,14 @@
 
 namespace unigen {
 
-class WorkerPool;  // service/worker_pool.hpp
+class SamplerPool;  // service/sampler_pool.hpp
+class WorkerPool;   // service/worker_pool.hpp
 
 struct UniGenOptions {
   /// Tolerance ε (> 1.71).  The paper's experiments use 6.
   double epsilon = 6.0;
   /// Count-safe CNF simplification, run once in prepare(); every engine
-  /// (single-instance and pool workers) then solves the shrunk formula.
+  /// (every pool worker's) then solves the shrunk formula.
   /// Witnesses are reconstructed onto the original formula, so samples are
   /// genuine models of the input (simplify/simplify.hpp).
   SimplifyOptions simplify;
@@ -76,18 +82,6 @@ struct UniGenOptions {
   /// The default (unlimited, no token, no plan) reproduces the original
   /// behavior byte-for-byte.
   Budget budget;
-  /// Borrowed, *not yet started* WorkerPool the embedding will serve
-  /// samples from (SamplerPool wires its own pool through here).  When set
-  /// and the instance turns out hashed, unigen_prepare starts the pool
-  /// itself — worker 0 adopting the easy-case engine — and hands it to the
-  /// nested ApproxMC as ApproxMcOptions::shared_pool, so the one-time
-  /// count fans out across, and warms, the very engines that will serve
-  /// samples: one solver build per worker across both phases.  Sample
-  /// bytes on S are unchanged (canonical cell ordering makes them
-  /// independent of engine history).  unigen_prepare then returns nullptr
-  /// — the warmed engine lives in the pool.  Unset (a plain UniGen), the
-  /// count runs on a width-1 pool on the calling thread.
-  WorkerPool* shared_pool = nullptr;
   /// An already-run Simplifier for exactly (cnf, this->simplify,
   /// sampling_set), adopted instead of running the pipeline again.  The
   /// session registry computes one while fingerprinting a cold request
@@ -96,13 +90,14 @@ struct UniGenOptions {
   /// The pipeline is deterministic, so adoption is outcome-neutral.
   /// Ignored when simplify.enabled is false.
   std::shared_ptr<const Simplifier> presimplified;
-  /// Execution backend for the sampling fan-out (SamplerPool): in-process
-  /// threads, or the supervised process fleet (service/process_fleet.hpp)
-  /// whose worker crashes cost one request retry instead of the service.
-  /// Sample bytes are identical on both backends (requests are pure
-  /// functions of their keyed streams).  The nested one-time count always
-  /// runs in-process — this switch moves only the per-sample fan-out.
-  /// Falls back to the in-process pool when no worker can be spawned.
+  /// Execution backend for the sampling fan-out of every pool, a UniGen
+  /// (a width-1 pool) included: in-process threads, or the supervised
+  /// process fleet (service/process_fleet.hpp) whose worker crashes cost
+  /// one request retry instead of the service.  Sample bytes are identical
+  /// on both backends (requests are pure functions of their keyed
+  /// streams).  The nested one-time count always runs in-process — this
+  /// switch moves only the per-sample fan-out.  Falls back to the
+  /// in-process pool when no worker can be spawned.
   FleetOptions fleet;
 };
 
@@ -130,16 +125,19 @@ struct UniGenStats {
   /// the fault-injection tests assert on.
   std::uint64_t bsat_timeout_retries = 0;
   double sample_seconds = 0.0;
-  /// Incremental-BSAT engine counters for the sampling engine shared by the
-  /// easy-case check and every accept_cell: one persistent solver per
-  /// UniGen instance, so solver_rebuilds stays at 1 across all samples.
-  /// (prepare's ApproxMC run owns its own engines — one per serving pool
-  /// worker; their build total is counter_solver_rebuilds.)
+  /// Incremental-BSAT counters of the engine that serves a UniGen's
+  /// samples (worker 0 of its width-1 pool).  A hashed instance builds one
+  /// engine: the easy-case check warms it, the nested count runs on it and
+  /// every accept_cell reuses it, so solver_rebuilds reads 1 and the
+  /// counters include prepare's work.  Zero in trivial and UNSAT mode,
+  /// where no engine serves samples.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
-  /// Total propagations (clause + XOR) on the sampling engine.
+  /// Total propagations (clause + XOR) on that engine.
   std::uint64_t solver_propagations = 0;
+  /// Engines the nested count ran on (the serving pool's, so a UniGen's
+  /// one engine counts here as well).
   std::uint64_t counter_solver_rebuilds = 0;
   /// What the prepare-time simplification did (ran == false when off).
   SimplifyStats simplify;
@@ -199,17 +197,19 @@ struct UniGenPrepared {
 /// q.  `sampling_set` must equal cnf.sampling_set_or_all() (asserted): the
 /// simplifier's frozen set, the engines' projection and the nested
 /// ApproxMC's projection all have to be the same set.  Fills `prep` and
-/// the prepare-time fields of `stats`.  Returns the
-/// persistent engine the easy-case check warmed up when the instance ends
-/// up in hashed mode — the caller's first cell sampler can adopt it instead
-/// of building its own — and nullptr otherwise.  With
-/// options.shared_pool the hashed-mode return is always nullptr: the pool
-/// was started here, worker 0 adopted that engine, and the ApproxMC call
-/// ran on the pool's workers (see UniGenOptions::shared_pool).
-std::unique_ptr<IncrementalBsat> unigen_prepare(
-    const Cnf& cnf, const std::vector<Var>& sampling_set,
-    const UniGenOptions& options, Rng& rng, UniGenPrepared& prep,
-    UniGenStats& stats);
+/// the prepare-time fields of `stats`.
+///
+/// `pool` is the not yet started WorkerPool that will serve samples.  When
+/// the instance turns out hashed, unigen_prepare starts it over
+/// prep.formula(cnf) — worker 0 adopting the engine the easy-case check
+/// warmed — and runs the nested ApproxMC on it (the borrowed-pool
+/// approx_count), so the one-time count fans out across, and warms, the
+/// very engines that will serve samples: one solver build per worker
+/// across both phases.  Sample bytes on S do not depend on that history
+/// (canonical cell ordering).  In every other mode the pool stays idle.
+void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
+                    const UniGenOptions& options, WorkerPool& pool, Rng& rng,
+                    UniGenPrepared& prep, UniGenStats& stats);
 
 /// Outcome of one accept-cell run (Algorithm 1 lines 12–17), with every
 /// degraded path kept distinct: kComplete = a cell in the acceptance
@@ -250,7 +250,7 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
 /// Canonical projection of a request's terminal status onto the sampler's
 /// result status: kComplete → kOk, kTimedOut → kTimeout, kCancelled →
 /// kCancelled, everything else ⊥ (kFail).  Shared by every embedding —
-/// single instance, pool, fleet worker — so the mapping cannot drift.
+/// pool worker and fleet worker — so the mapping cannot drift.
 SampleResult::Status sample_status_from_request(RequestStatus status);
 
 /// The post-accept_cell tail of one sampling request: the request's rng
@@ -265,8 +265,8 @@ BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
 /// easy case) on its own stream.  `max_batch` == 0 asks for a single
 /// witness, else for up to max_batch distinct witnesses of one cell.
 /// `engine` may be null unless prep.mode is kHashed.  Called as is by
-/// UniGen, by SamplerPool's workers and by unigen_workerd, so a request's
-/// bytes cannot depend on which of them served it.
+/// SamplerPool's workers (a UniGen's included) and by unigen_workerd, so a
+/// request's bytes cannot depend on which of them served it.
 BatchResult unigen_request(IncrementalBsat* engine,
                            const std::vector<Var>& sampling_set,
                            const UniGenPrepared& prep,
@@ -274,16 +274,27 @@ BatchResult unigen_request(IncrementalBsat* engine,
                            std::size_t max_batch, Rng& rng,
                            UniGenStats& stats, std::uint64_t fault_key);
 
-class UniGen final : public WitnessSampler {
+/// One UniGen instance: the sampling service (service/sampler_pool.hpp) at
+/// width 1, so a UniGen and a pool run the same task on the same stream
+/// contract.  Construction takes one draw s of the caller's rng; prepare
+/// then draws Rng(s).fork_stream(0) and request k (counting from 1 across
+/// sample() and sample_batch() calls) Rng(s).fork_stream(k), exactly as a
+/// SamplerPool with num_threads = 1 and seed = s does — the two return the
+/// same bytes, and request k reports to a fault plan as key k.
+class UniGen final {
  public:
   /// `cnf` is copied.  The sampling set S is taken from the formula
   /// (Cnf::sampling_set()); when absent the full support is used — legal,
   /// but without the paper's scalability benefit.
   UniGen(Cnf cnf, UniGenOptions options, Rng& rng);
+  ~UniGen();
 
-  bool prepare() override;
-  SampleResult sample() override;
-  std::string name() const override { return "UniGen"; }
+  /// Lines 1–11, once.  Returns false when the one-time phase exceeded its
+  /// budget; requests then report kTimeout.  Idempotent; sample() and
+  /// sample_batch() call it on first use.
+  bool prepare();
+  /// One witness (lines 12–22).
+  SampleResult sample();
 
   /// UniGen2-style batched sampling (the successor paper's key
   /// optimization, implemented here as an extension; see DESIGN.md):
@@ -294,31 +305,15 @@ class UniGen final : public WitnessSampler {
   /// draws should use sample().  Returns an empty vector on ⊥/timeout; the
   /// outcome is accounted in stats() exactly like sample() (one request,
   /// with ⊥ and timeout kept distinct), so success_rate() is comparable
-  /// across both entry points.
+  /// across both entry points.  max_batch == 0 is a no-op, not a request.
   std::vector<Model> sample_batch(std::size_t max_batch);
 
-  const UniGenStats& stats() const { return stats_; }
-  const UniGenOptions& options() const { return options_; }
-  /// The shared-state view of this instance after prepare() (what a
-  /// SamplerPool hands to its per-thread workers).
-  const UniGenPrepared& prepared() const { return prep_; }
+  /// The pool's stats() in one UniGenStats: its prepare block, its
+  /// outcome totals, and worker 0's accept-cell and engine counters.
+  UniGenStats stats() const;
 
  private:
-  /// One request through unigen_request on the instance's engine and rng,
-  /// accounted in stats().
-  BatchResult request(std::size_t max_batch);
-
-  Cnf cnf_;
-  std::vector<Var> sampling_set_;
-  UniGenOptions options_;
-  Rng& rng_;
-  bool prepared_ = false;
-  UniGenPrepared prep_;
-  /// The persistent BSAT engine: built once in prepare(), reused by every
-  /// accept_cell across all samples (absent when the instance turns out to
-  /// be trivial/UNSAT and no hashed queries will ever run).
-  std::unique_ptr<IncrementalBsat> engine_;
-  UniGenStats stats_;
+  std::unique_ptr<SamplerPool> pool_;
 };
 
 }  // namespace unigen

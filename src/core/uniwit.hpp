@@ -65,15 +65,14 @@ struct UniWitStats {
   }
 };
 
-class UniWit final : public WitnessSampler {
+class UniWit final {
  public:
   UniWit(Cnf cnf, UniWitOptions options, Rng& rng);
 
   /// UniWit has no amortizable preparation; prepare() only computes the
   /// thresholds.
-  bool prepare() override;
-  SampleResult sample() override;
-  std::string name() const override { return "UniWit"; }
+  bool prepare();
+  SampleResult sample();
 
   const UniWitStats& stats() const { return stats_; }
 

@@ -42,13 +42,12 @@ struct XorSampleStats {
   }
 };
 
-class XorSamplePrime final : public WitnessSampler {
+class XorSamplePrime final {
  public:
   XorSamplePrime(Cnf cnf, XorSampleOptions options, Rng& rng);
 
-  bool prepare() override { return true; }  // nothing to amortize
-  SampleResult sample() override;
-  std::string name() const override { return "XORSample'"; }
+  bool prepare() { return true; }  // nothing to amortize
+  SampleResult sample();
 
   const XorSampleStats& stats() const { return stats_; }
 

@@ -40,8 +40,10 @@ bool deterministic_end(const ApproxMcCoreOutcome& o, bool wall_free) {
 /// st.options.budget, and folds the anytime result.  `rng` is the caller's
 /// generator on the first slice (to fork the iteration base, preserving the
 /// classic entry point's rng advancement) and null on resume.
+/// `shared_pool` is the borrowed pool of the warm-handoff approx_count,
+/// null everywhere else.
 ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
-                            Rng* rng) {
+                            Rng* rng, WorkerPool* shared_pool) {
   const ApproxMcOptions& options = st.options;
   const Budget& budget = options.budget;
   ApproxMcAnytime any;
@@ -70,7 +72,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   const auto finish = [&any, &st](RequestStatus status) -> ApproxMcAnytime& {
     any.status = status;
     st.options.budget = Budget{};  // scrub borrowed pointers / stale clocks
-    st.options.shared_pool = nullptr;  // ditto: resumes run self-contained
     any.state = std::move(st);
     return any;
   };
@@ -101,7 +102,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // probes worker 0's persistent engine — legal because the dispatcher
   // owns the pool between runs — so nothing this count warms up is ever
   // thrown away.
-  WorkerPool* pool = options.shared_pool;
+  WorkerPool* pool = shared_pool;
   std::unique_ptr<IncrementalBsat> engine;
   if (pool == nullptr)
     engine = std::make_unique<IncrementalBsat>(formula, sampling_set);
@@ -225,7 +226,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // probe counts move).  When no worker can be spawned the pool serves.
   std::optional<ProcessFleet> fleet;
   if (options.fleet.backend == ExecBackend::kProcessFleet &&
-      options.shared_pool == nullptr) {
+      shared_pool == nullptr) {
     fleet.emplace(options.fleet);
     if (!fleet->start(ProcessFleet::make_count_setup(formula, sampling_set,
                                                      st.n, st.pivot),
@@ -352,6 +353,17 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
                              : RequestStatus::kTimedOut);
 }
 
+/// The state a run starts from: the call's options and grant, and a
+/// snapshot of the caller's rng (run_anytime advances `rng` itself).
+ApproxMcAnytimeState first_slice(const ApproxMcOptions& options,
+                                 const Rng& rng) {
+  ApproxMcAnytimeState st;
+  st.options = options;
+  st.units_granted = options.budget.max_bsat_calls;
+  st.entry_rng = rng;
+  return st;
+}
+
 }  // namespace
 
 void fold_solver_stats(ApproxMcResult& result, const SolverStats& st) {
@@ -399,14 +411,15 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
   return approx_count_anytime(cnf, options, rng).result;
 }
 
+ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
+                            WorkerPool& pool, Rng& rng) {
+  return run_anytime(cnf, first_slice(options, rng), &rng, &pool).result;
+}
+
 ApproxMcAnytime approx_count_anytime(const Cnf& cnf,
                                      const ApproxMcOptions& options,
                                      Rng& rng) {
-  ApproxMcAnytimeState st;
-  st.options = options;
-  st.units_granted = options.budget.max_bsat_calls;
-  st.entry_rng = rng;  // snapshot only; run_anytime advances `rng` itself
-  return run_anytime(cnf, std::move(st), &rng);
+  return run_anytime(cnf, first_slice(options, rng), &rng, nullptr);
 }
 
 ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
@@ -417,7 +430,7 @@ ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
     // admission fold against B₁+B₂, exactly the single-grant run's ledger.
     state.units_granted += more_budget.max_bsat_calls;
   }
-  return run_anytime(cnf, std::move(state), nullptr);
+  return run_anytime(cnf, std::move(state), nullptr, nullptr);
 }
 
 }  // namespace unigen

@@ -92,25 +92,14 @@ struct ApproxMcOptions {
   /// projected counts over S are invariant, see simplify/simplify.hpp).
   /// Callers that already simplified the formula turn it off.
   SimplifyOptions simplify;
-  /// Borrowed, already-started WorkerPool (over the same formula this
-  /// count will run on — so set `simplify.enabled = false` and pass the
-  /// pool's own formula) whose workers serve the fan-out instead of a
-  /// pool built and discarded inside the call.  This is the
-  /// counter→sampler warm handoff: worker 0's engine serves the unhashed
-  /// prologue, every engine warmed by the count keeps serving whatever the
-  /// pool does next, and one-time solver builds drop from 2N to N per
-  /// (pool, formula).  The count's bytes are unchanged (engines' learnt
-  /// history never reaches reported values).  num_threads is ignored when
-  /// set (the pool's width rules); scrubbed from anytime resume states
-  /// like the budget pointers.
-  WorkerPool* shared_pool = nullptr;
   /// Execution backend for the median-iteration fan-out: the default
   /// in-process pool, or the supervised process fleet (crash isolation; a
   /// worker SIGKILL costs one task retry, not the count).  The count's
   /// bytes are identical on both backends — iterations are pure functions
   /// of their keyed streams, shipped to workers as raw RNG state.  Falls
-  /// back in-process when no worker can be spawned.  Ignored when
-  /// shared_pool is set (the warm handoff is inherently in-process).
+  /// back in-process when no worker can be spawned.  Ignored by the
+  /// borrowed-pool approx_count (the warm handoff is inherently
+  /// in-process).
   FleetOptions fleet;
 };
 
@@ -190,6 +179,20 @@ double approxmc_delta_achieved(int t);
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng);
+
+/// approx_count on a borrowed, already-started WorkerPool over `cnf`
+/// itself (so set options.simplify.enabled = false and pass the pool's own
+/// formula), whose workers serve the fan-out instead of a pool built and
+/// discarded inside the call.  This is the counter→sampler warm handoff
+/// unigen_prepare runs on every serving pool, a UniGen's width-1 pool
+/// included: worker 0's engine serves the unhashed prologue, every engine
+/// warmed by the count keeps serving whatever the pool does next, and
+/// one-time solver builds drop from 2N to N per (pool, formula).  The
+/// count's bytes are unchanged (engines' learnt history never reaches
+/// reported values).  options.num_threads and options.fleet are ignored:
+/// the pool's width rules.
+ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
+                            WorkerPool& pool, Rng& rng);
 
 // --- anytime API ------------------------------------------------------
 

@@ -513,6 +513,8 @@ void visit_fields(SamplerPoolWorkerStats& s, F&& f) {
   f("requests_served", s.requests_served);
   f("solver_rebuilds", s.solver_rebuilds);
   f("reused_solves", s.reused_solves);
+  f("retracted_blocks", s.retracted_blocks);
+  f("solver_propagations", s.solver_propagations);
   f("sample_bsat_calls", s.sample_bsat_calls);
   f("bsat_timeout_retries", s.bsat_timeout_retries);
   f("total_xor_rows", s.total_xor_rows);

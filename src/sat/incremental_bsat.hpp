@@ -1,6 +1,7 @@
 #pragma once
 // Incremental BSAT engine: one persistent Solver shared by every BSAT call
-// of an ApproxMC run or a UniGen instance.
+// a pool worker makes — a standalone ApproxMC run's, or a sampling
+// session's nested count followed by its samples.
 //
 // The paper's runtime is dominated by repeated BSAT calls on F ∧ (h = α).
 // The naive implementation pays, per call: one full Cnf copy, one Solver

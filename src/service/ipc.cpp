@@ -121,12 +121,6 @@ std::string encode_setup(const SetupMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.sampling_set.size()));
   for (const Var v : m.sampling_set) w.i32(v);
   w.u8(m.simplify.enabled ? 1 : 0);
-  w.i32(m.simplify.max_rounds);
-  w.u8(m.simplify.pure_literals ? 1 : 0);
-  w.u8(m.simplify.subsumption ? 1 : 0);
-  w.u8(m.simplify.bounded_variable_elimination ? 1 : 0);
-  w.i32(m.simplify.bve_growth);
-  w.u64(m.simplify.bve_max_occurrences);
   w.u32(m.n);
   w.u64(m.pivot);
   w.u8(m.prep_mode);
@@ -156,12 +150,6 @@ SetupMsg decode_setup(const std::string& payload) {
     if (v < 0) throw std::runtime_error("ipc: bad sampling variable");
   }
   m.simplify.enabled = r.u8() != 0;
-  m.simplify.max_rounds = r.i32();
-  m.simplify.pure_literals = r.u8() != 0;
-  m.simplify.subsumption = r.u8() != 0;
-  m.simplify.bounded_variable_elimination = r.u8() != 0;
-  m.simplify.bve_growth = r.i32();
-  m.simplify.bve_max_occurrences = static_cast<std::size_t>(r.u64());
   m.n = r.u32();
   m.pivot = r.u64();
   m.prep_mode = r.u8();

@@ -34,9 +34,8 @@ bool SamplerPool::prepare(const Budget& budget) {
   // q — and every sample downstream — is too.
   UniGenOptions unigen_options = options_.unigen;
   unigen_options.budget = budget;
-  unigen_options.shared_pool = &pool_;
-  unigen_prepare(cnf_, sampling_set_, unigen_options, prepare_rng, prep_,
-                 prepare_stats_);
+  unigen_prepare(cnf_, sampling_set_, unigen_options, pool_, prepare_rng,
+                 prep_, prepare_stats_);
   prepared_ = true;
   if (prep_.mode == UniGenPrepared::Mode::kHashed) {
     // Crash-isolated backend: bring up the worker processes now, shipping
@@ -206,6 +205,8 @@ SamplerPoolStats SamplerPool::stats() const {
     const SolverStats es = pool_.engine_stats(w);
     ws.solver_rebuilds = es.solver_rebuilds;
     ws.reused_solves = es.reused_solves;
+    ws.retracted_blocks = es.retracted_blocks;
+    ws.solver_propagations = es.propagations + es.xor_propagations;
     ws.sample_bsat_calls = worker_ugstats_[w].sample_bsat_calls;
     ws.bsat_timeout_retries = worker_ugstats_[w].bsat_timeout_retries;
     ws.total_xor_rows = worker_ugstats_[w].total_xor_rows;

@@ -36,10 +36,11 @@
 // found, which may differ between engines with different histories.
 // Stream indices
 // keep advancing across calls, so consecutive calls continue one global
-// deterministic sequence.  One caveat: the contract assumes no per-BSAT
-// timeout fires — a timeout retry (paper Section 5) draws a fresh hash from
-// the request's stream, and whether a solve beats its wall-clock budget is
-// machine- and contention-dependent.  Leave budget.bsat_timeout_s unset
+// deterministic sequence.  A UniGen (core/unigen.hpp) is this service at
+// width 1, seeded by one draw of its caller's rng.  One caveat: the
+// contract assumes no per-BSAT timeout fires — a timeout retry (paper
+// Section 5) draws a fresh hash from the request's stream, and whether a
+// solve beats its wall-clock budget is machine- and contention-dependent.  Leave budget.bsat_timeout_s unset
 // (the default), or comfortably above the workload's per-cell solve time
 // (orders of magnitude), when byte-identical replicas matter.  The same
 // caveat covers the parallel count inside prepare(): a per-probe budget
@@ -112,6 +113,10 @@ struct SamplerPoolWorkerStats {
   /// built on first use).
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
+  std::uint64_t retracted_blocks = 0;
+  /// Total propagations (clause + XOR) on this worker's engine, prepare's
+  /// share included.
+  std::uint64_t solver_propagations = 0;
   std::uint64_t sample_bsat_calls = 0;
   std::uint64_t bsat_timeout_retries = 0;
   std::uint64_t total_xor_rows = 0;
@@ -152,12 +157,13 @@ class SamplerPool {
   /// worker threads.  Idempotent.  Returns false when the one-time phase
   /// exceeded its budget; requests then report kTimeout.
   ///
-  /// Engine ownership: prepare wires this pool's own WorkerPool through to
-  /// unigen_prepare (UniGenOptions::shared_pool), so the one-time ApproxMC
-  /// call fans out across — and warms — the same N engines that will serve
-  /// samples: one solver build per worker across both phases (asserted via
+  /// Engine ownership: prepare hands this pool's own WorkerPool to
+  /// unigen_prepare, so the one-time ApproxMC call fans out across — and
+  /// warms — the same N engines that will serve samples: one solver build
+  /// per worker across both phases (asserted via
   /// IncrementalBsat::total_constructions in
-  /// tests/test_session_registry.cpp).
+  /// tests/test_session_registry.cpp and, at width 1,
+  /// tests/test_unigen_batch.cpp).
   bool prepare();
 
   /// prepare() under a caller-supplied budget (deadline / cancellation /

@@ -49,15 +49,7 @@ Fingerprint fingerprint_session_options(const SamplerPoolOptions& options) {
   fb.add_double(u.epsilon);
   fb.add_double(u.counter_epsilon);
   fb.add_double(u.counter_confidence);
-  const SimplifyOptions& s = u.simplify;
-  fb.add_scalar(s.enabled ? 1 : 0);
-  fb.add_scalar(static_cast<std::uint64_t>(s.max_rounds));
-  fb.add_scalar(s.pure_literals ? 1 : 0);
-  fb.add_scalar(s.subsumption ? 1 : 0);
-  fb.add_scalar(s.bounded_variable_elimination ? 1 : 0);
-  fb.add_scalar(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(s.bve_growth)));
-  fb.add_scalar(s.bve_max_occurrences);
+  fb.add_scalar(u.simplify.enabled ? 1 : 0);
   return fb.digest();
 }
 

@@ -71,7 +71,7 @@ struct SessionKey {
 
 /// The options that change what a session *returns* (and therefore must
 /// split sessions): ε, the nested counter's (ε, δ), the master seed, and
-/// every simplify switch (they change the canonical formula and the
+/// the simplify switch (it changes the canonical formula and the
 /// reconstruction).  Wall-clock budgets and thread counts are excluded —
 /// see the header comment.
 Fingerprint fingerprint_session_options(const SamplerPoolOptions& options);

@@ -27,6 +27,15 @@ void SimplifyStats::merge(const SimplifyStats& other) {
 
 namespace {
 
+// The pipeline's fixed limits (see SimplifyOptions).
+constexpr int kMaxRounds = 20;
+/// BVE clause-growth cap: eliminate v only when the number of kept
+/// resolvents is at most (#clauses deleted) + kBveGrowth.
+constexpr std::size_t kBveGrowth = 0;
+/// Skip BVE scoring for variables where both polarities occur more than
+/// this often (the resolvent product would be quadratic).
+constexpr std::size_t kBveMaxOccurrences = 16;
+
 /// Resolvent of two clauses (sorted by Lit::index(), duplicate-free) on
 /// pivot `v`; nullopt when the resolvent is tautological.  Both inputs must
 /// contain `v` with opposite signs; the output is again sorted and
@@ -73,7 +82,6 @@ std::optional<std::vector<Lit>> resolve(const std::vector<Lit>& a,
 /// live in `cls` (units are folded into `fixed` immediately); occurrence
 /// lists are supersets pruned lazily by live_occs().
 struct Pipeline {
-  const SimplifyOptions& opt;
   SimplifyStats& stats;
 
   Var n = 0;
@@ -88,7 +96,7 @@ struct Pipeline {
   std::size_t qhead = 0;
   bool unsat = false;
 
-  Pipeline(const SimplifyOptions& o, SimplifyStats& s) : opt(o), stats(s) {}
+  explicit Pipeline(SimplifyStats& s) : stats(s) {}
 
   static std::uint64_t signature(const std::vector<Lit>& lits) {
     std::uint64_t s = 0;
@@ -315,12 +323,9 @@ struct Pipeline {
       const std::vector<std::uint32_t> pos = live_occs(Lit(v, false));
       const std::vector<std::uint32_t> neg = live_occs(Lit(v, true));
       if (pos.empty() && neg.empty()) continue;  // free already
-      if (pos.size() > opt.bve_max_occurrences &&
-          neg.size() > opt.bve_max_occurrences)
+      if (pos.size() > kBveMaxOccurrences && neg.size() > kBveMaxOccurrences)
         continue;
-      const std::size_t budget =
-          pos.size() + neg.size() +
-          static_cast<std::size_t>(std::max(0, opt.bve_growth));
+      const std::size_t budget = pos.size() + neg.size() + kBveGrowth;
       resolvents.clear();
       bool within_budget = true;
       for (const std::uint32_t p : pos) {
@@ -363,9 +368,8 @@ struct Pipeline {
 }  // namespace
 
 Simplifier::Simplifier(const Cnf& input, SimplifyOptions options,
-                       std::optional<std::vector<Var>> frozen)
-    : options_(options) {
-  if (!options_.enabled) {
+                       std::optional<std::vector<Var>> frozen) {
+  if (!options.enabled) {
     // Honor the master switch even when constructed directly: result() is
     // a verbatim copy and stats().ran stays false.  (Consumers normally
     // gate construction and never pay this copy.)
@@ -383,7 +387,7 @@ void Simplifier::run(const Cnf& input, const std::vector<Var>& frozen_vars) {
   stats_.original_clauses = input.num_clauses();
   for (const auto& c : input.clauses()) stats_.original_literals += c.size();
 
-  Pipeline p(options_, stats_);
+  Pipeline p(stats_);
   p.n = input.num_vars();
   p.cls.reserve(input.num_clauses());
   p.occs.resize(static_cast<std::size_t>(2 * p.n));
@@ -400,12 +404,10 @@ void Simplifier::run(const Cnf& input, const std::vector<Var>& frozen_vars) {
   p.propagate();
 
   std::vector<std::pair<Var, std::vector<std::vector<Lit>>>> elims;
-  for (int round = 1; round <= options_.max_rounds && !p.unsat; ++round) {
-    bool changed = false;
-    if (options_.pure_literals) changed = p.pure_pass() || changed;
-    if (options_.subsumption) changed = p.subsume_pass() || changed;
-    if (options_.bounded_variable_elimination)
-      changed = p.bve_pass(elims) || changed;
+  for (int round = 1; round <= kMaxRounds && !p.unsat; ++round) {
+    bool changed = p.pure_pass();
+    changed = p.subsume_pass() || changed;
+    changed = p.bve_pass(elims) || changed;
     stats_.rounds = round;
     if (!changed) break;
   }

@@ -71,22 +71,10 @@ class FingerprintBuilder;  // cnf/fingerprint.hpp
 
 struct SimplifyOptions {
   /// Master switch (on by default; off = feed the raw CNF, for A/B runs).
+  /// The pipeline itself has no knobs: all five passes run, to a fixpoint
+  /// of at most 20 rounds, with BVE allowed no clause growth and skipping
+  /// variables both of whose polarities occur more than 16 times.
   bool enabled = true;
-  /// Fixpoint cap: passes repeat until nothing changes or this many rounds
-  /// have run.
-  int max_rounds = 20;
-  // Per-pass switches (all on by default).  Unit propagation and tautology
-  // removal are the normalization substrate every other pass relies on and
-  // are always on.
-  bool pure_literals = true;
-  bool subsumption = true;  ///< forward/backward subsumption + SSR
-  bool bounded_variable_elimination = true;
-  /// BVE clause-growth cap: eliminate v only when the number of kept
-  /// resolvents is at most (#clauses deleted) + bve_growth.
-  int bve_growth = 0;
-  /// Skip BVE scoring for variables where both polarities occur more than
-  /// this often (the resolvent product would be quadratic).
-  std::size_t bve_max_occurrences = 16;
 };
 
 struct SimplifyStats {
@@ -169,7 +157,6 @@ class Simplifier {
     std::vector<std::vector<Lit>> clauses;
   };
 
-  SimplifyOptions options_;
   Cnf result_;
   SimplifyStats stats_;
   std::vector<EliminatedVar> elim_stack_;  // in elimination order

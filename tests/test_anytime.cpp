@@ -266,7 +266,7 @@ Cnf sampling_instance() {
 
 TEST(AnytimeSampling, FaultsDriveTheFreshHashRetry) {
   const Cnf cnf = sampling_instance();
-  ScheduledFaults faults{{0, 0}, {0, 1}};  // first request, first two probes
+  ScheduledFaults faults{{1, 0}, {1, 1}};  // request 1, first two probes
   UniGenOptions opts;
   opts.budget.fault = &faults;
   Rng rng(21);

@@ -10,6 +10,7 @@
 
 #include "core/unigen.hpp"
 #include "helpers.hpp"
+#include "service/worker_pool.hpp"
 
 namespace unigen {
 namespace {
@@ -255,7 +256,8 @@ TEST(UniGen, WarmEngineDrawsTheSameSProjections) {
   UniGenPrepared prep;
   UniGenStats stats;
   Rng prepare_rng(41);
-  unigen_prepare(cnf, s, opts, prepare_rng, prep, stats);
+  WorkerPool pool(1);
+  unigen_prepare(cnf, s, opts, pool, prepare_rng, prep, stats);
   ASSERT_EQ(prep.mode, UniGenPrepared::Mode::kHashed);
 
   IncrementalBsat fresh(prep.formula(cnf), s);

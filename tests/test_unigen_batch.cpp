@@ -1,4 +1,5 @@
-// Tests for the UniGen2-style batched sampling extension.
+// Tests for the UniGen2-style batched sampling extension, and for the one
+// sampling front-end: a UniGen is a width-1 SamplerPool.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,8 @@
 
 #include "core/unigen.hpp"
 #include "helpers.hpp"
+#include "sat/incremental_bsat.hpp"
+#include "service/sampler_pool.hpp"
 
 namespace unigen {
 namespace {
@@ -155,6 +158,68 @@ TEST(UniGenBatch, BatchCoverageAccumulates) {
   }
   EXPECT_GE(static_cast<double>(seen.size()),
             0.8 * static_cast<double>(truth.size()));
+}
+
+/// UniGen(cnf, {}, Rng(seed)) against a width-1 pool seeded with that
+/// rng's first draw: 25 singles, then 5 batches of 8, and the outcome
+/// totals must all agree.
+void expect_same_bytes_as_width1_pool(const Cnf& cnf, std::uint64_t seed,
+                                      bool trivial) {
+  Rng rng(seed);
+  UniGen sampler(cnf, {}, rng);
+  SamplerPoolOptions popts;
+  popts.num_threads = 1;
+  popts.seed = Rng(seed)();
+  SamplerPool pool(cnf, popts);
+
+  const std::vector<SampleResult> singles = pool.sample_many(25);
+  for (std::size_t k = 0; k < singles.size(); ++k) {
+    const SampleResult r = sampler.sample();
+    ASSERT_EQ(r.status, singles[k].status) << "single " << k;
+    EXPECT_EQ(r.witness, singles[k].witness) << "single " << k;
+  }
+  const std::vector<BatchResult> batches = pool.sample_batches(5, 8);
+  for (std::size_t k = 0; k < batches.size(); ++k)
+    EXPECT_EQ(sampler.sample_batch(8), batches[k].models) << "batch " << k;
+
+  const UniGenStats st = sampler.stats();
+  const SamplerPoolStats ps = pool.stats();
+  EXPECT_EQ(st.trivial, trivial);
+  EXPECT_EQ(st.samples_requested, 30u);
+  EXPECT_EQ(st.samples_requested, ps.requests);
+  EXPECT_EQ(st.samples_ok, ps.samples_ok);
+  EXPECT_EQ(st.samples_failed, ps.samples_failed);
+  EXPECT_EQ(st.samples_timed_out, ps.samples_timed_out);
+  EXPECT_EQ(st.samples_cancelled, ps.samples_cancelled);
+  EXPECT_GT(st.samples_ok, 0u);
+}
+
+TEST(UniGenBatch, HashedUniGenEqualsWidthOnePool) {
+  expect_same_bytes_as_width1_pool(hashed_mode_formula(), 41,
+                                   /*trivial=*/false);
+}
+
+TEST(UniGenBatch, TrivialUniGenEqualsWidthOnePool) {
+  Cnf cnf(3);
+  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // 7 models
+  expect_same_bytes_as_width1_pool(cnf, 43, /*trivial=*/true);
+}
+
+TEST(UniGenBatch, HashedUniGenBuildsOneEngine) {
+  // The easy-case check builds the engine; the nested count and every
+  // sample run on it (worker 0 of the width-1 pool).
+  const Cnf cnf = hashed_mode_formula();
+  const std::uint64_t before = IncrementalBsat::total_constructions();
+  Rng rng(47);
+  UniGen sampler(cnf, {}, rng);
+  ASSERT_TRUE(sampler.prepare());
+  ASSERT_FALSE(sampler.stats().trivial);
+  for (int i = 0; i < 25; ++i) sampler.sample();
+  EXPECT_EQ(IncrementalBsat::total_constructions() - before, 1u);
+  const UniGenStats st = sampler.stats();
+  EXPECT_EQ(st.solver_rebuilds, 1u);
+  EXPECT_EQ(st.counter_solver_rebuilds, 1u);
+  EXPECT_EQ(st.samples_requested, 25u);
 }
 
 }  // namespace
