@@ -19,7 +19,7 @@
 // faster — thread count is a deployment knob, not a semantics knob.  The
 // report shows where the parallel counter's time went: per-worker engine
 // builds (one each), BSAT probes, and how many hash-count searches
-// leapfrogged off a completed iteration instead of galloping cold.
+// leapfrogged off a completed iteration instead of starting cold.
 
 #include <algorithm>
 #include <cstdio>

@@ -14,8 +14,10 @@
 //     failure tail is below δ (with per-iteration success probability
 //     1 − e^{−3/2}), instead of the loose ⌈35·log2(3/δ)⌉;
 //   * the search for the hash count m starts from the previous iteration's
-//     m (ApproxMC2-style) and places each probe below a small cell by that
-//     cell's size (approxmc_core.hpp) instead of scanning from 0;
+//     m (ApproxMC2-style), or without one from the shallowest empty level,
+//     found with one-model probes, and places each probe below a small
+//     cell by that cell's size (approxmc_core.hpp) instead of scanning
+//     from 0;
 //   * within one iteration all probed hash counts m use nested prefixes of
 //     a single lazily drawn hash (rows 1..m of one h), not an independent
 //     (h, α) per probe.  This is ApproxMC2's scheme — its analysis proves
@@ -138,7 +140,8 @@ struct ApproxMcResult {
   /// metric the simplification bench compares on.
   std::uint64_t solver_propagations = 0;
   /// Leapfrog accounting: iterations whose hash-count search started from
-  /// a previously completed iteration's m versus from the cold gallop.
+  /// a previously completed iteration's m versus cold, from the
+  /// empty-level ladder.
   /// warm + cold == iterations actually started (budget skips excluded).
   std::uint64_t leapfrog_warm_starts = 0;
   std::uint64_t leapfrog_cold_starts = 0;

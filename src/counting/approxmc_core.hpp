@@ -32,23 +32,45 @@
 // function of the stream, which is why deterministic-budget runs force
 // cold starts everywhere instead of chasing the racy hint.
 //
-// The same argument frees the probe placement, which is size-guided.  The
-// search keeps lo (the largest level known big, 0 at first) and hi (the
-// smallest known small, n + 1 while none is).  A cold start gallops
-// m = 1, 2, 4, ...; a leapfrog start probes the hint and, while its cells
-// stay big, gallops +1, +2, +4, ... levels past it.  Below a small cell of
-// c >= 1 solutions the next probe is hi − k, k the largest shift with
-// c · 2^k <= pivot (at least 1, clamped into (lo, hi)), because each row
-// halves a cell in expectation.  If that guess comes back big, the cell
-// grew faster than halving, and the search probes hi − 1.  Only an empty
-// cell, which says nothing about its level, makes the search bisect.  The
-// big cells just below m* are the costliest probes of an iteration, and
-// this placement skips most of them: a search started at its own m* makes
-// at most 3 probes (m*, the guess, m* − 1), where bisection from 0 would
-// make 1 + ⌈log2 m*⌉.  The m* − 1 probe, the costliest at pivot + 1
-// models, is cheap for a second reason: the c models of cell(m*) lie in
-// cell(m* − 1), and the engine's model store (incremental_bsat.hpp) hands
-// them over, so that probe enumerates only pivot + 1 − c more.
+// The same argument frees the probe placement.  The search keeps lo (the
+// largest level known big, 0 at first) and hi (the smallest known small,
+// n + 1 while none is).
+//
+// A cold start first climbs the empty-level ladder.  Count-only probes
+// capped at one model gallop m = 1, 2, 4, ... until a cell is empty or
+// m = n, then bisect between the deepest non-empty level and the
+// shallowest empty one.  That finds E, the shallowest level whose cell is
+// empty (n + 1 if none is).  The search proper then starts with hi = E,
+// since an empty cell is small, and makes its first full-cap probe at
+// E − 1, the deepest non-empty level.  If cell(1) is empty the iteration
+// ends after that first probe, with no estimate.  A one-model probe costs
+// at most one solver call, and none when the epoch's model store already
+// holds a member of the cell, while a full-cap probe at a big level
+// enumerates pivot + 1 models; so the ladder finds where the cells thin
+// out without enumerating the big cells below m*.  It keeps both
+// properties above: a one-model probe returns min(|cell(m)|, 1), which
+// depends only on the hash, so the levels the ladder visits, and E, are
+// pure functions of the stream, and the search still finds the outcome
+// every start finds.  A ladder probe is a probe like any other: one unit
+// of a deterministic budget and one fault-plan ordinal.
+//
+// A leapfrog start skips the ladder: it probes the hint and, while its
+// cells stay big, gallops +1, +2, +4, ... levels past it.  From either
+// start, the next probe below a small cell of c >= 1 solutions is hi − k,
+// k the largest shift with c · 2^k <= pivot (at least 1, clamped into
+// (lo, hi)), because each row halves a cell in expectation.  If that
+// guess comes back big, the cell grew faster than halving, and the search
+// probes hi − 1.  Only an empty cell, which says nothing about its level,
+// makes a leapfrog search bisect.  The big cells just below m* are the
+// costliest probes of an iteration, and this placement skips most of
+// them: a search started at its own m* makes at most 3 probes (m*, the
+// guess, m* − 1), where bisection from 0 would make 1 + ⌈log2 m*⌉.  The
+// m* − 1 probe, the costliest at pivot + 1 models, is cheap for a second
+// reason: the c models of cell(m*) lie in cell(m* − 1), and the engine's
+// model store (incremental_bsat.hpp) hands them over, so that probe
+// enumerates only pivot + 1 − c more.  The same store makes a cold
+// search's descent from E − 1 cheap: each shallower probe reads the
+// deeper probes' models instead of finding them again.
 
 #include <cstdint>
 #include <optional>
@@ -78,12 +100,13 @@ struct ApproxMcCoreOutcome {
   bool faulted = false;
   std::uint64_t cell_count = 0;
   std::uint32_t hash_count = 0;
-  /// BSAT probes this iteration made (the leapfrog savings show up here).
+  /// BSAT probes this iteration made, one-model ladder probes included
+  /// (the leapfrog savings show up here).
   /// Faulted probes charge too: the unit ledger must match across a run
   /// and its resume, and the fault plan is part of the deterministic cost.
   std::uint64_t bsat_calls = 0;
   /// True when the search started from a prior iteration's m (start_m > 0)
-  /// instead of the cold gallop from m = 1.
+  /// instead of a cold start's empty-level ladder.
   bool leapfrogged = false;
 };
 

@@ -33,7 +33,12 @@
 //   8. the incremental engine's model store: count-only and witness calls
 //      in a random order within one hash epoch, at random levels and caps,
 //      each return min(|cell(m)|, cap) over S, exhausted exactly when the
-//      cell is below the cap (S is usually not an independent support).
+//      cell is below the cap (S is usually not an independent support);
+//   9. one ApproxMC iteration's hash-count search at a random pivot and
+//      stream: from a cold start, a random start and start n + 1 it finds
+//      the brute-forced smallest level m* whose cell holds at most pivot
+//      solutions, and |cell(m*)|, or no estimate when no level is small
+//      or cell(m*) is empty.
 //
 // Exit code 0 when every seed passes; on the first failure it prints a
 // one-line repro (`fuzz_cnf <seed>` / `fuzz_cnf.py --repro <seed>`) plus
@@ -56,6 +61,7 @@
 #include <vector>
 
 #include "counting/approxmc.hpp"
+#include "counting/approxmc_core.hpp"
 #include "counting/exact_counter.hpp"
 #include "fault_inject.hpp"
 #include "hashing/xor_hash.hpp"
@@ -346,24 +352,37 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                st.hits, st.misses, st.requests, st.sessions);
   }
 
+  // The brute-forced cells of legs 8 and 9: the distinct S-projections of
+  // F's models (bit i = s[i]), and for each the number of leading rows of
+  // a hash it satisfies — it lies in cell(m) iff that depth is at least m.
+  std::vector<std::uint64_t> projections;
+  for (const Model& m : test::brute_force_models(cnf)) {
+    std::uint64_t key = 0;
+    for (std::size_t i = 0; i < s.size(); ++i)
+      if (m[static_cast<std::size_t>(s[i])] == lbool::True)
+        key |= std::uint64_t{1} << i;
+    projections.push_back(key);
+  }
+  std::sort(projections.begin(), projections.end());
+  projections.erase(std::unique(projections.begin(), projections.end()),
+                    projections.end());
+  std::vector<std::size_t> position(static_cast<std::size_t>(cnf.num_vars()));
+  for (std::size_t i = 0; i < s.size(); ++i)
+    position[static_cast<std::size_t>(s[i])] = i;
+  const auto depth = [&](std::uint64_t p, const XorHash& h) {
+    std::size_t d = 0;
+    for (; d < h.m(); ++d) {
+      std::uint64_t mask = 0;
+      for (const Var v : h.rows[d].vars)
+        mask ^= std::uint64_t{1} << position[static_cast<std::size_t>(v)];
+      if ((std::popcount(p & mask) & 1) != static_cast<int>(h.rows[d].rhs))
+        break;
+    }
+    return d;
+  };
+
   // 8. The engine's model store against the brute-forced cells.
   {
-    // Distinct S-projections of F's models, bit i = s[i].
-    std::vector<std::uint64_t> projections;
-    for (const Model& m : test::brute_force_models(cnf)) {
-      std::uint64_t key = 0;
-      for (std::size_t i = 0; i < s.size(); ++i)
-        if (m[static_cast<std::size_t>(s[i])] == lbool::True)
-          key |= std::uint64_t{1} << i;
-      projections.push_back(key);
-    }
-    std::sort(projections.begin(), projections.end());
-    projections.erase(std::unique(projections.begin(), projections.end()),
-                      projections.end());
-    std::vector<std::size_t> position(static_cast<std::size_t>(cnf.num_vars()));
-    for (std::size_t i = 0; i < s.size(); ++i)
-      position[static_cast<std::size_t>(s[i])] = i;
-
     Rng rng(seed + 5);
     IncrementalBsat engine(cnf, s);
     for (int epoch = 0; epoch < 3; ++epoch) {
@@ -377,13 +396,6 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                         h.rows.begin() + static_cast<std::ptrdiff_t>(split));
       second.rows.assign(h.rows.begin() + static_cast<std::ptrdiff_t>(split),
                          h.rows.end());
-      std::vector<std::uint64_t> row_mask;
-      for (const XorConstraint& row : h.rows) {
-        std::uint64_t mask = 0;
-        for (const Var v : row.vars)
-          mask ^= std::uint64_t{1} << position[static_cast<std::size_t>(v)];
-        row_mask.push_back(mask);
-      }
       engine.push_rows(first);
       for (int call = 0; call < 10; ++call) {
         if (call == 5) engine.push_rows(second);
@@ -394,13 +406,8 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
         const EnumerateResult r =
             engine.enumerate_cell(m, cap, Deadline::never(), witness);
         std::uint64_t truth = 0;
-        for (const std::uint64_t p : projections) {
-          bool in_cell = true;
-          for (std::size_t j = 0; j < m && in_cell; ++j)
-            in_cell = (std::popcount(p & row_mask[j]) & 1) ==
-                      static_cast<int>(h.rows[j].rhs);
-          truth += in_cell ? 1 : 0;
-        }
+        for (const std::uint64_t p : projections)
+          truth += depth(p, h) >= m ? 1 : 0;
         FUZZ_CHECK(r.count == std::min(truth, cap) &&
                        r.exhausted == (truth < cap),
                    "model store: epoch %d call %d (m=%zu cap=%" PRIu64
@@ -408,6 +415,44 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                    "cell has %" PRIu64,
                    epoch, call, m, cap, witness, r.count, r.exhausted, truth);
       }
+    }
+  }
+
+  // 9. The hash-count search against the brute-forced cells.  An iteration
+  //    draws its rows in level order, |S| + 2 draws each, so all n rows
+  //    drawn up front from a copy of its stream are the rows it sees,
+  //    whichever levels it probes.
+  {
+    Rng rng(seed + 6);
+    const std::uint64_t pivots[] = {1, 2, 4, 8, 52};
+    const std::uint64_t pivot = pivots[rng.below(5)];
+    const Rng stream = Rng(seed + 7).fork_stream(rng.below(1000));
+    const auto n = static_cast<std::uint32_t>(s.size());
+    Rng draw = stream;
+    const XorHash h = draw_xor_hash(s, n, draw);
+    std::vector<std::uint64_t> cell(n + 1, 0);  // |cell(m)|, m = 0..n
+    for (const std::uint64_t p : projections)
+      for (std::size_t m = 0; m <= depth(p, h); ++m) ++cell[m];
+    std::uint32_t m_star = 1;
+    while (m_star <= n && cell[m_star] > pivot) ++m_star;
+    const bool ok = m_star <= n && cell[m_star] > 0;
+    const std::uint32_t want_m = ok ? m_star : 0;
+    const std::uint64_t want_count = ok ? cell[m_star] : 0;
+
+    IncrementalBsat engine(cnf, s);
+    const std::uint32_t random_start = 1 + static_cast<std::uint32_t>(
+                                               rng.below(n + 1));
+    for (const std::uint32_t start : {0u, random_start, n + 1}) {
+      Rng r = stream;
+      const ApproxMcCoreOutcome o = approxmc_core_iteration(
+          engine, n, pivot, ApproxMcOptions{}, start, r);
+      FUZZ_CHECK(o.ok == ok && o.hash_count == want_m &&
+                     o.cell_count == want_count,
+                 "hash-count search (pivot %" PRIu64 ", start %u) found "
+                 "ok=%d m=%u count=%" PRIu64 ", brute force ok=%d m=%u "
+                 "count=%" PRIu64,
+                 pivot, start, o.ok, o.hash_count, o.cell_count, ok, want_m,
+                 want_count);
     }
   }
 

@@ -1,6 +1,7 @@
 #pragma once
-// Shared test helpers: brute-force reference semantics for small formulas
-// and random formula generators for fuzz/property tests.
+// Shared test helpers: brute-force reference semantics for small formulas,
+// random formula generators for fuzz/property tests, and a solver-call
+// counter.
 
 #include <algorithm>
 #include <cstdint>
@@ -8,6 +9,8 @@
 
 #include "cnf/cnf.hpp"
 #include "cnf/types.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace unigen::test {
@@ -120,6 +123,20 @@ inline FuzzCase make_fuzz_case(std::uint64_t seed) {
     attach_random_sampling_set(fc.cnf, static_cast<std::size_t>(n), rng);
   fc.sampling_set = fc.cnf.sampling_set_or_all();
   return fc;
+}
+
+/// Solver calls made by `f`, read off the `bsat.solves` counter (recorded
+/// only while observability is on).
+template <class F>
+std::uint64_t solver_calls(F&& f) {
+  static obs::Counter& solves = obs::metrics().counter("bsat.solves");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = solves.value();
+  f();
+  const std::uint64_t calls = solves.value() - before;
+  obs::set_enabled(was_enabled);
+  return calls;
 }
 
 }  // namespace unigen::test

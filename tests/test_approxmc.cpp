@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -246,6 +247,41 @@ TEST(ApproxMcSearch, ColdStartCostIsAPureFunctionOfTheStream) {
       EXPECT_EQ(a.ok, u.ok);
       EXPECT_EQ(a.cell_count, u.cell_count);
       EXPECT_EQ(a.hash_count, u.hash_count);
+    }
+  }
+}
+
+TEST(ApproxMcSearch, ColdStartSolverCallsAreBounded) {
+  // A cold start finds E, the shallowest level with an empty cell, with
+  // one-model probes, then runs the size-guided search down from E − 1.
+  // Its solver calls, part by part:
+  //   * the ladder gallops 1, 2, 4, ... to the first empty level (or n)
+  //     and bisects the last gap: at most 2⌈log2(n + 1)⌉ probes of at most
+  //     one call each (none when the epoch's model store already holds a
+  //     member of the cell);
+  //   * a full-cap probe makes one call per model it adds to the store,
+  //     plus one that proves a small cell exhausted.  Descending from
+  //     E − 1, each shallower probe reads the deeper probes' models from
+  //     the store, so the probes down to the first big cell add at most
+  //     pivot + 1 models between them, and the probes after it, which lie
+  //     inside that cell, at most pivot + 1 more;
+  //   * the + 2, with whatever the ladder left unused, pays the exhaustion
+  //     calls of the small probes.
+  // The last two parts hold for the shapes these searches make (at most
+  // one big full-cap probe, at most five small ones), not for every hash:
+  // a long run of one-solution cells costs one exhaustion call per level.
+  // The cold gallop this replaced enumerated pivot + 1 models at each big
+  // level m = 1, 2, 4, ... below m*, over 200 calls on the sketch case.
+  for (const SearchCase& c : search_cases()) {
+    const std::uint64_t n = c.s.size();
+    const std::uint64_t bound =
+        2 * (c.pivot + 1) + 2 * std::bit_width(n) + 2;  // ⌈log2(n+1)⌉
+    for (std::uint64_t stream = 0; stream < 3; ++stream) {
+      ApproxMcCoreOutcome o;
+      const std::uint64_t calls =
+          test::solver_calls([&] { o = fresh_iteration(c, 0, stream); });
+      SCOPED_TRACE(c.name + " stream " + std::to_string(stream));
+      EXPECT_LE(calls, bound) << "probes " << o.bsat_calls;
     }
   }
 }

@@ -152,20 +152,6 @@ TEST(IncrementalBsat, UnsatBaseFormulaStaysUnsat) {
   EXPECT_EQ(engine.enumerate_cell(1, 10, Deadline::never(), false).count, 0u);
 }
 
-/// Solver calls made by `f`, read off the `bsat.solves` counter (recorded
-/// only while observability is on).
-template <class F>
-std::uint64_t solver_calls(F&& f) {
-  static obs::Counter& solves = obs::metrics().counter("bsat.solves");
-  const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  const std::uint64_t before = solves.value();
-  f();
-  const std::uint64_t calls = solves.value() - before;
-  obs::set_enabled(was_enabled);
-  return calls;
-}
-
 TEST(IncrementalBsat, StoreKeepsCountsExactUnderMixedCalls) {
   // Count-only calls read the epoch's model store, witness calls only
   // write it; in any order, at any level and cap, a call still returns
@@ -215,7 +201,7 @@ TEST(IncrementalBsat, CountAfterWitnessEnumerationMakesNoSolverCall) {
   const auto witnesses = engine.enumerate_cell(0, 90, Deadline::never(), true);
   ASSERT_EQ(witnesses.count, 90u);
   EnumerateResult count;
-  const std::uint64_t calls = solver_calls([&] {
+  const std::uint64_t calls = test::solver_calls([&] {
     count = engine.enumerate_cell(0, 53, Deadline::never(), false);
   });
   EXPECT_EQ(count.count, 53u);
@@ -243,7 +229,7 @@ TEST(IncrementalBsat, CountBelowAnExhaustedCellEnumeratesOnlyTheRest) {
       const auto small = engine.enumerate_cell(m, cap, Deadline::never(), false);
       if (!small.exhausted || small.count == 0) continue;
       EnumerateResult big;
-      const std::uint64_t calls = solver_calls([&] {
+      const std::uint64_t calls = test::solver_calls([&] {
         big = engine.enumerate_cell(m - 1, cap, Deadline::never(), false);
       });
       EXPECT_EQ(big.count,
@@ -275,7 +261,7 @@ TEST(IncrementalBsat, TwoEnginesGivenTheSameCallsDoTheSameWork) {
   const std::uint64_t pivot = approxmc_pivot(amc.epsilon);
   const auto run = [&](IncrementalBsat& engine) {
     const SolverStats before = engine.stats();
-    const std::uint64_t calls = solver_calls([&] {
+    const std::uint64_t calls = test::solver_calls([&] {
       engine.enumerate_cell(0, pivot + 1, Deadline::never(), false);
       const Rng base(99);
       std::uint32_t hint = 0;
