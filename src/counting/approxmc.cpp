@@ -228,9 +228,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   if (options.fleet.backend == ExecBackend::kProcessFleet &&
       shared_pool == nullptr) {
     fleet.emplace(options.fleet);
-    if (!fleet->start(ProcessFleet::make_count_setup(formula, sampling_set,
-                                                     st.n, st.pivot),
-                      pool->num_threads()))
+    if (!fleet->start(
+            ProcessFleet::make_count_setup(formula, sampling_set, st.pivot),
+            pool->num_threads()))
       fleet.reset();
   }
 

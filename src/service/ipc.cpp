@@ -121,7 +121,6 @@ std::string encode_setup(const SetupMsg& m) {
   w.u32(static_cast<std::uint32_t>(m.sampling_set.size()));
   for (const Var v : m.sampling_set) w.i32(v);
   w.u8(m.simplify.enabled ? 1 : 0);
-  w.u32(m.n);
   w.u64(m.pivot);
   w.u8(m.prep_mode);
   w.f64(m.kappa);
@@ -150,7 +149,6 @@ SetupMsg decode_setup(const std::string& payload) {
     if (v < 0) throw std::runtime_error("ipc: bad sampling variable");
   }
   m.simplify.enabled = r.u8() != 0;
-  m.n = r.u32();
   m.pivot = r.u64();
   m.prep_mode = r.u8();
   m.kappa = r.f64();
@@ -163,9 +161,8 @@ SetupMsg decode_setup(const std::string& payload) {
   m.epsilon = r.f64();
   m.sample_timeout_s = r.f64();
   r.finish();
-  // The search runs over levels 1..n of a hash drawn over S.
-  if (m.kind == TaskKind::kCount &&
-      (m.n == 0 || m.n != m.sampling_set.size()))
+  // The search runs over levels 1..|S| of a hash drawn over S.
+  if (m.kind == TaskKind::kCount && m.sampling_set.empty())
     throw std::runtime_error("ipc: bad count setup");
   if (m.kind == TaskKind::kSample &&
       m.prep_mode != static_cast<std::uint8_t>(UniGenPrepared::Mode::kHashed))

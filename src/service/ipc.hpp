@@ -130,9 +130,8 @@ struct SetupMsg {
   std::vector<Var> sampling_set;
   // kSample: the preprocessing pipeline to re-run (enabled=false → none).
   SimplifyOptions simplify;
-  // kCount scalars.
-  std::uint32_t n = 0;        ///< |S|
-  std::uint64_t pivot = 0;    ///< cell-size bound
+  // kCount scalar; the hash levels run over 1..|S|.
+  std::uint64_t pivot = 0;  ///< cell-size bound
   // kSample scalars — the immutable UniGenPrepared the parent computed.
   std::uint8_t prep_mode = 0;  ///< UniGenPrepared::Mode (always kHashed)
   double kappa = 0.0;
@@ -228,7 +227,7 @@ inline std::uint64_t units_of(const ResultMsg::Outcome& o) {
 std::string encode_setup(const SetupMsg& m);
 /// Every decoder throws std::runtime_error on a truncated frame or on
 /// trailing bytes.  decode_setup also throws on an unknown task kind, a
-/// negative sampling variable, a count Setup whose n is not |S| >= 1, or a
+/// negative sampling variable, a count Setup with an empty S, or a
 /// sample Setup whose prepared mode is not kHashed (the only mode the
 /// fleet serves: trivial witness lists do not travel).
 SetupMsg decode_setup(const std::string& payload);

@@ -665,13 +665,12 @@ ProcessFleet::FleetSnapshot ProcessFleet::snapshot() const {
 }
 
 std::string ProcessFleet::make_count_setup(
-    const Cnf& formula, const std::vector<Var>& sampling_set, std::uint32_t n,
+    const Cnf& formula, const std::vector<Var>& sampling_set,
     std::uint64_t pivot) {
   ipc::SetupMsg m;
   m.kind = ipc::TaskKind::kCount;
   m.formula_dimacs = to_dimacs_canonical_string(formula);
   m.sampling_set = sampling_set;
-  m.n = n;
   m.pivot = pivot;
   m.formula_vars = formula.num_vars();
   return ipc::encode_setup(m);

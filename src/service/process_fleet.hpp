@@ -142,7 +142,7 @@ class ProcessFleet {
   /// Convenience Setup builders matching what unigen_workerd expects.
   static std::string make_count_setup(const Cnf& formula,
                                       const std::vector<Var>& sampling_set,
-                                      std::uint32_t n, std::uint64_t pivot);
+                                      std::uint64_t pivot);
   static std::string make_sample_setup(const Cnf& original,
                                        const std::vector<Var>& sampling_set,
                                        const UniGenPrepared& prep,

@@ -304,7 +304,8 @@ int worker_main(int fd) {
       if (setup.kind == ipc::TaskKind::kCount) {
         count_options.budget = task_budget;
         result.outcome = approxmc_core_iteration(
-            *engine, setup.n, setup.pivot, count_options, /*start_m=*/0, rng,
+            *engine, static_cast<std::uint32_t>(setup.sampling_set.size()),
+            setup.pivot, count_options, /*start_m=*/0, rng,
             /*fault_key=*/task.task_id);
       } else {
         ug_options.budget = task_budget;

@@ -490,7 +490,6 @@ ipc::SetupMsg count_setup() {
   m.kind = ipc::TaskKind::kCount;
   m.formula_dimacs = "p cnf 3 1\n1 -2 0\n";
   m.sampling_set = {0, 2};
-  m.n = 2;
   m.pivot = 52;
   m.formula_vars = 3;
   return m;
@@ -499,7 +498,6 @@ ipc::SetupMsg count_setup() {
 ipc::SetupMsg sample_setup() {
   ipc::SetupMsg m = count_setup();
   m.kind = ipc::TaskKind::kSample;
-  m.n = 0;
   m.prep_mode = static_cast<std::uint8_t>(UniGenPrepared::Mode::kHashed);
   m.q = 3;
   return m;
@@ -518,7 +516,6 @@ TEST(SetupCodec, ValidSetupsRoundTrip) {
   const ipc::SetupMsg c = ipc::decode_setup(ipc::encode_setup(count_setup()));
   EXPECT_EQ(c.kind, ipc::TaskKind::kCount);
   EXPECT_EQ(c.sampling_set, (std::vector<Var>{0, 2}));
-  EXPECT_EQ(c.n, 2u);
   EXPECT_EQ(c.pivot, 52u);
   const ipc::SetupMsg s = ipc::decode_setup(ipc::encode_setup(sample_setup()));
   EXPECT_EQ(s.kind, ipc::TaskKind::kSample);
@@ -558,19 +555,12 @@ TEST(SetupCodec, RejectsUnknownKindAndUnservedPreparedMode) {
 }
 
 TEST(SetupCodec, RejectsCountSetupWithoutHashLevels) {
-  // n = 0 would reach the search's clamp(start, 1, n) with hi < lo.
+  // An empty S leaves the search no level to probe.
   ipc::SetupMsg empty = count_setup();
   empty.sampling_set.clear();
-  empty.n = 0;
   EXPECT_EQ(runtime_error_of(
                 [&] { ipc::decode_setup(ipc::encode_setup(empty)); }),
             "ipc: bad count setup");
-  ipc::SetupMsg zero = count_setup();
-  zero.n = 0;
-  EXPECT_THROW(ipc::decode_setup(ipc::encode_setup(zero)), std::runtime_error);
-  ipc::SetupMsg wide = count_setup();
-  wide.n = 0xFFFFFFFFu;  // n + 1 would wrap
-  EXPECT_THROW(ipc::decode_setup(ipc::encode_setup(wide)), std::runtime_error);
 }
 
 TEST(SetupCodec, RejectsSamplingVariablesOutsideTheFormula) {
