@@ -6,8 +6,11 @@
 //     keyed-stream + canonical-fold determinism contract), and
 //   * exactly one solver build per worker that served an iteration.
 //
-// Per thread count the run records wall-clock, total BSAT probes and the
-// leapfrog hit-rate (warm starts / iterations started): a width-1 pool
+// Per thread count the run records wall-clock, total BSAT probes, the
+// engines' propagations and the leapfrog hit-rate (warm starts /
+// iterations started).  Probes are the unit cost, not the work: a cold
+// start's one-model probes are many and cheap, so propagations say where
+// the solver time went.  A width-1 pool
 // leapfrogs every iteration after the first, a wider one every iteration
 // that finds a completed predecessor, so the aggregate rate
 // should sit well above 1/2 (the acceptance bar tracked in
@@ -50,6 +53,7 @@ constexpr std::uint64_t kSeed = 0xDAC14C;
 struct ThreadTotals {
   double seconds = 0.0;
   std::uint64_t bsat_calls = 0;
+  std::uint64_t propagations = 0;
   std::uint64_t warm = 0;
   std::uint64_t cold = 0;
   bool one_build_per_worker = true;
@@ -89,8 +93,8 @@ int main() {
       "instances), eps=%.2f delta=%.2f (%d median iterations), %u hardware "
       "thread(s)\n\n",
       scale, suite.size(), base.epsilon, base.delta, iterations, hw);
-  std::printf("%8s %10s %12s %10s %14s\n", "threads", "time (s)",
-              "bsat calls", "hit-rate", "speedup");
+  std::printf("%8s %10s %12s %14s %10s %14s\n", "threads", "time (s)",
+              "bsat calls", "propagations", "hit-rate", "speedup");
 
   const std::size_t thread_counts[] = {1, 2, 4};
   std::vector<ThreadTotals> runs;
@@ -105,6 +109,7 @@ int main() {
       ApproxMcResult r = approx_count(instance.cnf, opts, rng);
       totals.seconds += watch.seconds();
       totals.bsat_calls += r.bsat_calls;
+      totals.propagations += r.solver_propagations;
       totals.warm += r.leapfrog_warm_starts;
       totals.cold += r.leapfrog_cold_starts;
       for (std::size_t w = 0; w < r.workers.size(); ++w)
@@ -114,8 +119,9 @@ int main() {
     }
     runs.push_back(std::move(totals));
     const ThreadTotals& t = runs.back();
-    std::printf("%8zu %10.2f %12llu %9.0f%% %13.2fx\n", threads, t.seconds,
-                static_cast<unsigned long long>(t.bsat_calls),
+    std::printf("%8zu %10.2f %12llu %14llu %9.0f%% %13.2fx\n", threads,
+                t.seconds, static_cast<unsigned long long>(t.bsat_calls),
+                static_cast<unsigned long long>(t.propagations),
                 100.0 * t.hit_rate(), runs.front().seconds / t.seconds);
     std::fflush(stdout);
   }
@@ -156,6 +162,9 @@ int main() {
   json.add("bsat_calls_threads_1", runs[0].bsat_calls);
   json.add("bsat_calls_threads_2", runs[1].bsat_calls);
   json.add("bsat_calls_threads_4", runs[2].bsat_calls);
+  json.add("solver_propagations_threads_1", runs[0].propagations);
+  json.add("solver_propagations_threads_2", runs[1].propagations);
+  json.add("solver_propagations_threads_4", runs[2].propagations);
   json.add("leapfrog_hit_rate_threads_1", runs[0].hit_rate());
   json.add("leapfrog_hit_rate_threads_2", runs[1].hit_rate());
   json.add("leapfrog_hit_rate_threads_4", runs[2].hit_rate());
