@@ -25,7 +25,7 @@
 //     UNIGEN_BSAT_TIMEOUT_S on only for stress runs and read the
 //     determinism line accordingly.
 //   * at scales far above the default, a single worker can retire more
-//     than IncrementalBsatOptions::max_retired_rows hash rows and the
+//     than the engine's retired-row cap (4096 hash rows) and the
 //     engine legitimately compacts itself (solver_rebuilds = 2); the
 //     one-build gate asserts the acceptance configuration, not a
 //     scale-independent law.

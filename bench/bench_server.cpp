@@ -101,7 +101,6 @@ SamplerPoolOptions pool_template(std::size_t threads) {
 struct ScriptRun {
   std::vector<std::vector<SampleResult>> responses;  // per instance
   std::vector<char> prepared;                        // cold prepare ok
-  std::vector<char> hashed;                          // session went hashed
   double cold_s = 0.0;
   double warm_s = 0.0;
   std::uint64_t warm_requests = 0;
@@ -122,7 +121,6 @@ ScriptRun run_script(const std::vector<Instance>& instances,
   ScriptRun out;
   out.responses.resize(instances.size());
   out.prepared.assign(instances.size(), 0);
-  out.hashed.assign(instances.size(), 0);
   const std::uint64_t builds_before = IncrementalBsat::total_constructions();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const std::uint64_t failures_before =
@@ -137,11 +135,9 @@ ScriptRun run_script(const std::vector<Instance>& instances,
     out.responses[i].insert(out.responses[i].end(), r.samples.begin(),
                             r.samples.end());
     if (out.prepared[i]) {
-      // A warm hit: classifies the session (hashed vs easy-case/UNSAT)
-      // without disturbing anything but the hit counter.
-      const ServerCountResponse c = server.count(instances[i].cnf);
-      if (!c.warm) out.warm_flags_ok = false;
-      out.hashed[i] = (!c.exact && !c.unsat) ? 1 : 0;
+      // A warm hit: the session's count, served without disturbing
+      // anything but the hit counter.
+      if (!server.count(instances[i].cnf).warm) out.warm_flags_ok = false;
     }
   }
   const std::uint64_t builds_after_cold =
@@ -279,22 +275,18 @@ int main(int argc, char** argv) {
     if (runs[0].prepared[i]) ++prepared_count;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const ScriptRun& run = runs[r];
-    // The handoff's build cap: a hashed session may build up to one engine
-    // per worker (lazily — a worker's first task may land in any phase);
-    // an easy-case/UNSAT session builds exactly the one enumeration
-    // engine.  The pre-handoff design paid ~2 per worker (transient
-    // counting pool + sampling pool), which this cap catches.
-    std::uint64_t cap = 0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      if (!run.prepared[i] || run.hashed[i])
-        cap += thread_counts[r];  // failed prepares conservatively too
-      else
-        cap += 1;
-    }
+    // The handoff's build cap: every session may build up to one engine
+    // per worker (lazily — a worker's first task may land in any phase).
+    // Easy-case and UNSAT sessions too: prepare starts the count's
+    // iterations on the other workers beside the easy-case check, before
+    // it knows the session is easy.  The pre-handoff design paid ~2 per
+    // worker (transient counting pool + sampling pool), which this cap
+    // catches.
+    const std::uint64_t cap = instances.size() * thread_counts[r];
     if (run.builds_total > cap) build_cap_ok = false;
     if (!run.warm_flags_ok) warm_flags_ok = false;
     // Expected ledger: one miss per formula, one hit per warm request plus
-    // the classification count() per prepared formula, no evictions.
+    // the warm count() per prepared formula, no evictions.
     if (run.stats.misses != instances.size() ||
         run.stats.hits != run.warm_requests + prepared_count ||
         run.stats.evictions != 0 || run.stats.sessions != prepared_count)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "hashing/xor_hash.hpp"
@@ -81,58 +82,13 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
   }
   const Cnf& formula = prep.formula(cnf);
 
-  // Lines 4–7: the easy case — enumerate up to hiThresh+1 witnesses; when
-  // at most hiThresh exist, uniform sampling is exact.  This builds the
-  // persistent engine worker 0 adopts in hashed mode; the blocking clauses
-  // of the check are retracted, so the hashed queries start from the
-  // unblocked formula plus whatever the solver learnt here.
-  auto engine = std::make_unique<IncrementalBsat>(formula, sampling_set);
-  {
-    // The caller's cancellation token rides along with the (already
-    // combined) deadline, so a service-level cut interrupts the one-time
-    // phase too.
-    ProbeLimits limits;
-    limits.deadline = deadline;
-    limits.cancel = options.budget.cancel != nullptr
-                        ? options.budget.cancel->flag()
-                        : nullptr;
-    EnumerateResult r =
-        engine->enumerate_cell(0, prep.kp.hi_thresh + 1, limits, true);
-    ++stats.prepare_bsat_calls;
-    if (r.timed_out || r.cancelled) {
-      prep.mode = UniGenPrepared::Mode::kTimedOut;
-      stats.prepare_seconds = watch.seconds();
-      return;
-    }
-    if (r.count == 0) {
-      prep.mode = UniGenPrepared::Mode::kUnsat;
-      stats.prepare_seconds = watch.seconds();
-      return;  // no hashed query will ever run
-    }
-    if (r.count <= prep.kp.hi_thresh) {
-      prep.trivial_models =
-          project_models_to_formula(std::move(r.models), cnf.num_vars());
-      if (prep.simplifier)
-        prep.trivial_models =
-            prep.simplifier->extend_models(std::move(prep.trivial_models));
-      // Canonical order: trivial_models[j] must denote the same
-      // S-assignment no matter which solver history produced the
-      // enumeration.
-      sort_by_projection(prep.trivial_models, sampling_set);
-      stats.trivial = true;
-      prep.mode = UniGenPrepared::Mode::kTrivial;
-      stats.prepare_seconds = watch.seconds();
-      return;
-    }
-  }
-
-  // The counter→sampler warm handoff: the instance is hashed, so the
-  // serving pool starts *now* — worker 0 adopting the easy-case engine —
-  // and the ApproxMC call below fans its iterations across those same
-  // workers.  Every engine the count builds and warms keeps serving
+  // The serving pool starts now, and lines 4–10 run as one fan-out on it:
+  // the easy-case check is task 0 of the nested count's fan-out, on worker
+  // 0's engine (this thread), while the other workers start the median
+  // iterations.  Every engine the count builds and warms keeps serving
   // samples for the pool's lifetime; nothing is discarded between the two
   // phases.
-  pool.start(formula, sampling_set, std::move(engine));
+  pool.start(formula, sampling_set);
 
   // Lines 9–10: C <- ApproxModelCounter(F, 0.8, 0.8);
   //             q <- ceil(log C + log 1.8 - log pivot)    (logs base 2).
@@ -147,10 +103,60 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
   // also fire inside prepare's iteration-keyed count.
   amc.budget.cancel = options.budget.cancel;
   amc.simplify.enabled = false;  // `formula` is already simplified
-  // On the serving pool, at its width.
-  const ApproxMcResult count = approx_count(formula, amc, pool, rng);
+
+  // Lines 4–7: the easy case — enumerate the unhashed cell, witnesses kept;
+  // when at most hiThresh witnesses exist, uniform sampling is exact.  The
+  // cap of max(hiThresh, pivot) + 1 models lets the same enumeration settle
+  // the count's unhashed prologue: at most pivot models is the exact count.
+  // The check draws no randomness, and its blocking clauses are retracted,
+  // so the iterations and samples on this engine start from the unblocked
+  // formula plus whatever the solver learnt here.  The caller's
+  // cancellation token rides along with the (already combined) deadline.
+  ProbeLimits limits;
+  limits.deadline = deadline;
+  limits.cancel = options.budget.cancel != nullptr
+                      ? options.budget.cancel->flag()
+                      : nullptr;
+  const std::uint64_t cap =
+      std::max(prep.kp.hi_thresh, approxmc_pivot(amc.epsilon)) + 1;
+  std::optional<EnumerateResult> check;  // unset when the check never ran
+  const ApproxMcResult count = approx_count(
+      formula, amc, pool, rng, [&](IncrementalBsat& engine) {
+        check = engine.enumerate_cell(0, cap, limits, true);
+        // A cut check, or an easy case, needs no count.
+        const bool cut = check->timed_out || check->cancelled;
+        return UnhashedProbe{check->count,
+                             !cut && check->count > prep.kp.hi_thresh};
+      });
+  if (check) ++stats.prepare_bsat_calls;
   stats.prepare_bsat_calls += count.bsat_calls;
   stats.counter_solver_rebuilds = count.solver_rebuilds;
+  // A check the budget cut, or never let start, is a cut prepare — never an
+  // empty cell.
+  if (!check || check->timed_out || check->cancelled) {
+    prep.mode = UniGenPrepared::Mode::kTimedOut;
+    stats.prepare_seconds = watch.seconds();
+    return;
+  }
+  if (check->count == 0) {
+    prep.mode = UniGenPrepared::Mode::kUnsat;
+    stats.prepare_seconds = watch.seconds();
+    return;  // no hashed query will ever run
+  }
+  if (check->count <= prep.kp.hi_thresh) {
+    prep.trivial_models =
+        project_models_to_formula(std::move(check->models), cnf.num_vars());
+    if (prep.simplifier)
+      prep.trivial_models =
+          prep.simplifier->extend_models(std::move(prep.trivial_models));
+    // Canonical order: trivial_models[j] must denote the same S-assignment
+    // no matter which solver history produced the enumeration.
+    sort_by_projection(prep.trivial_models, sampling_set);
+    stats.trivial = true;
+    prep.mode = UniGenPrepared::Mode::kTrivial;
+    stats.prepare_seconds = watch.seconds();
+    return;
+  }
   if (!count.valid) {
     prep.mode = UniGenPrepared::Mode::kTimedOut;
     stats.prepare_seconds = watch.seconds();

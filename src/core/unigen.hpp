@@ -125,19 +125,20 @@ struct UniGenStats {
   /// the fault-injection tests assert on.
   std::uint64_t bsat_timeout_retries = 0;
   double sample_seconds = 0.0;
-  /// Incremental-BSAT counters of the engine that serves a UniGen's
-  /// samples (worker 0 of its width-1 pool).  A hashed instance builds one
-  /// engine: the easy-case check warms it, the nested count runs on it and
-  /// every accept_cell reuses it, so solver_rebuilds reads 1 and the
-  /// counters include prepare's work.  Zero in trivial and UNSAT mode,
-  /// where no engine serves samples.
+  /// Incremental-BSAT counters of worker 0's engine, the one that serves a
+  /// UniGen's samples (its width-1 pool has no other).  A UniGen builds one
+  /// engine in every mode: the easy-case check runs on it first; in hashed
+  /// mode the nested count runs on it next and every accept_cell reuses it.
+  /// So solver_rebuilds reads 1 and the counters include prepare's work.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
   /// Total propagations (clause + XOR) on that engine.
   std::uint64_t solver_propagations = 0;
-  /// Engines the nested count ran on (the serving pool's, so a UniGen's
-  /// one engine counts here as well).
+  /// Engines the nested count's fan-out ran on, the easy-case check's
+  /// included (the serving pool's, so a UniGen's one engine counts here as
+  /// well).  Set in every mode the check completes in: the count starts
+  /// beside the check, before prepare knows the instance is easy.
   std::uint64_t counter_solver_rebuilds = 0;
   /// What the prepare-time simplification did (ran == false when off).
   SimplifyStats simplify;
@@ -199,14 +200,23 @@ struct UniGenPrepared {
 /// ApproxMC's projection all have to be the same set.  Fills `prep` and
 /// the prepare-time fields of `stats`.
 ///
-/// `pool` is the not yet started WorkerPool that will serve samples.  When
-/// the instance turns out hashed, unigen_prepare starts it over
-/// prep.formula(cnf) — worker 0 adopting the engine the easy-case check
-/// warmed — and runs the nested ApproxMC on it (the borrowed-pool
-/// approx_count), so the one-time count fans out across, and warms, the
-/// very engines that will serve samples: one solver build per worker
-/// across both phases.  Sample bytes on S do not depend on that history
-/// (canonical cell ordering).  In every other mode the pool stays idle.
+/// `pool` is the not yet started WorkerPool that will serve samples.
+/// unigen_prepare starts it over prep.formula(cnf) and runs the nested
+/// ApproxMC on it (the borrowed-pool approx_count), with the easy-case
+/// check as task 0 of the count's fan-out: the check runs first on worker
+/// 0's engine, on the caller's thread, while the other workers start the
+/// median iterations.  The check enumerates up to max(hiThresh, pivot) + 1
+/// witnesses, so its count also settles the count's unhashed prologue.
+/// When it settles prepare without the estimate (UNSAT, the easy case, an
+/// exact count, a cut), iterations that have not started skip and running
+/// ones are dropped; a width-1 pool thus does the check and then either
+/// nothing or the iterations.  The one-time phase fans out across, and
+/// warms, the very engines that will serve samples: at most one solver
+/// build per worker across both phases, and the pool's N − 1 threads stay
+/// up in every mode.  Sample bytes on S do not depend on that history
+/// (canonical cell ordering), and neither do q and trivial_models: the
+/// check draws no randomness and runs first on a fresh engine.
+/// prepare_bsat_calls counts the check plus the iterations' probes.
 void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
                     const UniGenOptions& options, WorkerPool& pool, Rng& rng,
                     UniGenPrepared& prep, UniGenStats& stats);

@@ -40,10 +40,11 @@ bool deterministic_end(const ApproxMcCoreOutcome& o, bool wall_free) {
 /// st.options.budget, and folds the anytime result.  `rng` is the caller's
 /// generator on the first slice (to fork the iteration base, preserving the
 /// classic entry point's rng advancement) and null on resume.
-/// `shared_pool` is the borrowed pool of the warm-handoff approx_count,
-/// null everywhere else.
+/// `shared_pool` and `probe` are the borrowed pool of the warm-handoff
+/// approx_count and its caller's unhashed probe, both null everywhere else.
 ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
-                            Rng* rng, WorkerPool* shared_pool) {
+                            Rng* rng, WorkerPool* shared_pool,
+                            const UnhashedProbeFn* probe) {
   const ApproxMcOptions& options = st.options;
   const Budget& budget = options.budget;
   ApproxMcAnytime any;
@@ -95,21 +96,31 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     return finish(RequestStatus::kComplete);
   }
 
-  // One persistent solver for the prologue; worker 0 of the pool the
-  // iterations run on adopts it afterwards, so the probe's warm-up is not
-  // wasted and each worker builds exactly one solver.  With a shared pool
-  // (the warm-handoff path) even that build is skipped: the prologue
-  // probes worker 0's persistent engine — legal because the dispatcher
-  // owns the pool between runs — so nothing this count warms up is ever
-  // thrown away.
-  WorkerPool* pool = shared_pool;
+  // Exact from the unhashed cell: the run needs no iterations.
+  const auto settle_exact = [&](std::uint64_t count) -> ApproxMcAnytime& {
+    st.prologue_done = true;
+    st.exact_done = true;
+    st.exact_cell_count = count;
+    result.valid = true;
+    result.exact = true;
+    result.cell_count = count;
+    result.hash_count = 0;
+    any.achieved_delta = 0.0;
+    return finish(RequestStatus::kComplete);
+  };
+
+  // A standalone run probes the unhashed cell first, on one persistent
+  // solver that worker 0 of its private pool adopts afterwards, so the
+  // probe's warm-up is not wasted and each worker builds exactly one
+  // solver.  On a shared pool the caller's probe takes the prologue's place
+  // inside the fan-out below.
   std::unique_ptr<IncrementalBsat> engine;
-  if (pool == nullptr)
+  if (shared_pool == nullptr)
     engine = std::make_unique<IncrementalBsat>(formula, sampling_set);
-  IncrementalBsat& prologue_engine =
-      pool != nullptr ? pool->dispatcher_engine(0) : *engine;
-  const auto fold_engine = [&result, &prologue_engine] {
-    fold_solver_stats(result, prologue_engine.stats());
+  IncrementalBsat* const prologue_engine = engine.get();
+  const auto fold_engine = [&result, prologue_engine] {
+    if (prologue_engine != nullptr)
+      fold_solver_stats(result, prologue_engine->stats());
   };
 
   if (!st.prologue_done) {
@@ -118,41 +129,37 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
       fold_engine();
       return finish(RequestStatus::kCancelled);
     }
-    // Unhashed first: small solution spaces are counted exactly.  Charged
-    // as 1 deterministic unit; no fault key (the plan addresses iterations).
-    ProbeLimits limits;
-    limits.deadline = budget.per_call_deadline();
-    limits.conflict_budget = budget.conflicts_per_call;
-    limits.cancel = budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
-    const EnumerateResult r =
-        prologue_engine.enumerate_cell(0, st.pivot + 1, limits, false);
-    result.bsat_calls = 1;
-    if (r.cancelled) {
-      fold_engine();
-      return finish(RequestStatus::kCancelled);
-    }
-    if (r.timed_out) {
-      // Nothing settled; a resume retries the prologue from scratch.
-      fold_engine();
-      return finish(RequestStatus::kTimedOut);
-    }
-    if (r.count <= st.pivot) {
-      st.prologue_done = true;
-      st.exact_done = true;
-      st.exact_cell_count = r.count;
-      result.valid = true;
-      result.exact = true;
-      result.cell_count = r.count;
-      result.hash_count = 0;
-      any.achieved_delta = 0.0;
-      fold_engine();
-      return finish(RequestStatus::kComplete);
-    }
-    if (st.n == 0) {
-      // Sampling set exhausted but more than pivot projections exist —
-      // cannot happen; defensive.
-      fold_engine();
-      return finish(RequestStatus::kFailed);
+    if (probe == nullptr) {
+      // Unhashed first: small solution spaces are counted exactly.
+      // Charged as 1 deterministic unit; no fault key (the plan addresses
+      // iterations).
+      ProbeLimits limits;
+      limits.deadline = budget.per_call_deadline();
+      limits.conflict_budget = budget.conflicts_per_call;
+      limits.cancel =
+          budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
+      const EnumerateResult r =
+          engine->enumerate_cell(0, st.pivot + 1, limits, false);
+      result.bsat_calls = 1;
+      if (r.cancelled) {
+        fold_engine();
+        return finish(RequestStatus::kCancelled);
+      }
+      if (r.timed_out) {
+        // Nothing settled; a resume retries the prologue from scratch.
+        fold_engine();
+        return finish(RequestStatus::kTimedOut);
+      }
+      if (r.count <= st.pivot) {
+        fold_engine();
+        return settle_exact(r.count);
+      }
+      if (st.n == 0) {
+        // Sampling set exhausted but more than pivot projections exist —
+        // cannot happen; defensive.
+        fold_engine();
+        return finish(RequestStatus::kFailed);
+      }
     }
     st.prologue_done = true;
     st.iterations_requested = approxmc_iteration_count(options.delta);
@@ -181,8 +188,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   const bool det = st.units_granted > 0 || budget.fault != nullptr;
   const std::uint64_t grant = st.units_granted;
 
-  // Unit ledger entering this slice: the prologue plus every settled
-  // iteration, all of whose costs are stream-pure in deterministic mode.
+  // Unit ledger entering this slice: the prologue (or the caller's probe)
+  // plus every settled iteration, all of whose costs are stream-pure in
+  // deterministic mode.
   ProcessFleet::RunControl ledger;
   ledger.units_granted = grant;
   ledger.units_spent = 1;
@@ -208,6 +216,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // The executor: the shared pool, or a private pool of up to one worker
   // per iteration (width 1 runs on this thread) whose worker 0 adopts the
   // prologue engine.
+  WorkerPool* pool = shared_pool;
   std::optional<WorkerPool> owned;
   if (pool == nullptr) {
     owned.emplace(std::min<std::size_t>(
@@ -234,6 +243,18 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
       fleet.reset();
   }
 
+  // The caller's probe, as task 0 beside the iterations.  Iterations are
+  // wanted only when it counted more than pivot models for a caller that
+  // still needs the count; otherwise the ones not yet started skip.
+  std::optional<UnhashedProbe> unhashed;
+  bool iterations_wanted = probe == nullptr;
+  const std::function<bool(IncrementalBsat&)> lead =
+      [&](IncrementalBsat& worker0_engine) {
+        unhashed = (*probe)(worker0_engine);
+        iterations_wanted =
+            unhashed->count_needed && unhashed->count > st.pivot;
+        return iterations_wanted;
+      };
   std::vector<std::optional<ApproxMcCoreOutcome>> served =
       run_tasks<ApproxMcCoreOutcome>(
           *pool, fleet ? &*fleet : nullptr, unsettled, st.iter_base,
@@ -248,7 +269,8 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
               if (const auto m = leapfrog_publish(o))
                 hint.store(*m, std::memory_order_relaxed);
             return o;
-          });
+          },
+          probe != nullptr ? &lead : nullptr);
   for (std::size_t j = 0; j < unsettled.size(); ++j)
     if (served[j]) st.outcomes[unsettled[j]] = *served[j];
 
@@ -267,6 +289,16 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
       total.merge(result.workers.back());
     }
     fold_solver_stats(result, total);
+  }
+
+  if (!iterations_wanted) {
+    // The probe settled the run.  Iterations that ran anyway are dropped,
+    // but their probes happened.
+    for (const auto& o : served)
+      if (o) result.bsat_calls += o->bsat_calls;
+    if (unhashed && unhashed->count_needed)
+      return settle_exact(unhashed->count);
+    return finish(RequestStatus::kCancelled);  // called off: no count
   }
 
   // Canonical fold: walk outcomes in iteration order — whatever schedule
@@ -412,14 +444,16 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
 }
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
-                            WorkerPool& pool, Rng& rng) {
-  return run_anytime(cnf, first_slice(options, rng), &rng, &pool).result;
+                            WorkerPool& pool, Rng& rng,
+                            const UnhashedProbeFn& probe) {
+  return run_anytime(cnf, first_slice(options, rng), &rng, &pool, &probe)
+      .result;
 }
 
 ApproxMcAnytime approx_count_anytime(const Cnf& cnf,
                                      const ApproxMcOptions& options,
                                      Rng& rng) {
-  return run_anytime(cnf, first_slice(options, rng), &rng, nullptr);
+  return run_anytime(cnf, first_slice(options, rng), &rng, nullptr, nullptr);
 }
 
 ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
@@ -430,7 +464,7 @@ ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
     // admission fold against B₁+B₂, exactly the single-grant run's ledger.
     state.units_granted += more_budget.max_bsat_calls;
   }
-  return run_anytime(cnf, std::move(state), nullptr, nullptr);
+  return run_anytime(cnf, std::move(state), nullptr, nullptr, nullptr);
 }
 
 }  // namespace unigen

@@ -49,6 +49,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cnf/cnf.hpp"
@@ -145,13 +146,15 @@ struct ApproxMcResult {
   /// warm + cold == iterations actually started (budget skips excluded).
   std::uint64_t leapfrog_warm_starts = 0;
   std::uint64_t leapfrog_cold_starts = 0;
-  /// Pool workers the iterations fanned out across (1 when the run ended
-  /// in the prologue — exact/unsat short-circuits — or served on the
-  /// process fleet).
+  /// Pool workers the iterations fanned out across (1 when a standalone
+  /// run ended in its serial prologue — exact/unsat short-circuits — or
+  /// served on the process fleet; on a shared pool always its width, since
+  /// the caller's probe runs inside the fan-out).
   std::size_t threads_used = 1;
   /// Per-worker engine counters of the pool that served the iterations,
-  /// indexed by worker (empty when the run ended in the prologue or served
-  /// on the fleet).  Worker 0's engine also served the prologue.
+  /// indexed by worker (empty when a standalone run ended in its prologue
+  /// or served on the fleet).  Worker 0's engine also served the prologue
+  /// or the caller's probe.
   std::vector<SolverStats> workers;
   /// What the preprocessing pipeline did (ran == false when disabled).
   SimplifyStats simplify;
@@ -183,19 +186,42 @@ double approxmc_delta_achieved(int t);
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng);
 
+/// What the caller's unhashed probe reports to the shared-pool
+/// approx_count below.
+struct UnhashedProbe {
+  /// |cell(0)| projected on S, capped at no less than pivot + 1 models.
+  std::uint64_t count = 0;
+  /// The caller still needs the count.  False — the probe was cut, or its
+  /// answer settled the caller's question — ends the run without one.
+  bool count_needed = false;
+};
+using UnhashedProbeFn = std::function<UnhashedProbe(IncrementalBsat&)>;
+
 /// approx_count on a borrowed, already-started WorkerPool over `cnf`
 /// itself (so set options.simplify.enabled = false and pass the pool's own
 /// formula), whose workers serve the fan-out instead of a pool built and
 /// discarded inside the call.  This is the counter→sampler warm handoff
 /// unigen_prepare runs on every serving pool, a UniGen's width-1 pool
-/// included: worker 0's engine serves the unhashed prologue, every engine
-/// warmed by the count keeps serving whatever the pool does next, and
-/// one-time solver builds drop from 2N to N per (pool, formula).  The
-/// count's bytes are unchanged (engines' learnt history never reaches
+/// included: every engine warmed by the count keeps serving whatever the
+/// pool does next, and one-time solver builds drop from 2N to N per
+/// (pool, formula).
+///
+/// `probe` takes the place of the unhashed prologue: it runs as task 0 of
+/// the fan-out, first on worker 0's engine (the caller's thread), while the
+/// other workers start the median iterations.  Its count settles the
+/// prologue: at most pivot models is the exact count; more, and the result
+/// is the iterations' median.  A probe that never started (the budget's
+/// token fired first) or whose caller needs no count ends the run without
+/// an estimate.  Whenever the probe settles the run, iterations that have
+/// not started skip and the outcomes of running ones are dropped, so a
+/// width-1 pool does the probe and then either nothing or every iteration.
+/// bsat_calls counts the iterations' probes, not the caller's.
+/// The count's bytes are unchanged (engines' learnt history never reaches
 /// reported values).  options.num_threads and options.fleet are ignored:
 /// the pool's width rules.
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
-                            WorkerPool& pool, Rng& rng);
+                            WorkerPool& pool, Rng& rng,
+                            const UnhashedProbeFn& probe);
 
 // --- anytime API ------------------------------------------------------
 

@@ -2,7 +2,7 @@
 // preprocessing).  Run once per solve after the XOR set changes:
 //   * detects inconsistency of the parity system (UNSAT),
 //   * enqueues variables forced to constants by the reduced system,
-//   * re-injects *short* derived rows (length <= gauss_max_row_len) as extra
+//   * re-injects *short* derived rows (length <= kGaussMaxRowLen) as extra
 //     XOR constraints — cheap redundant parity reasoning the watch scheme
 //     alone would only discover deep inside the search tree.
 
@@ -13,6 +13,12 @@
 #include "util/gf2.hpp"
 
 namespace unigen {
+namespace {
+
+/// Max length of derived XOR rows re-injected by the elimination.
+constexpr std::size_t kGaussMaxRowLen = 3;
+
+}  // namespace
 
 bool Solver::reduce_priority_local_xors() {
   assert(decision_level() == 0);
@@ -203,7 +209,7 @@ bool Solver::gauss_preprocess() {
   system.for_each_reduced_row([&](const Gf2System::Row& reduced) {
     if (add_failed) return;
     if (reduced.vars.size() < 2 ||
-        reduced.vars.size() > options_.gauss_max_row_len)
+        reduced.vars.size() > kGaussMaxRowLen)
       return;
     std::vector<Var> vars;
     vars.reserve(reduced.vars.size());

@@ -13,6 +13,13 @@ namespace unigen {
 namespace {
 std::atomic<std::uint64_t> g_total_constructions{0};
 
+/// Retired hash rows after which begin_hash rebuilds the solver: each
+/// leaves one frozen absorber variable behind (the rows and the learnts
+/// mentioning them are deleted outright).
+constexpr std::size_t kMaxRetiredRows = 4096;
+/// Learnt clauses carried across a hash-epoch boundary.
+constexpr std::size_t kLearntsAcrossEpochs = 128;
+
 std::vector<Var> all_vars_if_empty(std::vector<Var> projection, Var n) {
   if (projection.empty()) {
     projection.resize(static_cast<std::size_t>(n));
@@ -121,11 +128,9 @@ void IncrementalBsat::ModelStore::block_cell(std::size_t m, Lit activation,
   }
 }
 
-IncrementalBsat::IncrementalBsat(const Cnf& cnf, std::vector<Var> projection,
-                                 IncrementalBsatOptions options)
+IncrementalBsat::IncrementalBsat(const Cnf& cnf, std::vector<Var> projection)
     : cnf_(cnf),
       projection_(all_vars_if_empty(std::move(projection), cnf.num_vars())),
-      options_(options),
       store_(projection_, cnf.num_vars()) {
   g_total_constructions.fetch_add(1, std::memory_order_relaxed);
   rebuild();
@@ -150,7 +155,7 @@ void IncrementalBsat::rebuild() {
 void IncrementalBsat::begin_hash() {
   store_.clear();
   retired_rows_ += activations_.size();
-  if (retired_rows_ > options_.max_retired_rows) {
+  if (retired_rows_ > kMaxRetiredRows) {
     // The rebuild replaces the solver wholesale; skip the (discarded)
     // retirement elimination and learnt trim.
     activations_.clear();
@@ -161,7 +166,7 @@ void IncrementalBsat::begin_hash() {
   absorbers.reserve(activations_.size());
   for (const Lit a : activations_) absorbers.push_back(a.var());
   solver_->retire_rows(absorbers);
-  solver_->shrink_learnts(options_.learnts_across_epochs);
+  solver_->shrink_learnts(kLearntsAcrossEpochs);
   activations_.clear();
 }
 

@@ -25,7 +25,11 @@
 //     deleted together with the learnts that mention their absorbers; the
 //     surviving learnts are implied by the base formula alone (each row is
 //     a conservative extension — it only defines its fresh absorber), so
-//     retirement costs nothing at solve time.
+//     retirement costs nothing at solve time.  Of those, only the best
+//     kLearntsAcrossEpochs (128, by LBD/activity) cross the boundary:
+//     within an epoch lemmas are hot, across epochs a large stale tail
+//     slows propagation more than it saves conflicts (measured sweet spot
+//     on the circuit-parity bench: 64–256).
 //   * Within an epoch the levels nest, so every cell(m) contains the cells
 //     of the deeper levels.  The engine keeps, per epoch, the rows it was
 //     given and the S-projection of every model any call found.  A
@@ -37,8 +41,10 @@
 //     `exhausted` flag are exactly what a full enumeration returns.
 //
 // Each retired row leaves one frozen absorber variable behind, so a
-// long-lived engine rebuilds the solver once `max_retired_rows` have
-// accumulated — a rare, counted event that merely compacts the tables.
+// long-lived engine rebuilds the solver once kMaxRetiredRows (4096) have
+// accumulated — a rare, counted event (about one per thousand UniGen
+// samples, in SolverStats::solver_rebuilds) that merely compacts the
+// tables.
 
 #include <cstdint>
 #include <memory>
@@ -64,31 +70,14 @@ struct ProbeLimits {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-struct IncrementalBsatOptions {
-  /// Rebuild the persistent solver from scratch once this many hash rows
-  /// have been retired.  Retired rows (and the learnts mentioning them)
-  /// are deleted outright, so this cap only bounds the growth of the
-  /// variable tables — each retired row leaves one frozen absorber
-  /// variable behind.  Rebuilds are rare (one per ~thousand UniGen
-  /// samples) and counted in SolverStats::solver_rebuilds.
-  std::size_t max_retired_rows = 4096;
-  /// Learnt clauses carried across a hash-epoch boundary (the best by
-  /// LBD/activity).  Within an epoch lemmas are hot; across epochs a large
-  /// stale tail slows propagation more than it saves conflicts (measured
-  /// sweet spot on the circuit-parity bench: 64–256).
-  std::size_t learnts_across_epochs = 128;
-};
-
 class IncrementalBsat {
  public:
   /// `projection` is the set the cells are counted/blocked over (normally
   /// the sampling set S); empty means all variables of `cnf`.  The engine
   /// keeps a reference to `cnf` (for the rare rebuilds), which must
   /// therefore outlive it; temporaries are rejected at compile time.
-  IncrementalBsat(const Cnf& cnf, std::vector<Var> projection,
-                  IncrementalBsatOptions options = {});
-  IncrementalBsat(Cnf&&, std::vector<Var>, IncrementalBsatOptions = {}) =
-      delete;
+  IncrementalBsat(const Cnf& cnf, std::vector<Var> projection);
+  IncrementalBsat(Cnf&&, std::vector<Var>) = delete;
 
   /// Starts a new hash epoch: the rows of the previous epoch become inert
   /// (their absorbers are simply never assumed again), and the epoch's
@@ -179,7 +168,6 @@ class IncrementalBsat {
 
   const Cnf& cnf_;  // not owned; rare rebuilds reload the base formula
   std::vector<Var> projection_;
-  IncrementalBsatOptions options_;
   std::unique_ptr<Solver> solver_;
   std::vector<Lit> activations_;         // ¬absorber per active row, in order
   std::size_t retired_rows_ = 0;         // rows retired on the current build

@@ -11,6 +11,13 @@
 namespace unigen {
 namespace {
 
+/// EVSIDS decay of variable activities, per conflict.
+constexpr double kVarDecay = 0.95;
+/// Decay of learnt-clause activities, per conflict.
+constexpr double kClauseActivityDecay = 0.999;
+/// Growth of the learnt-clause limit at each database reduction.
+constexpr double kReduceDbGrowth = 1.3;
+
 /// Luby restart sequence (Luby, Sinclair, Zuckerman 1993), MiniSat-style.
 double luby(double y, int x) {
   int size = 1, seq = 0;
@@ -538,9 +545,8 @@ void Solver::cancel_until(int target_level) {
       static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target_level)]);
   for (std::size_t c = trail_.size(); c-- > lim;) {
     const Var v = trail_[c].var();
-    if (options_.phase_saving)
-      polarity_[static_cast<std::size_t>(v)] =
-          (assigns_[static_cast<std::size_t>(v)] == lbool::False) ? 1 : 0;
+    polarity_[static_cast<std::size_t>(v)] =  // phase saving
+        (assigns_[static_cast<std::size_t>(v)] == lbool::False) ? 1 : 0;
     assigns_[static_cast<std::size_t>(v)] = lbool::Undef;
     if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
   }
@@ -609,7 +615,7 @@ void Solver::reduce_db() {
   }
   drop_worst_learnts(removable, removable.size() / 2);
   max_learnts_ = static_cast<std::uint64_t>(
-      static_cast<double>(max_learnts_) * options_.reduce_db_growth);
+      static_cast<double>(max_learnts_) * kReduceDbGrowth);
 }
 
 void Solver::var_bump_activity(Var v) {
@@ -622,7 +628,7 @@ void Solver::var_bump_activity(Var v) {
   heap_update(v);
 }
 
-void Solver::var_decay_activity() { var_inc_ *= 1.0 / options_.var_decay; }
+void Solver::var_decay_activity() { var_inc_ *= 1.0 / kVarDecay; }
 
 void Solver::claus_bump_activity(Clause& c) {
   c.activity += clause_inc_;
@@ -730,7 +736,7 @@ lbool Solver::search(const std::vector<Lit>& assumptions,
         ++stats_.learnt_clauses;
       }
       var_decay_activity();
-      clause_inc_ *= static_cast<float>(1.0 / options_.clause_activity_decay);
+      clause_inc_ *= static_cast<float>(1.0 / kClauseActivityDecay);
 
       const bool out_of_conflicts =
           conflict_count >= max_conflicts ||

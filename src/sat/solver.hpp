@@ -57,17 +57,11 @@ struct SolverStats {
 };
 
 struct SolverOptions {
-  double var_decay = 0.95;
-  double clause_activity_decay = 0.999;
   int restart_base = 128;       // conflicts per Luby unit
-  bool phase_saving = true;
   bool random_initial_phase = false;  // diversify first polarity via rng
   std::uint64_t reduce_db_first = 4096;  // learnts before first reduction
-  double reduce_db_growth = 1.3;
   /// Run Gaussian elimination over the XOR system when solve() starts.
   bool xor_gauss = true;
-  /// Max length of derived XOR rows re-injected by Gaussian elimination.
-  std::size_t gauss_max_row_len = 3;
 };
 
 class Solver {

@@ -5,8 +5,9 @@
 // services hand their tasks to this one function, which is the only place
 // that chooses between the execution backends:
 //
-//   * the in-process WorkerPool (width 1 = the caller's own thread), which
-//     calls the service's task function on a worker's engine;
+//   * the in-process WorkerPool (the caller's own thread is worker 0, and
+//     a width-1 pool is that thread alone), which calls the service's task
+//     function on a worker's engine;
 //   * the ProcessFleet, whose unigen_workerd processes call the same task
 //     function on their own engine and ship its outcome back unchanged
 //     (ipc::ResultMsg::Outcome).
@@ -16,7 +17,9 @@
 // key, so where and on which attempt a task runs cannot reach its bytes.
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -42,14 +45,23 @@ namespace unigen {
 /// (null = no call-level unit grant) is charged ipc::units_of each outcome
 /// on both backends; the check before a task starts is racy by design, and
 /// the caller's fold decides what the grant actually bought.
+///
+/// `lead` (null = none; pool only, so `fleet` must be null) runs as task 0
+/// of the same fan-out, ahead of the ids: on the caller's thread and worker
+/// 0's engine, while the other workers start on the ids.  When it returns
+/// false, tasks that have not started yet are skipped (their slots stay
+/// nullopt); tasks already running finish.  Like every task, it does not
+/// start once the budget's token has fired or its wall deadline passed.
 template <class Outcome, class Task>
 std::vector<std::optional<Outcome>> run_tasks(
     WorkerPool& pool, ProcessFleet* fleet,
     const std::vector<std::uint64_t>& ids, const Rng& streams,
     std::uint64_t max_batch, const Budget& budget,
-    ProcessFleet::RunControl* ledger, const Task& task) {
+    ProcessFleet::RunControl* ledger, const Task& task,
+    const std::function<bool(IncrementalBsat&)>* lead = nullptr) {
   std::vector<std::optional<Outcome>> out(ids.size());
   if (fleet != nullptr) {
+    assert(lead == nullptr);
     // Trace propagation (observability only): worker spans land under the
     // caller's current span, in its trace.
     const obs::TraceContext trace = obs::current_context();
@@ -69,10 +81,18 @@ std::vector<std::optional<Outcome>> run_tasks(
   }
   std::atomic<std::uint64_t> spent{ledger != nullptr ? ledger->units_spent
                                                      : 0};
+  const std::size_t first = lead != nullptr ? 1 : 0;
+  std::atomic<bool> led_away{false};  // the lead said: skip the rest
   pool.run(
-      ids.size(),
-      [&](IncrementalBsat& engine, std::size_t worker, std::size_t j) {
+      first + ids.size(),
+      [&](IncrementalBsat& engine, std::size_t worker, std::size_t k) {
         if (budget.cancelled() || budget.wall_expired()) return;
+        if (k < first) {
+          if (!(*lead)(engine)) led_away = true;
+          return;
+        }
+        if (led_away) return;
+        const std::size_t j = k - first;
         if (ledger != nullptr && ledger->units_granted != 0 &&
             spent.load(std::memory_order_relaxed) >= ledger->units_granted)
           return;

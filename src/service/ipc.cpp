@@ -11,7 +11,7 @@
 #include <unistd.h>
 
 #include "cnf/dimacs.hpp"
-#include "core/unigen.hpp"
+#include "core/kappa_pivot.hpp"
 
 namespace unigen::ipc {
 
@@ -122,13 +122,7 @@ std::string encode_setup(const SetupMsg& m) {
   for (const Var v : m.sampling_set) w.i32(v);
   w.u8(m.simplify.enabled ? 1 : 0);
   w.u64(m.pivot);
-  w.u8(m.prep_mode);
-  w.f64(m.kappa);
-  w.u64(m.kp_pivot);
-  w.f64(m.lo_thresh);
-  w.u64(m.hi_thresh);
   w.i32(m.q);
-  w.f64(m.approx_log2_count);
   w.i32(m.formula_vars);
   w.f64(m.epsilon);
   w.f64(m.sample_timeout_s);
@@ -150,13 +144,7 @@ SetupMsg decode_setup(const std::string& payload) {
   }
   m.simplify.enabled = r.u8() != 0;
   m.pivot = r.u64();
-  m.prep_mode = r.u8();
-  m.kappa = r.f64();
-  m.kp_pivot = r.u64();
-  m.lo_thresh = r.f64();
-  m.hi_thresh = r.u64();
   m.q = r.i32();
-  m.approx_log2_count = r.f64();
   m.formula_vars = r.i32();
   m.epsilon = r.f64();
   m.sample_timeout_s = r.f64();
@@ -164,9 +152,9 @@ SetupMsg decode_setup(const std::string& payload) {
   // The search runs over levels 1..|S| of a hash drawn over S.
   if (m.kind == TaskKind::kCount && m.sampling_set.empty())
     throw std::runtime_error("ipc: bad count setup");
-  if (m.kind == TaskKind::kSample &&
-      m.prep_mode != static_cast<std::uint8_t>(UniGenPrepared::Mode::kHashed))
-    throw std::runtime_error("ipc: bad prepared mode");
+  // The worker derives κ, pivot and the thresholds from ε (NaN fails too).
+  if (m.kind == TaskKind::kSample && !(m.epsilon > kUniGenMinEpsilon))
+    throw std::runtime_error("ipc: bad epsilon");
   return m;
 }
 

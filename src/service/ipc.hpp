@@ -132,16 +132,12 @@ struct SetupMsg {
   SimplifyOptions simplify;
   // kCount scalar; the hash levels run over 1..|S|.
   std::uint64_t pivot = 0;  ///< cell-size bound
-  // kSample scalars — the immutable UniGenPrepared the parent computed.
-  std::uint8_t prep_mode = 0;  ///< UniGenPrepared::Mode (always kHashed)
-  double kappa = 0.0;
-  std::uint64_t kp_pivot = 0;
-  double lo_thresh = 0.0;
-  std::uint64_t hi_thresh = 0;
+  // kSample scalars — what a worker cannot derive of the hashed-mode
+  // UniGenPrepared the parent computed (κ, pivot and the thresholds follow
+  // from ε).
   std::int32_t q = 0;
-  double approx_log2_count = 0.0;
   std::int32_t formula_vars = 0;  ///< original Cnf::num_vars()
-  double epsilon = 0.0;
+  double epsilon = 0.0;  ///< UniGen's ε; a kSample Setup needs ε > 1.71
   /// UniGenOptions::sample_timeout_s.  The per-call Budget scalars travel
   /// on each TaskMsg instead; pointers (cancel token, in-process fault
   /// injector) cannot cross the boundary — cancellation is supervisor-side

@@ -684,13 +684,7 @@ std::string ProcessFleet::make_sample_setup(
   m.formula_dimacs = to_dimacs_canonical_string(original);
   m.sampling_set = sampling_set;
   m.simplify = options.simplify;
-  m.prep_mode = static_cast<std::uint8_t>(prep.mode);
-  m.kappa = prep.kp.kappa;
-  m.kp_pivot = prep.kp.pivot;
-  m.lo_thresh = prep.kp.lo_thresh;
-  m.hi_thresh = prep.kp.hi_thresh;
   m.q = prep.q;
-  m.approx_log2_count = prep.approx_log2_count;
   m.formula_vars = original.num_vars();
   m.epsilon = options.epsilon;
   m.sample_timeout_s = options.sample_timeout_s;

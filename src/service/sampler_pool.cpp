@@ -26,12 +26,13 @@ bool SamplerPool::prepare(const Budget& budget) {
   obs::Span prepare_span("pool.prepare",
                          obs::trace_id_for_request(options_.seed, 0));
   Rng prepare_rng = streams_.fork_stream(0);
-  // The warm handoff: unigen_prepare starts pool_ itself (worker 0
-  // adopting the easy-case engine) and the one-time ApproxMC call fans its
-  // median iterations across this pool's *own* workers, warming the very
-  // engines that will serve samples — exactly one solver build per worker
-  // over the pool lifetime.  The count is byte-identical across widths, so
-  // q — and every sample downstream — is too.
+  // The warm handoff: unigen_prepare starts pool_ itself and runs the
+  // easy-case check and the one-time ApproxMC call as one fan-out across
+  // this pool's *own* workers — the check as task 0 on worker 0, this
+  // thread — warming the very engines that will serve samples: at most one
+  // solver build per worker over the pool lifetime.  The count is
+  // byte-identical across widths, so q — and every sample downstream — is
+  // too.
   UniGenOptions unigen_options = options_.unigen;
   unigen_options.budget = budget;
   unigen_prepare(cnf_, sampling_set_, unigen_options, pool_, prepare_rng,

@@ -12,8 +12,10 @@
 //     (owned by UniGenPrepared::simplifier) is what all engines load;
 //     witnesses are reconstructed onto the original formula inside
 //     unigen_accept_cell.  The ApproxMC call inside prepare() fans its
-//     median iterations across this pool's own workers, so the one-time
-//     phase is no longer the serial latency floor of a deployment.
+//     median iterations across this pool's own workers, with the
+//     easy-case check beside them as task 0 on worker 0 (the caller's
+//     thread), so the one-time phase is no longer the serial latency floor
+//     of a deployment.
 //   * Every request is one call of the sample task function
 //     (unigen_request), fanned out by run_tasks (dispatch.hpp) on the
 //     WorkerPool — N workers, each with a private IncrementalBsat over the
@@ -50,7 +52,8 @@
 //
 // Threading contract: one dispatcher thread drives the pool (prepare /
 // sample_many / sample_batches / stats are not reentrant); the fan-out
-// inside each call is the pool's own.  Calls are synchronous — when they
+// inside each call is the pool's own, with the dispatcher thread as its
+// worker 0 (service/worker_pool.hpp).  Calls are synchronous — when they
 // return, every worker has quiesced, which is also what makes stats()
 // race-free.
 
@@ -104,13 +107,13 @@ struct SampleBatchesResult {
 };
 
 struct SamplerPoolWorkerStats {
-  /// Sampling requests this worker served (the counting tasks the warm
-  /// handoff also ran on these workers are excluded — prepare's share is
-  /// snapshotted and subtracted).
+  /// Sampling requests this worker served (the easy-case check and the
+  /// counting tasks the warm handoff also ran on these workers are
+  /// excluded — prepare's share is snapshotted and subtracted).
   std::uint64_t requests_served = 0;
   /// Solver constructions on this worker's engine: stays at 1 for the pool
-  /// lifetime (0 for a worker that never received a request — engines are
-  /// built on first use).
+  /// lifetime (0 for a worker that never received a task — engines are
+  /// built on first use; worker 0 always has one, the easy-case check's).
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -153,15 +156,16 @@ class SamplerPool {
   SamplerPool(const SamplerPool&) = delete;
   SamplerPool& operator=(const SamplerPool&) = delete;
 
-  /// Runs Algorithm 1 lines 1–11 once and (in hashed mode) starts the
-  /// worker threads.  Idempotent.  Returns false when the one-time phase
+  /// Runs Algorithm 1 lines 1–11 once, starting the N − 1 worker threads
+  /// in every mode (the easy-case check and the count's iterations run as
+  /// one fan-out).  Idempotent.  Returns false when the one-time phase
   /// exceeded its budget; requests then report kTimeout.
   ///
   /// Engine ownership: prepare hands this pool's own WorkerPool to
-  /// unigen_prepare, so the one-time ApproxMC call fans out across — and
-  /// warms — the same N engines that will serve samples: one solver build
-  /// per worker across both phases (asserted via
-  /// IncrementalBsat::total_constructions in
+  /// unigen_prepare, so the easy-case check and the one-time ApproxMC call
+  /// fan out across — and warm — the same N engines that will serve
+  /// samples: at most one solver build per worker across both phases
+  /// (asserted via IncrementalBsat::total_constructions in
   /// tests/test_session_registry.cpp and, at width 1,
   /// tests/test_unigen_batch.cpp).
   bool prepare();
@@ -174,8 +178,8 @@ class SamplerPool {
 
   /// Draws `count` independent witnesses — request k is one full run of
   /// lines 12–22 on stream k.  Trivial/UNSAT instances are served on the
-  /// dispatcher thread (an array lookup needs no fan-out); hashed
-  /// instances fan out across the workers.  Runs under
+  /// dispatcher thread (an array lookup needs no fan-out; the pool's
+  /// threads stay idle); hashed instances fan out across the workers.  Runs under
   /// options.unigen.budget.
   std::vector<SampleResult> sample_many(std::size_t count);
 
@@ -236,11 +240,12 @@ class SamplerPool {
   std::uint64_t cancelled_ = 0;
   double service_seconds_ = 0.0;
 
-  /// Threads and engines; started by prepare() in hashed mode only.
+  /// Threads and engines; started by prepare() in every mode.
   WorkerPool pool_;
-  /// tasks_served snapshot taken when prepare() returns: the counting
-  /// iterations the warm handoff ran on these workers, subtracted so
-  /// stats().workers[w].requests_served counts sampling requests only.
+  /// tasks_served snapshot taken when prepare() returns: the easy-case
+  /// check and the counting iterations the warm handoff ran on these
+  /// workers, subtracted so stats().workers[w].requests_served counts
+  /// sampling requests only.
   std::vector<std::uint64_t> prepare_tasks_;
   /// Accept-cell aggregates, one slot per worker, each touched only by its
   /// worker thread during a run (read between runs by stats()).

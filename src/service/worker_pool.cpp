@@ -20,7 +20,7 @@ struct WorkerPool::Job {
   /// Observability only (invalid when tracing is off).
   obs::TraceContext trace_ctx;
   std::uint64_t submit_ns = 0;  ///< queue-wait metric baseline; 0 = off
-  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> next{1};  ///< task 0 is run()'s caller's
   std::atomic<std::size_t> done{0};
   std::atomic<std::size_t> executed{0};  ///< tasks whose fn actually ran
   std::size_t active = 0;  // guarded by WorkerPool::mu_
@@ -48,9 +48,9 @@ void WorkerPool::start(const Cnf& formula, std::vector<Var> projection,
   formula_ = &formula;
   projection_ = std::move(projection);
   workers_[0].engine = std::move(adopt);
-  if (workers_.size() == 1) return;  // the caller's thread is the worker
-  threads_.reserve(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i)
+  // Worker 0 is whichever thread calls run().
+  threads_.reserve(workers_.size() - 1);
+  for (std::size_t i = 1; i < workers_.size(); ++i)
     threads_.emplace_back([this, i] { worker_main(i); });
 }
 
@@ -67,7 +67,8 @@ void WorkerPool::worker_main(std::size_t worker_index) {
       if (job != nullptr) ++job->active;
     }
     if (job == nullptr) continue;
-    drain(*job, worker_index);
+    drain(*job, worker_index,
+          job->next.fetch_add(1, std::memory_order_relaxed));
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active;
@@ -76,11 +77,10 @@ void WorkerPool::worker_main(std::size_t worker_index) {
   }
 }
 
-void WorkerPool::drain(Job& job, std::size_t worker_index) {
+void WorkerPool::drain(Job& job, std::size_t worker_index, std::size_t k) {
   Worker& worker = workers_[worker_index];
-  for (;;) {
-    const std::size_t k = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (k >= job.count) break;
+  for (; k < job.count;
+       k = job.next.fetch_add(1, std::memory_order_relaxed)) {
     // Cooperative cancellation: a tripped token turns the remaining
     // tasks into no-ops, but they are still pulled and counted done —
     // run() keeps its "every task accounted for" exit condition and the
@@ -121,16 +121,15 @@ std::size_t WorkerPool::run(std::size_t count, const TaskFn& fn,
     job.trace_ctx = obs::current_context();
     job.submit_ns = obs::now_ns();
   }
-  if (threads_.empty()) {
-    drain(job, 0);
-    return job.executed.load(std::memory_order_relaxed);
-  }
+  // The caller claimed task 0 (`next` starts at 1) before any worker can
+  // see the job; it runs that task first, then pulls like the others.
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = &job;
     ++job_seq_;
   }
   work_cv_.notify_all();
+  drain(job, 0, 0);
   std::unique_lock<std::mutex> lk(mu_);
   done_cv_.wait(lk, [&] {
     return job.done.load(std::memory_order_acquire) == job.count &&
@@ -144,15 +143,6 @@ std::size_t WorkerPool::run(std::size_t count, const TaskFn& fn,
 
 SolverStats WorkerPool::engine_stats(std::size_t w) const {
   return workers_[w].engine ? workers_[w].engine->stats() : SolverStats{};
-}
-
-IncrementalBsat& WorkerPool::dispatcher_engine(std::size_t w) {
-  // Dispatcher-only between runs (header contract): no worker thread can be
-  // touching engines here, so the lazy build races with nothing.
-  Worker& worker = workers_[w];
-  if (!worker.engine)
-    worker.engine = std::make_unique<IncrementalBsat>(*formula_, projection_);
-  return *worker.engine;
 }
 
 }  // namespace unigen

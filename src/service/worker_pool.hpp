@@ -7,30 +7,34 @@
 // requests, ApproxMC median iterations) run against one formula.  This
 // class is the thread/engine half of that shape:
 //
-//   * N persistent workers, started once via start() and joined in the
-//     destructor.  A width-1 pool starts no thread at all: run() executes
-//     its tasks on the calling thread, which makes it the inline executor
-//     (a serial count is a width-1 pool, not a separate loop).
+//   * N workers.  Worker 0 is the thread that calls run(); workers
+//     1..N−1 are persistent threads started once via start() and joined
+//     in the destructor, so a width-N pool starts N − 1 threads and a
+//     width-1 pool is the inline executor (a serial count is a width-1
+//     pool, not a separate loop).  Every width takes the same path.
 //   * One lazily-built IncrementalBsat per worker over a single shared
 //     immutable Cnf (the engine keeps a reference — no formula copies);
 //     a worker builds its engine on its first task and reuses it for the
 //     pool lifetime, so engine_stats(w).solver_rebuilds stays at 1 for
 //     every worker that ever served.  start() can hand worker 0 an engine
-//     the one-time phase already warmed up.
-//   * Work items are pulled from an atomic cursor, so load balances
-//     itself; run() is synchronous and returns only when every item is
-//     done and every worker has detached from the job, which is what makes
-//     the per-worker accessors race-free between calls.
+//     a one-time phase already warmed up.
+//   * run() claims task 0 for the caller before it wakes the others, so
+//     task 0 always runs on worker 0's engine, and is the caller's first
+//     task; the rest are pulled from an atomic cursor, so load balances
+//     itself.  run() is
+//     synchronous and returns only when every item is done and every
+//     worker has detached from the job, which is what makes the
+//     per-worker accessors race-free between calls.
 //
 // Task randomness is not the pool's business: run_tasks (dispatch.hpp)
 // forks each task's keyed stream, identically for this pool and for the
 // process fleet.
 //
 // Threading contract: one dispatcher thread drives the pool (start / run /
-// the accessors are not reentrant); the fan-out inside run() is the pool's
-// own.  The callback runs concurrently on distinct tasks and must only
-// touch its own task's slot plus per-worker state indexed by the worker id
-// it is given.
+// the accessors are not reentrant) and serves as worker 0 inside run(); the
+// rest of the fan-out is the pool's own.  The callback runs concurrently on
+// distinct tasks and must only touch its own task's slot plus per-worker
+// state indexed by the worker id it is given.
 
 #include <atomic>
 #include <condition_variable>
@@ -60,17 +64,19 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Starts the workers over `formula` (which must outlive the pool;
+  /// Starts workers 1..N−1 over `formula` (which must outlive the pool;
   /// engines reference it, they do not copy it).  `projection` is the set
-  /// cells are counted/blocked over.  Worker 0 adopts `adopt` when given
-  /// instead of building its own engine.  Idempotent: only the first call
-  /// starts anything.
+  /// cells are counted/blocked over.  Worker 0 — the caller of run() —
+  /// adopts `adopt` when given instead of building its own engine.
+  /// Idempotent: only the first call starts anything.
   void start(const Cnf& formula, std::vector<Var> projection,
              std::unique_ptr<IncrementalBsat> adopt = nullptr);
   bool started() const { return formula_ != nullptr; }
 
   /// Fans `count` tasks across the workers; task k runs
-  /// fn(engine, worker, k).  Synchronous: on return every task is
+  /// fn(engine, worker, k).  The calling thread is worker 0: it claims
+  /// task 0 before any other worker can see the job, runs it, and then
+  /// pulls tasks like the rest.  Synchronous: on return every task is
   /// accounted for and every worker has quiesced.  Requires start().
   ///
   /// `cancel` (a CancelToken's raw atomic; null = not cancellable) is the
@@ -85,6 +91,7 @@ class WorkerPool {
   std::size_t run(std::size_t count, const TaskFn& fn,
                   const std::atomic<bool>* cancel = nullptr);
 
+  /// The pool's width N: the caller plus N − 1 threads.
   std::size_t num_threads() const { return workers_.size(); }
   /// Tasks served by worker `w` across all runs.
   std::uint64_t tasks_served(std::size_t w) const {
@@ -93,35 +100,26 @@ class WorkerPool {
   /// Engine counters of worker `w` (zero-valued when it never built one).
   SolverStats engine_stats(std::size_t w) const;
 
-  /// Worker `w`'s persistent engine, built now if it does not exist yet —
-  /// the seam that lets a one-time phase (ApproxMC's unhashed prologue)
-  /// run its probes on the same engine worker `w` will keep for the pool
-  /// lifetime instead of warming a solver that is then thrown away.
-  /// Dispatcher-only, and only between runs (the threading contract above):
-  /// while a run is in flight the engine belongs to its worker thread.
-  /// Requires start().
-  IncrementalBsat& dispatcher_engine(std::size_t w);
-
  private:
   struct Job;
   struct Worker {
-    /// Built lazily on the worker's first task (worker 0 may adopt the
-    /// engine the one-time phase warmed), then reused for the pool
-    /// lifetime.
+    /// Built lazily on the worker's first task (worker 0 may adopt an
+    /// engine a one-time phase warmed), then reused for the pool lifetime.
     std::unique_ptr<IncrementalBsat> engine;
     std::uint64_t served = 0;
   };
 
   void worker_main(std::size_t worker_index);
-  /// Pulls and runs tasks of `job` as worker `worker_index` until the
-  /// cursor passes the end.
-  void drain(Job& job, std::size_t worker_index);
+  /// Runs task `k` of `job` (already claimed; k >= count means none) as
+  /// worker `worker_index`, then pulls and runs tasks until the cursor
+  /// passes the end.
+  void drain(Job& job, std::size_t worker_index, std::size_t k);
 
   const Cnf* formula_ = nullptr;  // set by start(); caller guarantees lifetime
   std::vector<Var> projection_;
 
   std::vector<Worker> workers_;
-  std::vector<std::thread> threads_;  // empty for a width-1 pool
+  std::vector<std::thread> threads_;  // workers 1..N−1
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

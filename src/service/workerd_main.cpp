@@ -208,13 +208,11 @@ int worker_main(int fd) {
     if (setup.kind == ipc::TaskKind::kCount) {
       engine = std::make_unique<IncrementalBsat>(original, setup.sampling_set);
     } else {
-      prep.mode = static_cast<UniGenPrepared::Mode>(setup.prep_mode);
-      prep.kp.kappa = setup.kappa;
-      prep.kp.pivot = setup.kp_pivot;
-      prep.kp.lo_thresh = setup.lo_thresh;
-      prep.kp.hi_thresh = setup.hi_thresh;
+      // Only hashed sessions reach a fleet; κ, pivot and the thresholds
+      // follow from ε.
+      prep.mode = UniGenPrepared::Mode::kHashed;
+      prep.kp = compute_kappa_pivot(setup.epsilon);
       prep.q = setup.q;
-      prep.approx_log2_count = setup.approx_log2_count;
       if (setup.simplify.enabled)
         prep.simplifier = std::make_shared<const Simplifier>(
             original, setup.simplify, setup.sampling_set);

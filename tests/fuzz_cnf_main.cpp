@@ -38,7 +38,14 @@
 //      stream: from a cold start, a random start and start n + 1 it finds
 //      the brute-forced smallest level m* whose cell holds at most pivot
 //      solutions, and |cell(m*)|, or no estimate when no level is small
-//      or cell(m*) is empty.
+//      or cell(m*) is empty;
+//  10. UniGen's prepare (ε = 6, counter ε drawn from {0.3, 0.8} so that
+//      the count's pivot falls on both sides of hiThresh) on width-1 and
+//      width-4 pools: UNSAT exactly when |R_S| = 0, the easy case exactly
+//      when |R_S| <= hiThresh, with the brute-forced S-projections in
+//      canonical order and the same witness bytes at both widths, else
+//      hashed, with the exact log2 |R_S| whenever |R_S| <= pivot; q and
+//      the estimate agree across the widths.
 //
 // Exit code 0 when every seed passes; on the first failure it prints a
 // one-line repro (`fuzz_cnf <seed>` / `fuzz_cnf.py --repro <seed>`) plus
@@ -60,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "core/kappa_pivot.hpp"
 #include "counting/approxmc.hpp"
 #include "counting/approxmc_core.hpp"
 #include "counting/exact_counter.hpp"
@@ -68,6 +76,7 @@
 #include "helpers.hpp"
 #include "sat/incremental_bsat.hpp"
 #include "service/budget.hpp"
+#include "service/sampler_pool.hpp"
 #include "service/sampling_server.hpp"
 
 namespace {
@@ -454,6 +463,74 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                  pivot, start, o.ok, o.hash_count, o.cell_count, ok, want_m,
                  want_count);
     }
+  }
+
+  // 10. Prepare against brute force, the easy-case check running as task 0
+  //     of the count's fan-out beside its iterations.
+  {
+    Rng rng(seed + 8);
+    SamplerPoolOptions po;
+    po.seed = seed ^ 0x9e3779b9ull;
+    po.unigen.counter_epsilon = rng.flip(0.5) ? 0.3 : 0.8;
+    const std::uint64_t hi = compute_kappa_pivot(po.unigen.epsilon).hi_thresh;
+    const std::uint64_t pivot = approxmc_pivot(po.unigen.counter_epsilon);
+    std::vector<std::vector<lbool>> truth;  // S-projections, canonical order
+    for (const std::uint64_t p : projections) {
+      std::vector<lbool> proj(s.size());
+      for (std::size_t i = 0; i < s.size(); ++i)
+        proj[i] = ((p >> i) & 1u) != 0 ? lbool::True : lbool::False;
+      truth.push_back(std::move(proj));
+    }
+    std::sort(truth.begin(), truth.end());
+    std::vector<UniGenPrepared> prepared;
+    for (const std::size_t width : {1u, 4u}) {
+      po.num_threads = width;
+      SamplerPool pool(cnf, po);
+      FUZZ_CHECK(pool.prepare(), "prepare leg: width %zu prepare failed",
+                 width);
+      const UniGenPrepared& prep = pool.prepared();
+      using Mode = UniGenPrepared::Mode;
+      const Mode want = truth_projected == 0    ? Mode::kUnsat
+                        : truth_projected <= hi ? Mode::kTrivial
+                                                : Mode::kHashed;
+      FUZZ_CHECK(prep.mode == want,
+                 "prepare leg: width %zu mode %d, |R_S|=%" PRIu64
+                 " wants %d (counter eps %.1f)",
+                 width, static_cast<int>(prep.mode), truth_projected,
+                 static_cast<int>(want), po.unigen.counter_epsilon);
+      if (want == Mode::kTrivial) {
+        std::vector<std::vector<lbool>> got;
+        for (const Model& m : prep.trivial_models) {
+          FUZZ_CHECK(cnf.satisfied_by(m),
+                     "prepare leg: width %zu easy-case witness is no model",
+                     width);
+          std::vector<lbool> proj;
+          for (const Var v : s) proj.push_back(m[static_cast<std::size_t>(v)]);
+          got.push_back(std::move(proj));
+        }
+        FUZZ_CHECK(got == truth,
+                   "prepare leg: width %zu easy-case witnesses are not the "
+                   "%" PRIu64 " S-projections in canonical order",
+                   width, truth_projected);
+      }
+      if (want == Mode::kHashed && truth_projected <= pivot)
+        FUZZ_CHECK(prep.approx_log2_count ==
+                       std::log2(static_cast<double>(truth_projected)),
+                   "prepare leg: width %zu estimate 2^%.4f, exact count %"
+                   PRIu64 " <= pivot %" PRIu64,
+                   width, prep.approx_log2_count, truth_projected, pivot);
+      prepared.push_back(prep);
+    }
+    FUZZ_CHECK(prepared[0].trivial_models == prepared[1].trivial_models &&
+                   prepared[0].q == prepared[1].q &&
+                   prepared[0].approx_log2_count ==
+                       prepared[1].approx_log2_count,
+               "prepare leg: widths 1 and 4 disagree (q %d vs %d, 2^%.4f "
+               "vs 2^%.4f, %zu vs %zu easy-case witnesses)",
+               prepared[0].q, prepared[1].q, prepared[0].approx_log2_count,
+               prepared[1].approx_log2_count,
+               prepared[0].trivial_models.size(),
+               prepared[1].trivial_models.size());
   }
 
   return std::nullopt;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -191,14 +192,48 @@ TEST(WorkerPool, WidthOneRunsTasksOnTheCallersThread) {
   EXPECT_EQ(executed, ran_on.size());
   for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 
-  // A wider pool runs on its own threads.
-  WorkerPool wide(2);
-  wide.start(cnf, cnf.sampling_set_or_all());
-  std::atomic<int> on_caller{0};
-  wide.run(8, [&](IncrementalBsat&, std::size_t, std::size_t) {
-    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
-  });
-  EXPECT_EQ(on_caller.load(), 0);
+  // A wider pool has the caller as worker 0: task 0 runs on its thread,
+  // and a width-w run uses at most w distinct threads, the caller's among
+  // them.
+  for (const std::size_t width : {2u, 4u}) {
+    WorkerPool wide(width);
+    wide.start(cnf, cnf.sampling_set_or_all());
+    std::vector<std::thread::id> wide_ran_on(32);
+    wide.run(wide_ran_on.size(),
+             [&](IncrementalBsat&, std::size_t, std::size_t k) {
+               wide_ran_on[k] = std::this_thread::get_id();
+             });
+    EXPECT_EQ(wide_ran_on[0], caller) << "width " << width;
+    const std::set<std::thread::id> distinct(wide_ran_on.begin(),
+                                             wide_ran_on.end());
+    EXPECT_LE(distinct.size(), width);
+    EXPECT_EQ(distinct.count(caller), 1u) << "width " << width;
+  }
+}
+
+TEST(WorkerPool, TaskZeroRunsOnTheCallersThreadAsWorkerZero) {
+  // run() claims task 0 for its caller before any worker can see the job,
+  // so a one-time probe handed in as task 0 always runs on worker 0's
+  // engine — every run, at every width.
+  Cnf cnf(4);
+  cnf.add_clause({Lit(0, false), Lit(1, false)});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    WorkerPool pool(width);
+    pool.start(cnf, cnf.sampling_set_or_all());
+    for (int round = 0; round < 20; ++round) {
+      std::thread::id task0_thread;
+      std::size_t task0_worker = width;
+      pool.run(width + 3, [&](IncrementalBsat&, std::size_t worker,
+                              std::size_t k) {
+        if (k != 0) return;
+        task0_thread = std::this_thread::get_id();
+        task0_worker = worker;
+      });
+      EXPECT_EQ(task0_thread, caller) << "width " << width;
+      EXPECT_EQ(task0_worker, 0u) << "width " << width;
+    }
+  }
 }
 
 TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {

@@ -193,9 +193,9 @@ TEST(IncrementalBsat, StoreKeepsCountsExactUnderMixedCalls) {
 }
 
 TEST(IncrementalBsat, CountAfterWitnessEnumerationMakesNoSolverCall) {
-  // UniGen's easy-case check enumerates hiThresh + 1 witnesses at level 0;
-  // the nested count's unhashed probe right after it on the same engine
-  // needs only pivot + 1 of them, all already known.
+  // A witness enumeration of 90 models at level 0 records them; a
+  // count-only probe right after it on the same engine, capped at 53,
+  // finds all it needs among them.
   const Cnf cnf(10);  // 1024 models
   IncrementalBsat engine(cnf, {});
   const auto witnesses = engine.enumerate_cell(0, 90, Deadline::never(), true);

@@ -1,18 +1,23 @@
 // Tests for the parallel counting service: byte-identical counts across
 // thread counts (including the width-1 pool and the 0 = hardware
 // boundary), one solver build per serving worker, leapfrog accounting, and
-// the parallel-prepare wiring.  The threaded cases run under the tsan preset;
-// the statistics-heavy chi-square regression through the parallel
-// prepare() path lives in tests/test_uniformity.cpp.
+// the parallel-prepare wiring: UniGen's easy-case check runs as task 0 of
+// the nested count's fan-out, settles the count's unhashed prologue, and
+// lets a width-1 pool skip the iterations once it settles prepare.  The
+// threaded cases run under the tsan preset; the statistics-heavy
+// chi-square regression through the parallel prepare() path lives in
+// tests/test_uniformity.cpp.
 
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
 #include "helpers.hpp"
 #include "service/sampler_pool.hpp"
+#include "service/worker_pool.hpp"
 
 namespace unigen {
 namespace {
@@ -89,8 +94,8 @@ TEST(ParallelApproxMc, OneSolverBuildPerServingWorker) {
     // once; one that never won the cursor has none.  Worker 0 always has
     // one — it adopts the prologue's exact-count engine.  (At this scale
     // the engine's retired-row compaction cap cannot fire; a count big
-    // enough to retire max_retired_rows hash rows on one worker would
-    // legitimately report a second build.)
+    // enough to retire 4096 hash rows on one worker would legitimately
+    // report a second build.)
     EXPECT_LE(r.workers[w].solver_rebuilds, 1u) << "worker " << w;
     if (w == 0) worker0_built = r.workers[w].solver_rebuilds == 1;
     total_rebuilds += r.workers[w].solver_rebuilds;
@@ -151,6 +156,79 @@ TEST(ParallelApproxMc, PoolPrepareCountsOnPoolWidth) {
   // that prepare never counted).
   EXPECT_GE(st.prepare.counter_solver_rebuilds, 1u);
   EXPECT_LE(st.prepare.counter_solver_rebuilds, 3u);
+}
+
+/// Runs unigen_prepare on a fresh pool of `width` and reports what it
+/// cost: engines built and the pool's tasks, summed over workers.
+struct PrepareRun {
+  UniGenPrepared prep;
+  UniGenStats stats;
+  std::uint64_t engines = 0;
+  std::uint64_t tasks = 0;
+  std::uint64_t worker0_tasks = 0;
+};
+
+PrepareRun prepare_on(const Cnf& cnf, std::size_t width,
+                      const UniGenOptions& opts = {}) {
+  PrepareRun out;
+  WorkerPool pool(width);
+  Rng rng(31);
+  const std::uint64_t before = IncrementalBsat::total_constructions();
+  unigen_prepare(cnf, cnf.sampling_set_or_all(), opts, pool, rng, out.prep,
+                 out.stats);
+  out.engines = IncrementalBsat::total_constructions() - before;
+  for (std::size_t w = 0; w < pool.num_threads(); ++w)
+    out.tasks += pool.tasks_served(w);
+  out.worker0_tasks = pool.tasks_served(0);
+  return out;
+}
+
+TEST(ParallelApproxMc, PrepareRunsTheEasyCaseCheckBesideTheIterations) {
+  // One fan-out of t + 1 tasks: the check as task 0 on worker 0 (the
+  // caller), the t median iterations beside it.
+  const Cnf cnf = hashed_count_formula();
+  const int t =
+      approxmc_iteration_count(1.0 - UniGenOptions{}.counter_confidence);
+  const PrepareRun r = prepare_on(cnf, static_cast<std::size_t>(t) + 1);
+  ASSERT_EQ(r.prep.mode, UniGenPrepared::Mode::kHashed);
+  EXPECT_EQ(r.tasks, static_cast<std::uint64_t>(t) + 1);
+  EXPECT_GE(r.worker0_tasks, 1u);
+}
+
+TEST(ParallelApproxMc, EasyPrepareOnWidthOneSkipsTheIterations) {
+  // A width-1 pool runs the check first; once it settles prepare, the
+  // iterations skip: one BSAT call, one engine.
+  Cnf trivial(3);
+  trivial.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // 7
+  Cnf unsat(2);
+  unsat.add_clause({Lit(0, false)});
+  unsat.add_clause({Lit(0, true)});
+  for (const auto& [cnf, mode] :
+       {std::pair{trivial, UniGenPrepared::Mode::kTrivial},
+        std::pair{unsat, UniGenPrepared::Mode::kUnsat}}) {
+    const PrepareRun r = prepare_on(cnf, 1);
+    EXPECT_EQ(r.prep.mode, mode);
+    EXPECT_EQ(r.stats.prepare_bsat_calls, 1u);
+    EXPECT_EQ(r.engines, 1u);
+  }
+}
+
+TEST(ParallelApproxMc, CheckCountsExactlyUpToThePivot) {
+  // counter_epsilon 0.3 puts the count's pivot (186) above hiThresh (89):
+  // 128 solutions are too many for the easy case but few enough for the
+  // check to count exactly, as the count's unhashed prologue would.
+  Cnf cnf(8);
+  cnf.add_clause({Lit(0, false)});  // 2^7 = 128 models
+  UniGenOptions opts;
+  opts.counter_epsilon = 0.3;
+  ASSERT_GT(approxmc_pivot(opts.counter_epsilon),
+            compute_kappa_pivot(opts.epsilon).hi_thresh);
+  for (const std::size_t width : {1u, 4u}) {
+    const PrepareRun r = prepare_on(cnf, width, opts);
+    ASSERT_EQ(r.prep.mode, UniGenPrepared::Mode::kHashed)
+        << "width " << width;
+    EXPECT_EQ(r.prep.approx_log2_count, 7.0) << "width " << width;
+  }
 }
 
 // The seed-fixed chi-square regression through the parallel prepare()

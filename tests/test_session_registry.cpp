@@ -272,8 +272,9 @@ TEST(SessionRegistry, CancelMidRequestLeavesSessionReusable) {
 
 TEST(SessionRegistry, HandoffBuildsAtMostOneEnginePerWorker) {
   // The ownership refactor's observable: prepare + sampling on a width-1
-  // session constructs exactly ONE IncrementalBsat — the easy-case engine,
-  // adopted by worker 0, reused by the counting fan-out and every sample.
+  // session constructs exactly ONE IncrementalBsat — worker 0's: the
+  // easy-case check builds it, the counting fan-out and every sample reuse
+  // it.
   // The pre-handoff design built a transient counting pool on top (2 per
   // worker).  Width-4 may build up to 4 (lazily, schedule-dependent).
   const Cnf cnf = hashed_formula();
