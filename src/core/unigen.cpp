@@ -106,44 +106,38 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
 
   // Lines 4–7: the easy case — enumerate the unhashed cell, witnesses kept;
   // when at most hiThresh witnesses exist, uniform sampling is exact.  The
-  // cap of max(hiThresh, pivot) + 1 models lets the same enumeration settle
-  // the count's unhashed prologue: at most pivot models is the exact count.
-  // The check draws no randomness, and its blocking clauses are retracted,
-  // so the iterations and samples on this engine start from the unblocked
-  // formula plus whatever the solver learnt here.  The caller's
+  // count asks for at least pivot + 1 models, and at most pivot models is
+  // its exact count, so the same enumeration settles its unhashed prologue
+  // too.  The check draws no randomness, and its blocking clauses are
+  // retracted, so the iterations and samples on this engine start from the
+  // unblocked formula plus whatever the solver learnt here.  The caller's
   // cancellation token rides along with the (already combined) deadline.
+  // The check's outcome is the mode; a check the budget cut, or never let
+  // start, leaves kTimedOut — a cut prepare, never an empty cell.
   ProbeLimits limits;
   limits.deadline = deadline;
   limits.cancel = options.budget.cancel != nullptr
                       ? options.budget.cancel->flag()
                       : nullptr;
-  const std::uint64_t cap =
-      std::max(prep.kp.hi_thresh, approxmc_pivot(amc.epsilon)) + 1;
+  using Mode = UniGenPrepared::Mode;
+  prep.mode = Mode::kTimedOut;
   std::optional<EnumerateResult> check;  // unset when the check never ran
   const ApproxMcResult count = approx_count(
-      formula, amc, pool, rng, [&](IncrementalBsat& engine) {
-        check = engine.enumerate_cell(0, cap, limits, true);
-        // A cut check, or an easy case, needs no count.
-        const bool cut = check->timed_out || check->cancelled;
-        return UnhashedProbe{check->count,
-                             !cut && check->count > prep.kp.hi_thresh};
+      formula, amc, pool, rng,
+      [&](IncrementalBsat& engine, std::uint64_t min_models) {
+        check = engine.enumerate_cell(
+            0, std::max(prep.kp.hi_thresh + 1, min_models), limits, true);
+        prep.mode = check->timed_out || check->cancelled ? Mode::kTimedOut
+                    : check->count == 0                 ? Mode::kUnsat
+                    : check->count <= prep.kp.hi_thresh ? Mode::kTrivial
+                                                        : Mode::kHashed;
+        // Only a hashed instance needs the count.
+        return UnhashedProbe{check->count, prep.mode == Mode::kHashed};
       });
   if (check) ++stats.prepare_bsat_calls;
   stats.prepare_bsat_calls += count.bsat_calls;
   stats.counter_solver_rebuilds = count.solver_rebuilds;
-  // A check the budget cut, or never let start, is a cut prepare — never an
-  // empty cell.
-  if (!check || check->timed_out || check->cancelled) {
-    prep.mode = UniGenPrepared::Mode::kTimedOut;
-    stats.prepare_seconds = watch.seconds();
-    return;
-  }
-  if (check->count == 0) {
-    prep.mode = UniGenPrepared::Mode::kUnsat;
-    stats.prepare_seconds = watch.seconds();
-    return;  // no hashed query will ever run
-  }
-  if (check->count <= prep.kp.hi_thresh) {
+  if (prep.mode == Mode::kTrivial) {
     prep.trivial_models =
         project_models_to_formula(std::move(check->models), cnf.num_vars());
     if (prep.simplifier)
@@ -153,23 +147,16 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
     // no matter which solver history produced the enumeration.
     sort_by_projection(prep.trivial_models, sampling_set);
     stats.trivial = true;
-    prep.mode = UniGenPrepared::Mode::kTrivial;
-    stats.prepare_seconds = watch.seconds();
-    return;
+  } else if (prep.mode == Mode::kHashed && !count.valid) {
+    prep.mode = Mode::kTimedOut;
+  } else if (prep.mode == Mode::kHashed) {
+    prep.approx_log2_count = count.log2_value();
+    stats.approx_log2_count = prep.approx_log2_count;
+    prep.q = static_cast<int>(std::ceil(
+        prep.approx_log2_count + std::log2(1.8) -
+        std::log2(static_cast<double>(prep.kp.pivot))));
+    stats.q = prep.q;
   }
-  if (!count.valid) {
-    prep.mode = UniGenPrepared::Mode::kTimedOut;
-    stats.prepare_seconds = watch.seconds();
-    return;
-  }
-  prep.approx_log2_count = count.log2_value();
-  stats.approx_log2_count = prep.approx_log2_count;
-  prep.q = static_cast<int>(std::ceil(
-      prep.approx_log2_count + std::log2(1.8) -
-      std::log2(static_cast<double>(prep.kp.pivot))));
-  stats.q = prep.q;
-
-  prep.mode = UniGenPrepared::Mode::kHashed;
   stats.prepare_seconds = watch.seconds();
 }
 

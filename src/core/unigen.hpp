@@ -127,9 +127,11 @@ struct UniGenStats {
   double sample_seconds = 0.0;
   /// Incremental-BSAT counters of worker 0's engine, the one that serves a
   /// UniGen's samples (its width-1 pool has no other).  A UniGen builds one
-  /// engine in every mode: the easy-case check runs on it first; in hashed
-  /// mode the nested count runs on it next and every accept_cell reuses it.
-  /// So solver_rebuilds reads 1 and the counters include prepare's work.
+  /// engine in every mode, and the easy-case check runs on it first.  In
+  /// hashed mode the nested count runs on it next and every accept_cell
+  /// reuses it, so solver_rebuilds reads 1 and the counters include
+  /// prepare's work.  Zero in trivial and UNSAT mode, where prepare
+  /// releases the engine because none serves samples.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -205,15 +207,17 @@ struct UniGenPrepared {
 /// ApproxMC on it (the borrowed-pool approx_count), with the easy-case
 /// check as task 0 of the count's fan-out: the check runs first on worker
 /// 0's engine, on the caller's thread, while the other workers start the
-/// median iterations.  The check enumerates up to max(hiThresh, pivot) + 1
-/// witnesses, so its count also settles the count's unhashed prologue.
+/// median iterations.  The check enumerates up to hiThresh + 1 witnesses,
+/// or the pivot + 1 the count asks its probe for when that is more, so its
+/// count also settles the count's unhashed prologue.
 /// When it settles prepare without the estimate (UNSAT, the easy case, an
 /// exact count, a cut), iterations that have not started skip and running
 /// ones are dropped; a width-1 pool thus does the check and then either
 /// nothing or the iterations.  The one-time phase fans out across, and
 /// warms, the very engines that will serve samples: at most one solver
-/// build per worker across both phases, and the pool's N − 1 threads stay
-/// up in every mode.  Sample bytes on S do not depend on that history
+/// build per worker across both phases.  The pool stays started in every
+/// mode; SamplerPool::prepare releases it unless the instance is hashed.
+/// Sample bytes on S do not depend on that history
 /// (canonical cell ordering), and neither do q and trivial_models: the
 /// check draws no randomness and runs first on a fresh engine.
 /// prepare_bsat_calls counts the check plus the iterations' probes.

@@ -250,7 +250,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   bool iterations_wanted = probe == nullptr;
   const std::function<bool(IncrementalBsat&)> lead =
       [&](IncrementalBsat& worker0_engine) {
-        unhashed = (*probe)(worker0_engine);
+        unhashed = (*probe)(worker0_engine, st.pivot + 1);
         iterations_wanted =
             unhashed->count_needed && unhashed->count > st.pivot;
         return iterations_wanted;

@@ -189,13 +189,18 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
 /// What the caller's unhashed probe reports to the shared-pool
 /// approx_count below.
 struct UnhashedProbe {
-  /// |cell(0)| projected on S, capped at no less than pivot + 1 models.
+  /// |cell(0)| projected on S, enumerated with a cap of at least the
+  /// `min_models` the probe was given.
   std::uint64_t count = 0;
   /// The caller still needs the count.  False — the probe was cut, or its
   /// answer settled the caller's question — ends the run without one.
   bool count_needed = false;
 };
-using UnhashedProbeFn = std::function<UnhashedProbe(IncrementalBsat&)>;
+/// The caller's unhashed probe: enumerates cell(0) on the given engine
+/// with a cap of at least `min_models` (pivot + 1), so that a count below
+/// the cap is the exact one.
+using UnhashedProbeFn =
+    std::function<UnhashedProbe(IncrementalBsat&, std::uint64_t min_models)>;
 
 /// approx_count on a borrowed, already-started WorkerPool over `cnf`
 /// itself (so set options.simplify.enabled = false and pass the pool's own
@@ -207,10 +212,10 @@ using UnhashedProbeFn = std::function<UnhashedProbe(IncrementalBsat&)>;
 /// (pool, formula).
 ///
 /// `probe` takes the place of the unhashed prologue: it runs as task 0 of
-/// the fan-out, first on worker 0's engine (the caller's thread), while the
-/// other workers start the median iterations.  Its count settles the
-/// prologue: at most pivot models is the exact count; more, and the result
-/// is the iterations' median.  A probe that never started (the budget's
+/// the fan-out, first on worker 0's engine (the caller's thread), with
+/// min_models = pivot + 1, while the other workers start the median
+/// iterations.  Its count settles the prologue: at most pivot models is
+/// the exact count; more, and the result is the iterations' median.  A probe that never started (the budget's
 /// token fired first) or whose caller needs no count ends the run without
 /// an estimate.  Whenever the probe settles the run, iterations that have
 /// not started skip and the outcomes of running ones are dropped, so a

@@ -54,6 +54,11 @@ bool SamplerPool::prepare(const Budget& budget) {
                        pool_.num_threads()))
         fleet_ = std::move(fleet);
     }
+  } else {
+    // Every other mode serves its requests on this thread without an
+    // engine, so the session keeps none of the threads and engines the
+    // one-time fan-out started.
+    pool_.release();
   }
   prepare_tasks_.resize(pool_.num_threads(), 0);
   for (std::size_t w = 0; w < pool_.num_threads(); ++w)

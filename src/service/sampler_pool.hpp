@@ -113,7 +113,8 @@ struct SamplerPoolWorkerStats {
   std::uint64_t requests_served = 0;
   /// Solver constructions on this worker's engine: stays at 1 for the pool
   /// lifetime (0 for a worker that never received a task — engines are
-  /// built on first use; worker 0 always has one, the easy-case check's).
+  /// built on first use — and for every worker of a session that is not
+  /// hashed, whose engines prepare released).
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -158,8 +159,10 @@ class SamplerPool {
 
   /// Runs Algorithm 1 lines 1–11 once, starting the N − 1 worker threads
   /// in every mode (the easy-case check and the count's iterations run as
-  /// one fan-out).  Idempotent.  Returns false when the one-time phase
-  /// exceeded its budget; requests then report kTimeout.
+  /// one fan-out).  Unless the instance turns out hashed, the pool is
+  /// released again before prepare returns: such a session keeps no
+  /// thread and no engine.  Idempotent.  Returns false when the one-time
+  /// phase exceeded its budget; requests then report kTimeout.
   ///
   /// Engine ownership: prepare hands this pool's own WorkerPool to
   /// unigen_prepare, so the easy-case check and the one-time ApproxMC call
@@ -178,9 +181,9 @@ class SamplerPool {
 
   /// Draws `count` independent witnesses — request k is one full run of
   /// lines 12–22 on stream k.  Trivial/UNSAT instances are served on the
-  /// dispatcher thread (an array lookup needs no fan-out; the pool's
-  /// threads stay idle); hashed instances fan out across the workers.  Runs under
-  /// options.unigen.budget.
+  /// dispatcher thread (an array lookup needs no fan-out, and prepare
+  /// released the pool); hashed instances fan out across the workers.
+  /// Runs under options.unigen.budget.
   std::vector<SampleResult> sample_many(std::size_t count);
 
   /// UniGen2-style batches: each request accepts one hash cell and returns
@@ -240,7 +243,8 @@ class SamplerPool {
   std::uint64_t cancelled_ = 0;
   double service_seconds_ = 0.0;
 
-  /// Threads and engines; started by prepare() in every mode.
+  /// Threads and engines; started by prepare() in every mode, and
+  /// released by it again unless the instance is hashed.
   WorkerPool pool_;
   /// tasks_served snapshot taken when prepare() returns: the easy-case
   /// check and the counting iterations the warm handoff ran on these

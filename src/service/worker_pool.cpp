@@ -33,13 +33,17 @@ WorkerPool::WorkerPool(std::size_t num_threads) {
   workers_.resize(num_threads);
 }
 
-WorkerPool::~WorkerPool() {
+WorkerPool::~WorkerPool() { release(); }
+
+void WorkerPool::release() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
   work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
+  threads_.clear();
+  for (Worker& w : workers_) w.engine.reset();
 }
 
 void WorkerPool::start(const Cnf& formula, std::vector<Var> projection,

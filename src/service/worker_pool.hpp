@@ -9,9 +9,10 @@
 //
 //   * N workers.  Worker 0 is the thread that calls run(); workers
 //     1..N−1 are persistent threads started once via start() and joined
-//     in the destructor, so a width-N pool starts N − 1 threads and a
-//     width-1 pool is the inline executor (a serial count is a width-1
-//     pool, not a separate loop).  Every width takes the same path.
+//     by release() or the destructor, so a width-N pool starts N − 1
+//     threads and a width-1 pool is the inline executor (a serial count is
+//     a width-1 pool, not a separate loop).  Every width takes the same
+//     path.
 //   * One lazily-built IncrementalBsat per worker over a single shared
 //     immutable Cnf (the engine keeps a reference — no formula copies);
 //     a worker builds its engine on its first task and reuses it for the
@@ -90,6 +91,12 @@ class WorkerPool {
   /// iff no cancellation fired.
   std::size_t run(std::size_t count, const TaskFn& fn,
                   const std::atomic<bool>* cancel = nullptr);
+
+  /// Joins workers 1..N−1 and destroys every engine, for a pool that will
+  /// fan out no more: it then holds no thread and no solver.  tasks_served
+  /// stays; engine_stats reads zero.  A later run() serves every task on
+  /// the caller's thread alone.
+  void release();
 
   /// The pool's width N: the caller plus N − 1 threads.
   std::size_t num_threads() const { return workers_.size(); }

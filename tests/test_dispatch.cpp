@@ -236,6 +236,34 @@ TEST(WorkerPool, TaskZeroRunsOnTheCallersThreadAsWorkerZero) {
   }
 }
 
+TEST(WorkerPool, ReleaseDropsEnginesAndLeavesTheCallerAlone) {
+  // release() joins the pool's threads and destroys its engines; the task
+  // counters stay, and a later run serves every task on the caller's
+  // thread.
+  Cnf cnf(4);
+  cnf.add_clause({Lit(0, false), Lit(1, false)});
+  WorkerPool pool(4);
+  pool.start(cnf, cnf.sampling_set_or_all());
+  pool.run(8, [](IncrementalBsat&, std::size_t, std::size_t) {});
+  EXPECT_EQ(pool.engine_stats(0).solver_rebuilds, 1u);
+  pool.release();
+  std::uint64_t served = 0;
+  for (std::size_t w = 0; w < pool.num_threads(); ++w) {
+    EXPECT_EQ(pool.engine_stats(w).solver_rebuilds, 0u) << "worker " << w;
+    served += pool.tasks_served(w);
+  }
+  EXPECT_EQ(served, 8u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(6);
+  EXPECT_EQ(pool.run(ran_on.size(),
+                     [&](IncrementalBsat&, std::size_t worker, std::size_t k) {
+                       EXPECT_EQ(worker, 0u);
+                       ran_on[k] = std::this_thread::get_id();
+                     }),
+            ran_on.size());
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
 TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {
   // On a width-1 pool the racy pre-start check is exact: with 3 units
   // granted and 2 spent, the first task (charging 4) runs and the rest

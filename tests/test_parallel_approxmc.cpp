@@ -213,6 +213,33 @@ TEST(ParallelApproxMc, EasyPrepareOnWidthOneSkipsTheIterations) {
   }
 }
 
+TEST(ParallelApproxMc, EasySessionKeepsNoEngine) {
+  // A width-4 session fans prepare out in every mode, but only a hashed one
+  // keeps its engines: an easy or UNSAT session serves requests inline, so
+  // prepare releases the pool again.
+  Cnf trivial(3);
+  trivial.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // 7
+  Cnf unsat(2);
+  unsat.add_clause({Lit(0, false)});
+  unsat.add_clause({Lit(0, true)});
+  for (const auto& [cnf, mode] :
+       {std::pair{trivial, UniGenPrepared::Mode::kTrivial},
+        std::pair{unsat, UniGenPrepared::Mode::kUnsat},
+        std::pair{hashed_count_formula(), UniGenPrepared::Mode::kHashed}}) {
+    SamplerPoolOptions opts;
+    opts.num_threads = 4;
+    SamplerPool pool(cnf, opts);
+    pool.prepare();
+    ASSERT_EQ(pool.prepared().mode, mode);
+    std::uint64_t engines = 0;
+    for (const auto& w : pool.stats().workers) engines += w.solver_rebuilds;
+    if (mode == UniGenPrepared::Mode::kHashed)
+      EXPECT_GE(engines, 1u);
+    else
+      EXPECT_EQ(engines, 0u);
+  }
+}
+
 TEST(ParallelApproxMc, CheckCountsExactlyUpToThePivot) {
   // counter_epsilon 0.3 puts the count's pivot (186) above hiThresh (89):
   // 128 solutions are too many for the easy case but few enough for the

@@ -157,8 +157,11 @@ TEST(SamplerPool, BatchesAreValidDistinctAndDeterministic) {
 TEST(SamplerPool, TrivialModeServedInline) {
   Cnf cnf(3);
   cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // 7 models
+  const std::uint64_t builds_before = IncrementalBsat::total_constructions();
   SamplerPool pool(cnf, pool_options(4, 13));
   ASSERT_TRUE(pool.prepare());
+  const std::uint64_t prepare_builds =
+      IncrementalBsat::total_constructions() - builds_before;
   EXPECT_EQ(pool.prepared().mode, UniGenPrepared::Mode::kTrivial);
   const auto results = pool.sample_many(50);
   for (const auto& r : results) {
@@ -168,15 +171,16 @@ TEST(SamplerPool, TrivialModeServedInline) {
   // Deterministic across thread counts here too.
   SamplerPool pool1(cnf, pool_options(1, 13));
   expect_same_results(results, pool1.sample_many(50));
-  // Requests never reach the workers.  Prepare did fan out: the easy-case
-  // check ran as task 0 of the count's fan-out on worker 0's engine, and a
-  // worker that pulled an iteration before the check settled built one
-  // engine too — never more.
-  const SamplerPoolStats st = pool.stats();
-  EXPECT_EQ(st.workers[0].solver_rebuilds, 1u);
-  for (const auto& w : st.workers) {
+  // Prepare did fan out: the easy-case check ran as task 0 of the count's
+  // fan-out on worker 0's engine, and a worker that pulled an iteration
+  // before the check settled built one engine too — never more.  Then it
+  // released the pool: requests never reach the workers, and no worker
+  // holds an engine.
+  EXPECT_GE(prepare_builds, 1u);
+  EXPECT_LE(prepare_builds, 4u);
+  for (const auto& w : pool.stats().workers) {
     EXPECT_EQ(w.requests_served, 0u);
-    EXPECT_LE(w.solver_rebuilds, 1u);
+    EXPECT_EQ(w.solver_rebuilds, 0u);
   }
 }
 
