@@ -134,7 +134,6 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
         // Only a hashed instance needs the count.
         return UnhashedProbe{check->count, prep.mode == Mode::kHashed};
       });
-  if (check) ++stats.prepare_bsat_calls;
   stats.prepare_bsat_calls += count.bsat_calls;
   stats.counter_solver_rebuilds = count.solver_rebuilds;
   if (prep.mode == Mode::kTrivial) {

@@ -220,7 +220,9 @@ struct UniGenPrepared {
 /// Sample bytes on S do not depend on that history
 /// (canonical cell ordering), and neither do q and trivial_models: the
 /// check draws no randomness and runs first on a fresh engine.
-/// prepare_bsat_calls counts the check plus the iterations' probes.
+/// prepare_bsat_calls is the count's bsat_calls: the check as 1 (0 when it
+/// never started) plus the probes of the iterations the count kept, so an
+/// easy-case or UNSAT prepare reports 1 at every width.
 void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
                     const UniGenOptions& options, WorkerPool& pool, Rng& rng,
                     UniGenPrepared& prep, UniGenStats& stats);

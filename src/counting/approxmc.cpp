@@ -36,15 +36,29 @@ bool deterministic_end(const ApproxMcCoreOutcome& o, bool wall_free) {
   return true;  // ran out of hash counts without a small cell: stream-pure
 }
 
+/// The standalone count's unhashed probe: cell(0) counted up to
+/// `min_models`, witnesses not kept, under the budget's per-call limits.
+/// A cut probe reports no count.
+UnhashedProbeFn count_only_probe(const Budget& budget) {
+  return [&budget](IncrementalBsat& engine, std::uint64_t min_models) {
+    ProbeLimits limits;
+    limits.deadline = budget.per_call_deadline();
+    limits.conflict_budget = budget.conflicts_per_call;
+    limits.cancel = budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
+    const EnumerateResult r =
+        engine.enumerate_cell(0, min_models, limits, false);
+    return UnhashedProbe{r.count, !r.timed_out && !r.cancelled};
+  };
+}
+
 /// Executes (or continues) the run described by `st` under
-/// st.options.budget, and folds the anytime result.  `rng` is the caller's
-/// generator on the first slice (to fork the iteration base, preserving the
-/// classic entry point's rng advancement) and null on resume.
-/// `shared_pool` and `probe` are the borrowed pool of the warm-handoff
-/// approx_count and its caller's unhashed probe, both null everywhere else.
+/// st.options.budget, and folds the anytime result.  Until the unhashed
+/// probe has settled the prologue, `probe` runs as task 0 of the fan-out.
+/// `shared_pool` is the borrowed pool of the warm-handoff approx_count,
+/// null everywhere else.
 ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
-                            Rng* rng, WorkerPool* shared_pool,
-                            const UnhashedProbeFn* probe) {
+                            WorkerPool* shared_pool,
+                            const UnhashedProbeFn& probe) {
   const ApproxMcOptions& options = st.options;
   const Budget& budget = options.budget;
   ApproxMcAnytime any;
@@ -55,8 +69,8 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // standalone counts.  Strictly outside every RNG path.
   obs::Span count_span("count.request");
 
-  if (!st.prologue_done) st.pivot = approxmc_pivot(options.epsilon);
   result.pivot = st.pivot;
+  result.iterations_requested = st.iterations_requested;
   const std::vector<Var> sampling_set = cnf.sampling_set_or_all();
 
   // Count-safe preprocessing: ApproxMC only ever reports |R_S|, which every
@@ -86,17 +100,8 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     return finish(adm);
   }
 
-  // Replaying a run that already concluded: reconstruct, touch nothing.
-  if (st.exact_done) {
-    result.valid = true;
-    result.exact = true;
-    result.cell_count = st.exact_cell_count;
-    result.bsat_calls = 1;
-    any.achieved_delta = 0.0;
-    return finish(RequestStatus::kComplete);
-  }
-
-  // Exact from the unhashed cell: the run needs no iterations.
+  // Exact from the unhashed cell, now or in an earlier slice: the run needs
+  // no iterations.
   const auto settle_exact = [&](std::uint64_t count) -> ApproxMcAnytime& {
     st.prologue_done = true;
     st.exact_done = true;
@@ -104,83 +109,12 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     result.valid = true;
     result.exact = true;
     result.cell_count = count;
-    result.hash_count = 0;
+    result.bsat_calls = 1;
     any.achieved_delta = 0.0;
     return finish(RequestStatus::kComplete);
   };
+  if (st.exact_done) return settle_exact(st.exact_cell_count);
 
-  // A standalone run probes the unhashed cell first, on one persistent
-  // solver that worker 0 of its private pool adopts afterwards, so the
-  // probe's warm-up is not wasted and each worker builds exactly one
-  // solver.  On a shared pool the caller's probe takes the prologue's place
-  // inside the fan-out below.
-  std::unique_ptr<IncrementalBsat> engine;
-  if (shared_pool == nullptr)
-    engine = std::make_unique<IncrementalBsat>(formula, sampling_set);
-  IncrementalBsat* const prologue_engine = engine.get();
-  const auto fold_engine = [&result, prologue_engine] {
-    if (prologue_engine != nullptr)
-      fold_solver_stats(result, prologue_engine->stats());
-  };
-
-  if (!st.prologue_done) {
-    st.n = static_cast<std::uint32_t>(sampling_set.size());
-    if (budget.cancelled()) {
-      fold_engine();
-      return finish(RequestStatus::kCancelled);
-    }
-    if (probe == nullptr) {
-      // Unhashed first: small solution spaces are counted exactly.
-      // Charged as 1 deterministic unit; no fault key (the plan addresses
-      // iterations).
-      ProbeLimits limits;
-      limits.deadline = budget.per_call_deadline();
-      limits.conflict_budget = budget.conflicts_per_call;
-      limits.cancel =
-          budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
-      const EnumerateResult r =
-          engine->enumerate_cell(0, st.pivot + 1, limits, false);
-      result.bsat_calls = 1;
-      if (r.cancelled) {
-        fold_engine();
-        return finish(RequestStatus::kCancelled);
-      }
-      if (r.timed_out) {
-        // Nothing settled; a resume retries the prologue from scratch.
-        fold_engine();
-        return finish(RequestStatus::kTimedOut);
-      }
-      if (r.count <= st.pivot) {
-        fold_engine();
-        return settle_exact(r.count);
-      }
-      if (st.n == 0) {
-        // Sampling set exhausted but more than pivot projections exist —
-        // cannot happen; defensive.
-        fold_engine();
-        return finish(RequestStatus::kFailed);
-      }
-    }
-    st.prologue_done = true;
-    st.iterations_requested = approxmc_iteration_count(options.delta);
-    // Per-iteration keyed RNG streams: iteration i draws everything from
-    // fork_stream(i) of a one-draw fork of the caller's rng, whatever
-    // executes it, which — together with the canonical fold below — makes
-    // the count a pure function of (formula, options, seed), thread count
-    // and backend excluded.
-    // On the first slice this advances the caller's rng exactly as the
-    // classic entry point always has; a resume that reaches here (the
-    // first slice's prologue was cut) forks the entry snapshot instead —
-    // the identical value, since the snapshot was taken before that fork.
-    st.iter_base = rng != nullptr ? rng->fork() : st.entry_rng.fork();
-    st.outcomes.assign(static_cast<std::size_t>(st.iterations_requested),
-                       ApproxMcCoreOutcome{});
-    st.settled.assign(static_cast<std::size_t>(st.iterations_requested), 0);
-  } else {
-    result.bsat_calls = 1;  // the original slice's prologue probe
-  }
-
-  result.iterations_requested = st.iterations_requested;
   count_span.set_value(static_cast<std::uint64_t>(st.iterations_requested));
   // Deterministic mode follows the *cumulative* grant (a resume that adds
   // units continues a deterministic run even if its own Budget carries no
@@ -188,9 +122,8 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   const bool det = st.units_granted > 0 || budget.fault != nullptr;
   const std::uint64_t grant = st.units_granted;
 
-  // Unit ledger entering this slice: the prologue (or the caller's probe)
-  // plus every settled iteration, all of whose costs are stream-pure in
-  // deterministic mode.
+  // Unit ledger entering this slice: the unhashed probe plus every settled
+  // iteration, all of whose costs are stream-pure in deterministic mode.
   ProcessFleet::RunControl ledger;
   ledger.units_granted = grant;
   ledger.units_spent = 1;
@@ -213,9 +146,20 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     if (const auto m = leapfrog_publish(st.outcomes[i])) hint.store(*m);
   }
 
+  // The process-fleet backend for the iterations: the task frames carry
+  // each iteration's raw RNG state and the Setup carries the canonical
+  // formula, so every outcome is the same pure function of its stream — a
+  // worker crash costs one retry, a poisoned task just leaves its slot
+  // unsettled for the fold below.  Fleet iterations always start cold
+  // (outcome-neutral, only probe counts move).  When no worker can be
+  // spawned the pool serves.
+  std::optional<ProcessFleet> fleet;
+  if (options.fleet.backend == ExecBackend::kProcessFleet &&
+      shared_pool == nullptr)
+    fleet.emplace(options.fleet);
   // The executor: the shared pool, or a private pool of up to one worker
-  // per iteration (width 1 runs on this thread) whose worker 0 adopts the
-  // prologue engine.
+  // per task (width 1 runs on this thread), the probe included unless it
+  // runs alone ahead of the fleet.
   WorkerPool* pool = shared_pool;
   std::optional<WorkerPool> owned;
   if (pool == nullptr) {
@@ -223,83 +167,95 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
         options.num_threads == 0
             ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
             : options.num_threads,
-        static_cast<std::size_t>(st.iterations_requested)));
-    owned->start(formula, sampling_set, std::move(engine));
+        st.outcomes.size() + (st.prologue_done || fleet ? 0 : 1)));
+    owned->start(formula, sampling_set);
     pool = &*owned;
   }
-  // Or the process-fleet backend: the task frames carry each iteration's
-  // raw RNG state and the Setup carries the canonical formula, so every
-  // outcome is the same pure function of its stream — a worker crash costs
-  // one retry, a poisoned task just leaves its slot unsettled for the fold
-  // below.  Fleet iterations always start cold (outcome-neutral, only
-  // probe counts move).  When no worker can be spawned the pool serves.
-  std::optional<ProcessFleet> fleet;
-  if (options.fleet.backend == ExecBackend::kProcessFleet &&
-      shared_pool == nullptr) {
-    fleet.emplace(options.fleet);
-    if (!fleet->start(
-            ProcessFleet::make_count_setup(formula, sampling_set, st.pivot),
-            pool->num_threads()))
-      fleet.reset();
-  }
 
-  // The caller's probe, as task 0 beside the iterations.  Iterations are
-  // wanted only when it counted more than pivot models for a caller that
-  // still needs the count; otherwise the ones not yet started skip.
+  // The unhashed probe, as task 0 beside the iterations until it has
+  // settled the prologue.  Iterations are wanted only when it counted more
+  // than pivot models for a caller that still needs the count; otherwise
+  // the ones not yet started skip, and running ones are dropped.
   std::optional<UnhashedProbe> unhashed;
-  bool iterations_wanted = probe == nullptr;
+  bool iterations_wanted = st.prologue_done;
   const std::function<bool(IncrementalBsat&)> lead =
       [&](IncrementalBsat& worker0_engine) {
-        unhashed = (*probe)(worker0_engine, st.pivot + 1);
+        unhashed = probe(worker0_engine, st.pivot + 1);
         iterations_wanted =
             unhashed->count_needed && unhashed->count > st.pivot;
         return iterations_wanted;
       };
-  std::vector<std::optional<ApproxMcCoreOutcome>> served =
-      run_tasks<ApproxMcCoreOutcome>(
-          *pool, fleet ? &*fleet : nullptr, unsettled, st.iter_base,
-          /*max_batch=*/0, budget, &ledger,
-          [&](IncrementalBsat& engine, std::size_t, std::uint64_t i,
-              Rng& it_rng) {
-            ApproxMcCoreOutcome o = approxmc_core_iteration(
-                engine, st.n, st.pivot, options,
-                det ? 0 : hint.load(std::memory_order_relaxed), it_rng,
-                /*fault_key=*/i);
-            if (!det)
-              if (const auto m = leapfrog_publish(o))
-                hint.store(*m, std::memory_order_relaxed);
-            return o;
-          },
-          probe != nullptr ? &lead : nullptr);
-  for (std::size_t j = 0; j < unsettled.size(); ++j)
-    if (served[j]) st.outcomes[unsettled[j]] = *served[j];
+  const auto fan_out = [&](ProcessFleet* on_fleet,
+                           const std::vector<std::uint64_t>& ids,
+                           bool with_lead) {
+    return run_tasks<ApproxMcCoreOutcome>(
+        *pool, on_fleet, ids, st.iter_base, /*max_batch=*/0, budget, &ledger,
+        [&](IncrementalBsat& engine, std::size_t, std::uint64_t i,
+            Rng& it_rng) {
+          ApproxMcCoreOutcome o = approxmc_core_iteration(
+              engine, st.n, st.pivot, options,
+              det ? 0 : hint.load(std::memory_order_relaxed), it_rng,
+              /*fault_key=*/i);
+          if (!det)
+            if (const auto m = leapfrog_publish(o))
+              hint.store(*m, std::memory_order_relaxed);
+          return o;
+        },
+        with_lead ? &lead : nullptr);
+  };
+  bool with_lead = !st.prologue_done;
+  if (fleet && with_lead) {
+    // The fleet's supervisor loop needs this thread, so there the probe
+    // runs first, alone, on worker 0, and the fleet starts only when the
+    // probe asks for the iterations.
+    fan_out(nullptr, {}, true);
+    with_lead = false;
+  }
+  if (fleet && iterations_wanted &&
+      !fleet->start(
+          ProcessFleet::make_count_setup(formula, sampling_set, st.pivot),
+          pool->num_threads()))
+    fleet.reset();
+  std::vector<std::optional<ApproxMcCoreOutcome>> served;
+  if (iterations_wanted || with_lead)
+    served = fan_out(fleet ? &*fleet : nullptr, unsettled, with_lead);
 
+  // Aggregate through SolverStats::merge (the path the coverage test in
+  // tests/test_solver_stats.cpp guards), then project into the flat fields.
+  // On a shared pool these are the engines' *lifetime* counters (they may
+  // include the embedding's earlier probes — diagnostics, not part of any
+  // byte-identity contract).  On the fleet only the probe's engine is
+  // ours; the fleet's workers are external.
+  SolverStats total;
   if (fleet) {
-    fold_engine();  // the prologue engine's stats; workers are external
+    total = pool->engine_stats(0);
   } else {
-    // Aggregate through SolverStats::merge (the path the coverage test in
-    // tests/test_solver_stats.cpp guards), then project into the flat
-    // fields.  On a shared pool these are the engines' *lifetime* counters
-    // (they may include the embedding's earlier probes — diagnostics, not
-    // part of any byte-identity contract).
     result.threads_used = pool->num_threads();
-    SolverStats total;
     for (std::size_t w = 0; w < pool->num_threads(); ++w) {
       result.workers.push_back(pool->engine_stats(w));
       total.merge(result.workers.back());
     }
-    fold_solver_stats(result, total);
   }
+  result.solver_rebuilds = total.solver_rebuilds;
+  result.reused_solves = total.reused_solves;
+  result.retracted_blocks = total.retracted_blocks;
+  result.solver_propagations = total.propagations + total.xor_propagations;
 
   if (!iterations_wanted) {
-    // The probe settled the run.  Iterations that ran anyway are dropped,
-    // but their probes happened.
-    for (const auto& o : served)
-      if (o) result.bsat_calls += o->bsat_calls;
+    // The probe settled the run, or produced no count (cut, or never
+    // started).  Iterations that ran beside it are dropped uncounted, so
+    // the ledger stays a pure function of the stream.  A resume of a run
+    // without a count probes again.
     if (unhashed && unhashed->count_needed)
       return settle_exact(unhashed->count);
-    return finish(RequestStatus::kCancelled);  // called off: no count
+    result.bsat_calls = unhashed ? 1 : 0;
+    return finish(budget.cancelled() ? RequestStatus::kCancelled
+                                     : RequestStatus::kTimedOut);
   }
+  st.prologue_done = true;
+  result.bsat_calls = 1;  // the unhashed probe, in this slice or an earlier one
+  for (std::size_t j = 0; j < unsettled.size(); ++j)
+    if (served[j]) st.outcomes[unsettled[j]] = *served[j];
 
   // Canonical fold: walk outcomes in iteration order — whatever schedule
   // produced them — then take the median by value.  Identical at every
@@ -308,9 +264,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   //
   // Settlement first.  Deterministic mode admits the longest prefix of
   // stream-pure completions the cumulative grant covers — executed work
-  // beyond that prefix is scrubbed (racy schedules may overrun the racy
-  // ledger; what the grant *bought* must not depend on the race) and a
-  // resume re-runs it byte-identically.  Wall-clock mode keeps every
+  // beyond that prefix is scrubbed (parallel schedules may run more than
+  // the grant covers; what the grant *bought* must not depend on the
+  // schedule) and a resume re-runs it byte-identically.  Wall-clock mode keeps every
   // stream-pure completion wherever it sits (there is no purity claim to
   // protect) and leaves wall-cut slots unsettled for a resume to retry.
   const bool wall_free = budget.wall_free();
@@ -318,7 +274,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   for (const ApproxMcCoreOutcome& o : st.outcomes)
     cancelled_seen = cancelled_seen || o.cancelled;
   if (det) {
-    std::uint64_t cum = 1;  // the prologue's unit
+    std::uint64_t cum = 1;  // the unhashed probe's unit
     std::size_t prefix = 0;
     while (prefix < st.outcomes.size()) {
       const ApproxMcCoreOutcome& o = st.outcomes[prefix];
@@ -385,25 +341,29 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
                              : RequestStatus::kTimedOut);
 }
 
-/// The state a run starts from: the call's options and grant, and a
-/// snapshot of the caller's rng (run_anytime advances `rng` itself).
-ApproxMcAnytimeState first_slice(const ApproxMcOptions& options,
-                                 const Rng& rng) {
+/// The state a run starts from: the call's options and grant, the pivot,
+/// |S| and t, and the iteration base — the one fork this takes from the
+/// caller's rng, on every first slice.  Per-iteration keyed RNG streams:
+/// iteration i draws everything from fork_stream(i) of that base, whatever
+/// executes it, which — together with the canonical fold — makes the count
+/// a pure function of (formula, options, seed), thread count and backend
+/// excluded.
+ApproxMcAnytimeState first_slice(const Cnf& cnf, const ApproxMcOptions& options,
+                                 Rng& rng) {
   ApproxMcAnytimeState st;
   st.options = options;
   st.units_granted = options.budget.max_bsat_calls;
-  st.entry_rng = rng;
+  st.pivot = approxmc_pivot(options.epsilon);
+  st.n = static_cast<std::uint32_t>(cnf.sampling_set_or_all().size());
+  st.iterations_requested = approxmc_iteration_count(options.delta);
+  st.iter_base = rng.fork();
+  st.outcomes.assign(static_cast<std::size_t>(st.iterations_requested),
+                     ApproxMcCoreOutcome{});
+  st.settled.assign(static_cast<std::size_t>(st.iterations_requested), 0);
   return st;
 }
 
 }  // namespace
-
-void fold_solver_stats(ApproxMcResult& result, const SolverStats& st) {
-  result.solver_rebuilds += st.solver_rebuilds;
-  result.reused_solves += st.reused_solves;
-  result.retracted_blocks += st.retracted_blocks;
-  result.solver_propagations += st.propagations + st.xor_propagations;
-}
 
 std::uint64_t approxmc_pivot(double epsilon) {
   if (epsilon <= 0.0) throw std::invalid_argument("approxmc: epsilon must be > 0");
@@ -446,14 +406,15 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             WorkerPool& pool, Rng& rng,
                             const UnhashedProbeFn& probe) {
-  return run_anytime(cnf, first_slice(options, rng), &rng, &pool, &probe)
+  return run_anytime(cnf, first_slice(cnf, options, rng), &pool, probe)
       .result;
 }
 
 ApproxMcAnytime approx_count_anytime(const Cnf& cnf,
                                      const ApproxMcOptions& options,
                                      Rng& rng) {
-  return run_anytime(cnf, first_slice(options, rng), &rng, nullptr, nullptr);
+  return run_anytime(cnf, first_slice(cnf, options, rng), nullptr,
+                     count_only_probe(options.budget));
 }
 
 ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
@@ -464,7 +425,8 @@ ApproxMcAnytime approx_count_resume(const Cnf& cnf, ApproxMcAnytimeState state,
     // admission fold against B₁+B₂, exactly the single-grant run's ledger.
     state.units_granted += more_budget.max_bsat_calls;
   }
-  return run_anytime(cnf, std::move(state), nullptr, nullptr, nullptr);
+  return run_anytime(cnf, std::move(state), nullptr,
+                     count_only_probe(more_budget));
 }
 
 }  // namespace unigen

@@ -40,12 +40,13 @@
 //     its RNG stream (approxmc_core.hpp);
 //   * grant accounting — the state records units *granted*, not spent, so
 //     resume(B₂) after a cut at B₁ reproduces the single-grant run B₁+B₂;
-//   * canonical admission — workers check the shared spent-counter racily
-//     (work conservation only); what the result *admits* is decided at
-//     fold time: the longest prefix of iterations that ran to their
-//     deterministic end within the grant.  Anything a racy schedule ran
-//     beyond that prefix is discarded from result and state, and resume
-//     re-runs it — stream purity makes the re-run byte-identical.
+//   * canonical admission — a worker skips an iteration only once the
+//     iterations before it have spent the grant, so no schedule skips one
+//     the grant covers; what the result *admits* is decided at fold time:
+//     the longest prefix of iterations that ran to their deterministic end
+//     within the grant.  Anything a schedule ran beyond that prefix is
+//     discarded from result and state, and resume re-runs it — stream
+//     purity makes the re-run byte-identical.
 
 #include <cmath>
 #include <cstdint>
@@ -72,9 +73,10 @@ struct ApproxMcOptions {
   /// per-BSAT-call timeout (the paper's 2500 s budget), deterministic unit
   /// budgets, cancellation, fault plan.  See service/budget.hpp.
   Budget budget;
-  /// Worker threads the t median iterations fan out across: 1 = a width-1
-  /// pool that runs them on the calling thread, 0 = hardware_concurrency,
-  /// n = n.  Iterations are independent (that is the median argument),
+  /// Worker threads the count fans out across, at most one per task (the
+  /// unhashed probe and the t median iterations): 1 = a width-1 pool that
+  /// runs them on the calling thread, 0 = hardware_concurrency, n = n.
+  /// Iterations are independent (that is the median argument),
   /// each draws from its own keyed RNG stream, and results fold in
   /// canonical iteration order — so the reported count is byte-identical
   /// across all values of this switch for a fixed seed (asserted by
@@ -128,6 +130,9 @@ struct ApproxMcResult {
   std::uint64_t pivot = 0;
   int iterations_requested = 0;
   int iterations_succeeded = 0;
+  /// The unhashed probe as 1 (0 when it never started), plus the
+  /// iterations' probes (wall-cut attempts included) — never those of
+  /// iterations the probe dropped.
   std::uint64_t bsat_calls = 0;
   // Incremental-BSAT engine counters for the run: all bsat_calls above are
   // served by persistent solvers (one per pool worker), so solver_rebuilds
@@ -146,24 +151,16 @@ struct ApproxMcResult {
   /// warm + cold == iterations actually started (budget skips excluded).
   std::uint64_t leapfrog_warm_starts = 0;
   std::uint64_t leapfrog_cold_starts = 0;
-  /// Pool workers the iterations fanned out across (1 when a standalone
-  /// run ended in its serial prologue — exact/unsat short-circuits — or
-  /// served on the process fleet; on a shared pool always its width, since
-  /// the caller's probe runs inside the fan-out).
+  /// Width of the pool the run fanned out across: the unhashed probe and
+  /// the iterations, exact runs included (1 on the process fleet, where
+  /// the pool serves the probe alone).
   std::size_t threads_used = 1;
-  /// Per-worker engine counters of the pool that served the iterations,
-  /// indexed by worker (empty when a standalone run ended in its prologue
-  /// or served on the fleet).  Worker 0's engine also served the prologue
-  /// or the caller's probe.
+  /// Per-worker engine counters of that pool, indexed by worker (empty on
+  /// the fleet).  Worker 0's engine served the unhashed probe.
   std::vector<SolverStats> workers;
   /// What the preprocessing pipeline did (ran == false when disabled).
   SimplifyStats simplify;
 };
-
-/// Folds an engine's counters into the flat diagnostic fields of `result`
-/// (additive).  The one projection of SolverStats into ApproxMcResult, so
-/// a counter cannot drift between the pool and the prologue-only paths.
-void fold_solver_stats(ApproxMcResult& result, const SolverStats& st);
 
 /// pivot(ε) = 2·⌈3·e^{1/2}·(1 + 1/ε)²⌉  (CP 2013).
 std::uint64_t approxmc_pivot(double epsilon);
@@ -186,8 +183,8 @@ double approxmc_delta_achieved(int t);
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng);
 
-/// What the caller's unhashed probe reports to the shared-pool
-/// approx_count below.
+/// What an unhashed probe — ApproxMC's opening BSAT(F, pivot + 1) —
+/// reports to the count that runs it.
 struct UnhashedProbe {
   /// |cell(0)| projected on S, enumerated with a cap of at least the
   /// `min_models` the probe was given.
@@ -196,9 +193,19 @@ struct UnhashedProbe {
   /// answer settled the caller's question — ends the run without one.
   bool count_needed = false;
 };
-/// The caller's unhashed probe: enumerates cell(0) on the given engine
-/// with a cap of at least `min_models` (pivot + 1), so that a count below
-/// the cap is the exact one.
+/// An unhashed probe: enumerates cell(0) on the given engine with a cap of at
+/// least `min_models` (pivot + 1), so that a count below the cap is the exact
+/// one.  Every count runs one as task 0 of its fan-out, on worker 0's engine
+/// (the caller's thread), while the other workers start the median iterations
+/// (on the process fleet it runs alone first, and the fleet starts only if it
+/// asks for them).  At most pivot models is the exact count; more, and the
+/// result is the iterations' median.  Once the probe settles the run,
+/// iterations that have not started skip and running ones are dropped, so a
+/// width-1 pool does the probe and then either nothing or every iteration.  A
+/// probe that produced no count (cut, or never started because the budget ran
+/// out first) ends the run kCancelled when the token fired, else kTimedOut, and
+/// a resume probes again.  A standalone count's probe only counts;
+/// unigen_prepare's is its easy-case check.
 using UnhashedProbeFn =
     std::function<UnhashedProbe(IncrementalBsat&, std::uint64_t min_models)>;
 
@@ -211,54 +218,45 @@ using UnhashedProbeFn =
 /// pool does next, and one-time solver builds drop from 2N to N per
 /// (pool, formula).
 ///
-/// `probe` takes the place of the unhashed prologue: it runs as task 0 of
-/// the fan-out, first on worker 0's engine (the caller's thread), with
-/// min_models = pivot + 1, while the other workers start the median
-/// iterations.  Its count settles the prologue: at most pivot models is
-/// the exact count; more, and the result is the iterations' median.  A probe that never started (the budget's
-/// token fired first) or whose caller needs no count ends the run without
-/// an estimate.  Whenever the probe settles the run, iterations that have
-/// not started skip and the outcomes of running ones are dropped, so a
-/// width-1 pool does the probe and then either nothing or every iteration.
-/// bsat_calls counts the iterations' probes, not the caller's.
-/// The count's bytes are unchanged (engines' learnt history never reaches
-/// reported values).  options.num_threads and options.fleet are ignored:
-/// the pool's width rules.
+/// `probe` is the caller's unhashed probe, run as UnhashedProbeFn says; a
+/// probe whose caller needs no count also ends the run without an
+/// estimate.  The count's bytes are unchanged (engines' learnt history
+/// never reaches reported values).  options.num_threads and options.fleet
+/// are ignored: the pool's width rules.
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             WorkerPool& pool, Rng& rng,
                             const UnhashedProbeFn& probe);
 
 // --- anytime API ------------------------------------------------------
 
-/// Everything a cut ApproxMC run needs to continue: the prologue's
-/// conclusions (so resume never re-probes them), the iteration RNG base
-/// (stream i of which fully determines iteration i), the per-iteration
-/// outcomes settled so far, and the cumulative unit grant.  Plain value
-/// type — copyable, serializable field-by-field; no live pointers.
+/// Everything a cut ApproxMC run needs to continue: what the unhashed
+/// probe settled (so resume never re-probes it), the run's constants and
+/// iteration RNG base (stream i of which fully determines iteration i),
+/// the per-iteration outcomes settled so far, and the cumulative unit
+/// grant.  Plain value type — copyable, serializable field-by-field; no
+/// live pointers.
 struct ApproxMcAnytimeState {
   /// The options of the original call (budget pointers scrubbed; each
   /// resume supplies a fresh Budget).  Resume must run against the same
   /// formula and the same options, or the streams mean nothing.
   ApproxMcOptions options;
-  /// Prologue: the unhashed exact-count probe ran (1 unit) and the run is
-  /// in the iteration phase — or resolved exactly (`exact_done`).
+  /// The unhashed probe (1 unit) counted more than pivot models and the
+  /// run is in the iteration phase — or it resolved the run exactly
+  /// (`exact_done`).  False after a probe that produced no count, so a
+  /// resume probes again.
   bool prologue_done = false;
   bool exact_done = false;
   /// The exact projected count when exact_done (the run needs no
   /// iterations; resume is a no-op that reconstructs the result).
   std::uint64_t exact_cell_count = 0;
+  /// The run's constants, fixed on entry to the first slice.
   std::uint64_t pivot = 0;
   std::uint32_t n = 0;  ///< |S| of the (simplified) formula
   int iterations_requested = 0;
   /// Base of the per-iteration keyed streams (iteration i uses
-  /// fork_stream(i)); a copy of the one fork taken from the caller's rng.
+  /// fork_stream(i)): the one fork the first slice takes from the caller's
+  /// rng on entry, whatever the run then does.
   Rng iter_base{0};
-  /// Snapshot of the caller's rng at the original call (copied, never
-  /// advanced by the snapshot itself).  Only consulted when a resume has to
-  /// finish a prologue the first slice never completed: the fork it then
-  /// takes is the one the uninterrupted run would have taken, keeping the
-  /// byte-identity contract alive across a prologue-level cut.
-  Rng entry_rng{0};
   /// Cumulative deterministic units granted across the original call and
   /// every resume (0 = unlimited).  The admission fold charges against
   /// this total, which is what makes cut-then-resume reproduce the

@@ -43,8 +43,10 @@ namespace unigen {
 /// own state plus per-worker state indexed by `worker`.  `max_batch` rides
 /// the fleet's task frames (0 for counts and single witnesses).  `ledger`
 /// (null = no call-level unit grant) is charged ipc::units_of each outcome
-/// on both backends; the check before a task starts is racy by design, and
-/// the caller's fold decides what the grant actually bought.
+/// on both backends, and the caller's fold decides what the grant actually
+/// bought.  On the pool a task is skipped only once the tasks before it in
+/// `ids` order have spent the grant, so no schedule skips a task the grant
+/// still covers; more tasks than it covers may run.
 ///
 /// `lead` (null = none; pool only, so `fleet` must be null) runs as task 0
 /// of the same fan-out, ahead of the ids: on the caller's thread and worker
@@ -79,8 +81,8 @@ std::vector<std::optional<Outcome>> run_tasks(
     }
     return out;
   }
-  std::atomic<std::uint64_t> spent{ledger != nullptr ? ledger->units_spent
-                                                     : 0};
+  // Units each task spent, 0 until its outcome is in.
+  std::vector<std::atomic<std::uint64_t>> spent(ids.size());
   const std::size_t first = lead != nullptr ? 1 : 0;
   std::atomic<bool> led_away{false};  // the lead said: skip the rest
   pool.run(
@@ -93,12 +95,15 @@ std::vector<std::optional<Outcome>> run_tasks(
         }
         if (led_away) return;
         const std::size_t j = k - first;
-        if (ledger != nullptr && ledger->units_granted != 0 &&
-            spent.load(std::memory_order_relaxed) >= ledger->units_granted)
-          return;
+        if (ledger != nullptr && ledger->units_granted != 0) {
+          std::uint64_t before = ledger->units_spent;
+          for (std::size_t i = 0; i < j; ++i)
+            before += spent[i].load(std::memory_order_relaxed);
+          if (before >= ledger->units_granted) return;
+        }
         Rng rng = streams.fork_stream(ids[j]);
         out[j] = task(engine, worker, ids[j], rng);
-        spent.fetch_add(ipc::units_of(*out[j]), std::memory_order_relaxed);
+        spent[j].store(ipc::units_of(*out[j]), std::memory_order_relaxed);
       },
       budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
   return out;

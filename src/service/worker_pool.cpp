@@ -46,12 +46,10 @@ void WorkerPool::release() {
   for (Worker& w : workers_) w.engine.reset();
 }
 
-void WorkerPool::start(const Cnf& formula, std::vector<Var> projection,
-                       std::unique_ptr<IncrementalBsat> adopt) {
+void WorkerPool::start(const Cnf& formula, std::vector<Var> projection) {
   if (started()) return;
   formula_ = &formula;
   projection_ = std::move(projection);
-  workers_[0].engine = std::move(adopt);
   // Worker 0 is whichever thread calls run().
   threads_.reserve(workers_.size() - 1);
   for (std::size_t i = 1; i < workers_.size(); ++i)

@@ -17,8 +17,7 @@
 //     immutable Cnf (the engine keeps a reference — no formula copies);
 //     a worker builds its engine on its first task and reuses it for the
 //     pool lifetime, so engine_stats(w).solver_rebuilds stays at 1 for
-//     every worker that ever served.  start() can hand worker 0 an engine
-//     a one-time phase already warmed up.
+//     every worker that ever served.
 //   * run() claims task 0 for the caller before it wakes the others, so
 //     task 0 always runs on worker 0's engine, and is the caller's first
 //     task; the rest are pulled from an atomic cursor, so load balances
@@ -67,11 +66,9 @@ class WorkerPool {
 
   /// Starts workers 1..N−1 over `formula` (which must outlive the pool;
   /// engines reference it, they do not copy it).  `projection` is the set
-  /// cells are counted/blocked over.  Worker 0 — the caller of run() —
-  /// adopts `adopt` when given instead of building its own engine.
-  /// Idempotent: only the first call starts anything.
-  void start(const Cnf& formula, std::vector<Var> projection,
-             std::unique_ptr<IncrementalBsat> adopt = nullptr);
+  /// cells are counted/blocked over.  Idempotent: only the first call
+  /// starts anything.
+  void start(const Cnf& formula, std::vector<Var> projection);
   bool started() const { return formula_ != nullptr; }
 
   /// Fans `count` tasks across the workers; task k runs
@@ -110,8 +107,8 @@ class WorkerPool {
  private:
   struct Job;
   struct Worker {
-    /// Built lazily on the worker's first task (worker 0 may adopt an
-    /// engine a one-time phase warmed), then reused for the pool lifetime.
+    /// Built lazily on the worker's first task, then reused for the pool
+    /// lifetime.
     std::unique_ptr<IncrementalBsat> engine;
     std::uint64_t served = 0;
   };

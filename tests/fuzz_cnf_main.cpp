@@ -15,8 +15,10 @@
 //      within the (1+ε) band (widened by the empirical slack the unit
 //      suite uses, so a pass is deterministic per seed);
 //   4. simplify-on vs. simplify-off ApproxMC byte-equality (count safety);
-//   5. width-1 vs. width-2 pool ApproxMC byte-equality (the
-//      scheduling-independence contract);
+//   5. width-1, width-2 and width-4 pool ApproxMC byte-equality (the
+//      scheduling-independence contract, with the unhashed probe racing
+//      the iterations beside it), and an exact width-1 count costs one
+//      BSAT call at every width;
 //   6. the anytime contract under a seed-derived deterministic budget and
 //      injected fault plan: statuses are honest (a Partial estimate comes
 //      from completed iterations only, with the achieved-δ label), and
@@ -171,19 +173,28 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
   }
 
   // 5. Scheduling independence: serial and parallel counts byte-identical.
+  //    Most cases are exact, so this is where the unhashed probe, task 0
+  //    of the fan-out, races the iterations it then drops.
   {
-    ApproxMcOptions par = amc;
-    par.num_threads = 2;
-    Rng rng_ser(seed + 2), rng_par(seed + 2);
+    Rng rng_ser(seed + 2);
     const ApproxMcResult a = approx_count(cnf, amc, rng_ser);
-    const ApproxMcResult b = approx_count(cnf, par, rng_par);
-    FUZZ_CHECK(a.valid == b.valid && a.exact == b.exact &&
-                   a.cell_count == b.cell_count &&
-                   a.hash_count == b.hash_count,
-               "serial/parallel mismatch: serial=(%d,%d,%" PRIu64 ",%u) "
-               "parallel=(%d,%d,%" PRIu64 ",%u)",
-               a.valid, a.exact, a.cell_count, a.hash_count, b.valid,
-               b.exact, b.cell_count, b.hash_count);
+    for (const std::size_t width : {2u, 4u}) {
+      ApproxMcOptions par = amc;
+      par.num_threads = width;
+      Rng rng_par(seed + 2);
+      const ApproxMcResult b = approx_count(cnf, par, rng_par);
+      FUZZ_CHECK(a.valid == b.valid && a.exact == b.exact &&
+                     a.cell_count == b.cell_count &&
+                     a.hash_count == b.hash_count,
+                 "serial/width-%zu mismatch: serial=(%d,%d,%" PRIu64 ",%u) "
+                 "parallel=(%d,%d,%" PRIu64 ",%u)",
+                 width, a.valid, a.exact, a.cell_count, a.hash_count, b.valid,
+                 b.exact, b.cell_count, b.hash_count);
+      FUZZ_CHECK(!a.exact || (a.bsat_calls == 1 && b.bsat_calls == 1),
+                 "exact count took %" PRIu64 " BSAT calls at width 1 and %"
+                 PRIu64 " at width %zu, not 1",
+                 a.bsat_calls, b.bsat_calls, width);
+    }
   }
 
   // 6. Anytime under deterministic budgets and injected faults.  The fault

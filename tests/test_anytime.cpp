@@ -25,7 +25,8 @@
 namespace unigen {
 namespace {
 
-/// A formula the prologue cannot count exactly: 2^12 models >> pivot(0.8).
+/// A formula the unhashed probe cannot count exactly: 2^12 models >>
+/// pivot(0.8).
 Cnf hashed_instance() { return Cnf(12); }
 
 ApproxMcOptions det_options(std::uint64_t units, std::size_t threads) {
@@ -36,16 +37,25 @@ ApproxMcOptions det_options(std::uint64_t units, std::size_t threads) {
 }
 
 /// Byte-level equality of two anytime results, including the resume state's
-/// per-iteration ledger.
+/// constants and per-iteration ledger (not its grant, which a cut and
+/// resume reach in two steps).
 void expect_identical(const ApproxMcAnytime& a, const ApproxMcAnytime& b) {
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.iterations_completed, b.iterations_completed);
   EXPECT_EQ(a.achieved_delta, b.achieved_delta);
   EXPECT_EQ(a.result.valid, b.result.valid);
+  EXPECT_EQ(a.result.exact, b.result.exact);
   EXPECT_EQ(a.result.cell_count, b.result.cell_count);
   EXPECT_EQ(a.result.hash_count, b.result.hash_count);
   EXPECT_EQ(a.result.bsat_calls, b.result.bsat_calls);
   EXPECT_EQ(a.result.iterations_succeeded, b.result.iterations_succeeded);
+  EXPECT_EQ(a.state.prologue_done, b.state.prologue_done);
+  EXPECT_EQ(a.state.exact_done, b.state.exact_done);
+  EXPECT_EQ(a.state.exact_cell_count, b.state.exact_cell_count);
+  EXPECT_EQ(a.state.pivot, b.state.pivot);
+  EXPECT_EQ(a.state.n, b.state.n);
+  EXPECT_EQ(a.state.iterations_requested, b.state.iterations_requested);
+  EXPECT_EQ(a.state.iter_base.state(), b.state.iter_base.state());
   ASSERT_EQ(a.state.outcomes.size(), b.state.outcomes.size());
   ASSERT_EQ(a.state.settled.size(), b.state.settled.size());
   for (std::size_t i = 0; i < a.state.outcomes.size(); ++i) {
@@ -148,7 +158,7 @@ TEST(AnytimeCount, ResumeOfConcludedRunIsIdempotent) {
 }
 
 TEST(AnytimeCount, ExactPrologueReplaysThroughResume) {
-  Cnf cnf(3);  // 8 models <= pivot: resolved exactly in the prologue
+  Cnf cnf(3);  // 8 models <= pivot: resolved exactly by the unhashed probe
   Rng rng(5);
   const ApproxMcAnytime first =
       approx_count_anytime(cnf, det_options(10, 1), rng);
@@ -162,6 +172,60 @@ TEST(AnytimeCount, ExactPrologueReplaysThroughResume) {
   EXPECT_EQ(replay.status, RequestStatus::kComplete);
   EXPECT_TRUE(replay.result.exact);
   EXPECT_EQ(replay.result.cell_count, 8u);
+}
+
+TEST(AnytimeCount, ExactRunIsWidthIndependentUnderAGrant) {
+  // The unhashed probe counts 8 models exactly, as task 0 of the fan-out.
+  // Iterations that ran beside it on a wider pool are dropped uncounted, so
+  // the result and the resume state are the same at every width.
+  Cnf cnf(3);
+  Rng ref_rng(5);
+  const ApproxMcAnytime ref =
+      approx_count_anytime(cnf, det_options(10, 1), ref_rng);
+  ASSERT_EQ(ref.status, RequestStatus::kComplete);
+  EXPECT_TRUE(ref.result.exact);
+  EXPECT_EQ(ref.result.cell_count, 8u);
+  EXPECT_EQ(ref.result.bsat_calls, 1u);
+  for (const std::size_t threads : {2u, 4u}) {
+    Rng rng(5);
+    const ApproxMcAnytime got =
+        approx_count_anytime(cnf, det_options(10, threads), rng);
+    expect_identical(ref, got);
+    EXPECT_EQ(ref.state.units_granted, got.state.units_granted);
+  }
+}
+
+TEST(AnytimeCount, CutProbeResumesToTheUncappedCount) {
+  // A conflict cap of 1 cuts the unhashed probe: the run has no count, so
+  // it wants no iteration and leaves the prologue open; a resume probes
+  // again, from the same iteration base, and lands on the uncapped count.
+  Rng gen(2);
+  const Cnf cnf = test::random_cnf(16, 60, 3, gen);
+  for (const std::size_t threads : {1u, 4u}) {
+    ApproxMcOptions opts;
+    opts.num_threads = threads;
+    opts.simplify.enabled = false;
+    Rng ref_rng(9);
+    const ApproxMcAnytime full = approx_count_anytime(cnf, opts, ref_rng);
+    ASSERT_EQ(full.status, RequestStatus::kComplete) << "width " << threads;
+    EXPECT_FALSE(full.result.exact);
+    EXPECT_EQ(full.result.cell_count, 40u);
+    EXPECT_EQ(full.result.hash_count, 2u);
+
+    opts.budget.conflicts_per_call = 1;
+    Rng rng(9);
+    const ApproxMcAnytime cut = approx_count_anytime(cnf, opts, rng);
+    EXPECT_EQ(cut.status, RequestStatus::kTimedOut) << "width " << threads;
+    EXPECT_FALSE(cut.result.valid);
+    EXPECT_EQ(cut.result.bsat_calls, 1u);
+    EXPECT_FALSE(cut.state.prologue_done);
+
+    const ApproxMcAnytime resumed =
+        approx_count_resume(cnf, cut.state, Budget{});
+    EXPECT_EQ(resumed.status, RequestStatus::kComplete);
+    EXPECT_EQ(resumed.result.cell_count, full.result.cell_count);
+    EXPECT_EQ(resumed.result.hash_count, full.result.hash_count);
+  }
 }
 
 TEST(AnytimeCount, FaultedIterationIsSkippedAndAccounted) {

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "counting/approxmc.hpp"
@@ -49,6 +50,10 @@ TEST(ApproxMc, ExactOnSmallFormulas) {
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.cell_count, 8u);
   EXPECT_EQ(r.hash_count, 0u);
+  // δ outside (0, 1) is refused on entry, before the probe could count.
+  ApproxMcOptions bad;
+  bad.delta = 1.0;
+  EXPECT_THROW(approx_count(cnf, bad, rng), std::invalid_argument);
 }
 
 TEST(ApproxMc, UnsatIsExactZero) {

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
 
 #include "counting/approxmc.hpp"
+#include "helpers.hpp"
 #include "service/dispatch.hpp"
 #include "service/sampler_pool.hpp"
 
@@ -265,9 +267,8 @@ TEST(WorkerPool, ReleaseDropsEnginesAndLeavesTheCallerAlone) {
 }
 
 TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {
-  // On a width-1 pool the racy pre-start check is exact: with 3 units
-  // granted and 2 spent, the first task (charging 4) runs and the rest
-  // never start.
+  // With 3 units granted and 2 spent, the first task (charging 4) runs
+  // and the rest never start.
   Cnf cnf(4);
   cnf.add_clause({Lit(0, false), Lit(1, false)});
   WorkerPool pool(1);
@@ -293,6 +294,34 @@ TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {
   EXPECT_FALSE(out[1].has_value());
   EXPECT_FALSE(out[2].has_value());
   EXPECT_EQ(seen, std::vector<std::uint64_t>{5});
+}
+
+TEST(RunTasks, LedgerSkipsNoTaskTheGrantStillCovers) {
+  // Only the tasks before a task in id order can spend the grant out from
+  // under it.  Worker 1 claims id 0 and builds its engine for a big
+  // formula first, while the caller, whose engine is warm, serves ids 1..4
+  // at once and spends the grant; id 0 must still run.
+  Rng gen(3);
+  const Cnf big = test::random_cnf(20000, 60000, 3, gen);
+  WorkerPool pool(2);
+  pool.start(big, big.sampling_set_or_all());
+  pool.run(1, [](IncrementalBsat&, std::size_t, std::size_t) {});
+  ProcessFleet::RunControl ledger;
+  ledger.units_granted = 3;
+  ledger.units_spent = 1;
+  const std::function<bool(IncrementalBsat&)> lead = [](IncrementalBsat&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return true;
+  };
+  const auto out = run_tasks<ApproxMcCoreOutcome>(
+      pool, nullptr, {0, 1, 2, 3, 4}, Rng(9), 0, Budget{}, &ledger,
+      [](IncrementalBsat&, std::size_t, std::uint64_t, Rng&) {
+        ApproxMcCoreOutcome o;
+        o.bsat_calls = 1;
+        return o;
+      },
+      &lead);
+  EXPECT_TRUE(out[0].has_value());
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Tests for the parallel counting service: byte-identical counts across
 // thread counts (including the width-1 pool and the 0 = hardware
-// boundary), one solver build per serving worker, leapfrog accounting, and
-// the parallel-prepare wiring: UniGen's easy-case check runs as task 0 of
-// the nested count's fan-out, settles the count's unhashed prologue, and
-// lets a width-1 pool skip the iterations once it settles prepare.  The
-// threaded cases run under the tsan preset; the statistics-heavy
-// chi-square regression through the parallel prepare() path lives in
-// tests/test_uniformity.cpp.
+// boundary), one solver build per serving worker, leapfrog accounting, the
+// unhashed probe as task 0 of every count's fan-out, and the
+// parallel-prepare wiring: UniGen's easy-case check is the nested count's
+// probe and lets a width-1 pool skip the iterations once it settles
+// prepare.  The threaded cases run under the tsan preset; the
+// statistics-heavy chi-square regression through the parallel prepare()
+// path lives in tests/test_uniformity.cpp.
 
 #include <gtest/gtest.h>
 
@@ -92,7 +92,7 @@ TEST(ParallelApproxMc, OneSolverBuildPerServingWorker) {
   for (std::size_t w = 0; w < r.workers.size(); ++w) {
     // A worker that served at least one iteration built its engine exactly
     // once; one that never won the cursor has none.  Worker 0 always has
-    // one — it adopts the prologue's exact-count engine.  (At this scale
+    // one — it builds it for the unhashed probe, task 0.  (At this scale
     // the engine's retired-row compaction cap cannot fire; a count big
     // enough to retire 4096 hash rows on one worker would legitimately
     // report a second build.)
@@ -125,17 +125,31 @@ TEST(ParallelApproxMc, LeapfrogAccounting) {
   EXPECT_LE(parallel.leapfrog_cold_starts, parallel.threads_used);
 }
 
-TEST(ParallelApproxMc, ExactShortCircuitStaysSerial) {
-  // Fewer than pivot models: the exact prologue answers before any fan-out,
-  // whatever num_threads says.
+TEST(ParallelApproxMc, ExactCountIsWidthIndependent) {
+  // Fewer than pivot models: the unhashed probe, task 0 of the fan-out,
+  // counts them exactly at every width.  The iterations that ran beside it
+  // are dropped uncounted; a width-1 pool skips them and builds only the
+  // probe's engine.
   Cnf cnf(5);
   cnf.add_clause({Lit(0, false)});
-  const ApproxMcResult r = count_at(cnf, 4, 9);
-  ASSERT_TRUE(r.valid);
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.cell_count, 16u);
-  EXPECT_EQ(r.threads_used, 1u);
-  EXPECT_TRUE(r.workers.empty());
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const std::uint64_t before = IncrementalBsat::total_constructions();
+    const ApproxMcResult r = count_at(cnf, threads, 9);
+    const std::uint64_t engines =
+        IncrementalBsat::total_constructions() - before;
+    ASSERT_TRUE(r.valid) << "width " << threads;
+    EXPECT_TRUE(r.exact) << "width " << threads;
+    EXPECT_EQ(r.cell_count, 16u) << "width " << threads;
+    EXPECT_EQ(r.bsat_calls, 1u) << "width " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(engines, 1u);
+    }
+    if (threads == 4) {
+      // t = 3 at the default δ: the probe fills the fourth worker.
+      EXPECT_EQ(r.threads_used, 4u);
+      EXPECT_EQ(r.workers.size(), 4u);
+    }
+  }
 }
 
 TEST(ParallelApproxMc, PoolPrepareCountsOnPoolWidth) {
@@ -216,7 +230,8 @@ TEST(ParallelApproxMc, EasyPrepareOnWidthOneSkipsTheIterations) {
 TEST(ParallelApproxMc, EasySessionKeepsNoEngine) {
   // A width-4 session fans prepare out in every mode, but only a hashed one
   // keeps its engines: an easy or UNSAT session serves requests inline, so
-  // prepare releases the pool again.
+  // prepare releases the pool again.  Its ledger holds the check alone:
+  // iterations that ran beside it were dropped uncounted.
   Cnf trivial(3);
   trivial.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});  // 7
   Cnf unsat(2);
@@ -233,17 +248,19 @@ TEST(ParallelApproxMc, EasySessionKeepsNoEngine) {
     ASSERT_EQ(pool.prepared().mode, mode);
     std::uint64_t engines = 0;
     for (const auto& w : pool.stats().workers) engines += w.solver_rebuilds;
-    if (mode == UniGenPrepared::Mode::kHashed)
+    if (mode == UniGenPrepared::Mode::kHashed) {
       EXPECT_GE(engines, 1u);
-    else
+    } else {
       EXPECT_EQ(engines, 0u);
+      EXPECT_EQ(pool.stats().prepare.prepare_bsat_calls, 1u);
+    }
   }
 }
 
 TEST(ParallelApproxMc, CheckCountsExactlyUpToThePivot) {
   // counter_epsilon 0.3 puts the count's pivot (186) above hiThresh (89):
   // 128 solutions are too many for the easy case but few enough for the
-  // check to count exactly, as the count's unhashed prologue would.
+  // check to count exactly, as a standalone count's probe would.
   Cnf cnf(8);
   cnf.add_clause({Lit(0, false)});  // 2^7 = 128 models
   UniGenOptions opts;
