@@ -3,6 +3,12 @@
 // algorithm, only the sampling set differs.  Expected shape: XOR rows drop
 // from ≈|X|/2 to ≈|S|/2 variables and per-witness time drops with them;
 // both runs remain almost-uniform (S is an independent support).
+//
+// Env knobs: UNIGEN_BENCH_SAMPLES witnesses per run (default 10) and
+// UNIGEN_BSAT_TIMEOUT_S the per-BSAT cap (default 10).  Each run has one
+// wall deadline, armed when its UniGen is built:
+// UNIGEN_PREPARE_TIMEOUT_S (default 90) plus UNIGEN_SAMPLE_TIMEOUT_S
+// (default 30) per witness.
 
 #include <cstdio>
 
@@ -42,8 +48,10 @@ int main() {
     UniGenOptions opts;
     opts.epsilon = 6.0;
     opts.budget.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
-    opts.prepare_timeout_s = env_double("UNIGEN_PREPARE_TIMEOUT_S", 90.0);
-    opts.sample_timeout_s = env_double("UNIGEN_SAMPLE_TIMEOUT_S", 30.0);
+    opts.budget.deadline = Deadline::in_seconds(
+        env_double("UNIGEN_PREPARE_TIMEOUT_S", 90.0) +
+        static_cast<double>(samples) *
+            env_double("UNIGEN_SAMPLE_TIMEOUT_S", 30.0));
     UniGen sampler(cnf, opts, rng);
     if (!sampler.prepare()) {
       std::printf("%-22s %6zu %10s %10s %10s %8s\n",

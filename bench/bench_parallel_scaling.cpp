@@ -14,6 +14,8 @@
 //
 // Env knobs: UNIGEN_BENCH_SAMPLES   requests per measured run (default 64)
 //            UNIGEN_PARALLEL_STATE  circuit state bits        (default 14)
+//            UNIGEN_BSAT_TIMEOUT_S  per-BSAT cap              (default 60)
+// No wall cap is set: the identity check holds only when no cap binds.
 
 #include <cstdio>
 #include <thread>
@@ -47,10 +49,6 @@ RunResult run_at(const Cnf& cnf, std::size_t threads, std::size_t requests) {
   opts.seed = kSeed;
   opts.unigen.budget.bsat_timeout_s =
       bench::env_double("UNIGEN_BSAT_TIMEOUT_S", 60.0);
-  opts.unigen.prepare_timeout_s =
-      bench::env_double("UNIGEN_PREPARE_TIMEOUT_S", 600.0);
-  opts.unigen.sample_timeout_s =
-      bench::env_double("UNIGEN_SAMPLE_TIMEOUT_S", 300.0);
   SamplerPool pool(cnf, opts);
   RunResult out;
   if (!pool.prepare()) {

@@ -11,7 +11,10 @@
 //     unique witness extension and the streams must coincide).
 //
 // Budgets follow the table benches: UNIGEN_BENCH_SCALE shrinks the
-// instances, UNIGEN_BENCH_SAMPLES sets the per-instance witness count.
+// instances, UNIGEN_BENCH_SAMPLES sets the per-instance witness count,
+// UNIGEN_BSAT_TIMEOUT_S caps every BSAT call.  UNIGEN_PREPARE_TIMEOUT_S
+// caps the count; each UniGen leg has one wall deadline, armed when its
+// UniGen is built: that cap plus UNIGEN_SAMPLE_TIMEOUT_S per witness.
 
 #include <cstdio>
 
@@ -72,8 +75,8 @@ int main() {
         UniGenOptions opts;
         opts.epsilon = 6.0;
         opts.budget.bsat_timeout_s = bsat_timeout_s;
-        opts.prepare_timeout_s = count_budget_s;
-        opts.sample_timeout_s = sample_budget_s;
+        opts.budget.deadline = Deadline::in_seconds(
+            count_budget_s + static_cast<double>(samples) * sample_budget_s);
         opts.simplify.enabled = simplify_on;
         Rng rng(20140002);
         UniGen sampler(instance.cnf, opts, rng);

@@ -6,11 +6,13 @@
 // Budgets default to laptop-friendly values and can be raised toward the
 // paper's setup (2500 s per BSAT call, 20 h per run, 1000+ samples):
 //   UNIGEN_BENCH_SCALE        instance scale (0..1], default per-bench
-//   UNIGEN_BENCH_SAMPLES      UniGen samples per instance   (default 10)
+//   UNIGEN_BENCH_SAMPLES      UniGen samples per instance   (default 5)
 //   UNIGEN_UNIWIT_SAMPLES     UniWit samples per instance   (default 2)
-//   UNIGEN_BSAT_TIMEOUT_S     per-BSAT timeout              (default 5)
-//   UNIGEN_PREPARE_TIMEOUT_S  UniGen prepare budget         (default 120)
-//   UNIGEN_SAMPLE_TIMEOUT_S   per-witness budget            (default 20)
+//   UNIGEN_BSAT_TIMEOUT_S     per-BSAT timeout              (default 15)
+//   UNIGEN_PREPARE_TIMEOUT_S  UniGen prepare wall cap       (default 240)
+//   UNIGEN_SAMPLE_TIMEOUT_S   per-witness wall cap          (default 45)
+// bench_table2 lowers some of these defaults.  The UniGen leg runs its
+// prepare and each witness as a call of its own, each under its cap.
 
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +23,7 @@
 
 #include "core/unigen.hpp"
 #include "core/uniwit.hpp"
+#include "service/sampler_pool.hpp"
 #include "util/timer.hpp"
 #include "workloads/suite.hpp"
 
@@ -150,25 +153,36 @@ inline TableRow run_instance(const workloads::SuiteInstance& instance,
   row.support_size = instance.cnf.sampling_set_or_all().size();
 
   {
+    // A width-1 pool seeded with one draw of the rng is exactly a UniGen
+    // (tests/test_unigen_batch.cpp); driven directly, each witness is a
+    // call of its own under its own wall cap.
     Rng rng(seed);
-    UniGenOptions opts;
-    opts.epsilon = 6.0;  // the paper's experimental setting
-    opts.budget.bsat_timeout_s = budgets.bsat_timeout_s;
-    opts.prepare_timeout_s = budgets.prepare_timeout_s;
-    opts.sample_timeout_s = budgets.sample_timeout_s;
-    UniGen sampler(instance.cnf, opts, rng);
-    if (sampler.prepare()) {
+    SamplerPoolOptions opts;
+    opts.num_threads = 1;
+    opts.seed = rng();
+    opts.unigen.epsilon = 6.0;  // the paper's experimental setting
+    SamplerPool sampler(instance.cnf, opts);
+    const auto capped = [&budgets](double wall_s) {
+      Budget budget = Budget::within_seconds(wall_s);
+      budget.bsat_timeout_s = budgets.bsat_timeout_s;
+      return budget;
+    };
+    if (sampler.prepare(capped(budgets.prepare_timeout_s))) {
       for (std::uint64_t i = 0; i < budgets.unigen_samples; ++i)
-        sampler.sample();
-      const auto& st = sampler.stats();
+        sampler.sample_many_within(1, capped(budgets.sample_timeout_s));
+      const SamplerPoolStats st = sampler.stats();
+      const SamplerPoolWorkerStats& w = st.workers[0];
       row.unigen_ran = st.samples_ok > 0;
       row.unigen_succ = st.success_rate();
       row.unigen_avg_time_s =
-          st.samples_ok > 0 ? st.sample_seconds /
-                                  static_cast<double>(st.samples_requested)
-                            : 0.0;
-      row.unigen_prepare_s = st.prepare_seconds;
-      row.unigen_xor_len = st.average_xor_length();
+          st.samples_ok > 0
+              ? st.service_seconds / static_cast<double>(st.requests)
+              : 0.0;
+      row.unigen_prepare_s = st.prepare.prepare_seconds;
+      row.unigen_xor_len =
+          w.total_xor_rows == 0
+              ? 0.0
+              : w.total_xor_row_length / static_cast<double>(w.total_xor_rows);
     }
   }
   {

@@ -38,13 +38,6 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
                     const UniGenOptions& options, WorkerPool& pool, Rng& rng,
                     UniGenPrepared& prep, UniGenStats& stats) {
   const Stopwatch watch;
-  // prepare_timeout_s, tightened by the caller's overall anytime deadline
-  // when that one is nearer.
-  Deadline deadline = Deadline::in_seconds(options.prepare_timeout_s);
-  if (options.budget.deadline.armed() &&
-      options.budget.deadline.remaining_seconds() <
-          deadline.remaining_seconds())
-    deadline = options.budget.deadline;
 
   // Lines 1–3: thresholds.
   prep.kp = compute_kappa_pivot(options.epsilon);
@@ -95,7 +88,7 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
   ApproxMcOptions amc;
   amc.epsilon = options.counter_epsilon;
   amc.delta = 1.0 - options.counter_confidence;
-  amc.budget.deadline = deadline;
+  amc.budget.deadline = options.budget.deadline;
   amc.budget.bsat_timeout_s = options.budget.bsat_timeout_s;
   // Cancellation reaches the nested count; the deterministic per-request
   // knobs (max_bsat_calls, fault) deliberately do not — they are scoped to
@@ -111,11 +104,11 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
   // too.  The check draws no randomness, and its blocking clauses are
   // retracted, so the iterations and samples on this engine start from the
   // unblocked formula plus whatever the solver learnt here.  The caller's
-  // cancellation token rides along with the (already combined) deadline.
+  // cancellation token rides along with the call's deadline.
   // The check's outcome is the mode; a check the budget cut, or never let
   // start, leaves kTimedOut — a cut prepare, never an empty cell.
   ProbeLimits limits;
-  limits.deadline = deadline;
+  limits.deadline = options.budget.deadline;
   limits.cancel = options.budget.cancel != nullptr
                       ? options.budget.cancel->flag()
                       : nullptr;
@@ -172,13 +165,7 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
   // request's stream/fault key.  Strictly outside every RNG draw.
   obs::Span request_span("sample.request");
   request_span.set_value(fault_key);
-  // The request's budget: the caller's, with its wall deadline tightened
-  // to sample_timeout_s when that one is nearer.
-  Budget budget = options.budget;
-  const Deadline sample_deadline =
-      Deadline::in_seconds(options.sample_timeout_s);
-  if (sample_deadline.remaining_seconds() < budget.deadline.remaining_seconds())
-    budget.deadline = sample_deadline;
+  const Budget& budget = options.budget;
   const int n = static_cast<int>(sampling_set.size());
   const int i_last = std::clamp(prep.q, 1, n);
   const int i_first = std::clamp(prep.q - 3, 1, i_last);

@@ -53,10 +53,6 @@ struct UniGenOptions {
   /// Witnesses are reconstructed onto the original formula, so samples are
   /// genuine models of the input (simplify/simplify.hpp).
   SimplifyOptions simplify;
-  /// Budget for prepare() in seconds (paper: part of the 20 h total).
-  double prepare_timeout_s = 72000.0;
-  /// Budget for one sample() call in seconds.
-  double sample_timeout_s = 72000.0;
   /// ApproxModelCounter tolerance/confidence (paper line 9: 0.8 and 0.8).
   double counter_epsilon = 0.8;
   double counter_confidence = 0.8;
@@ -77,8 +73,10 @@ struct UniGenOptions {
   ///   * budget.fault — deterministic fault injector; a request keyed k
   ///     reports each probe as (key = k, call = per-request ordinal), so
   ///     the schedule never shifts which probe a plan hits.
-  ///   * budget.deadline — wall-clock deadline combined (min) with
-  ///     sample_timeout_s; prepare() also observes it.
+  ///   * budget.deadline — the call's wall-clock deadline, the only wall
+  ///     clock besides bsat_timeout_s: prepare() runs under it, and so does
+  ///     every request of a call (paper: part of the 20 h total).  A
+  ///     request gets no wall cap of its own inside a multi-request call.
   /// The default (unlimited, no token, no plan) reproduces the original
   /// behavior byte-for-byte.
   Budget budget;

@@ -159,15 +159,18 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     fleet.emplace(options.fleet);
   // The executor: the shared pool, or a private pool of up to one worker
   // per task (width 1 runs on this thread), the probe included unless it
-  // runs alone ahead of the fleet.
+  // runs alone ahead of the fleet.  Beside a fleet the private pool serves
+  // only that probe, so it is one wide; `width` then sizes the fleet, and
+  // the pool again if the fleet cannot start.
+  const std::size_t width = std::min<std::size_t>(
+      options.num_threads == 0
+          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+          : options.num_threads,
+      st.outcomes.size() + (st.prologue_done || fleet ? 0 : 1));
   WorkerPool* pool = shared_pool;
   std::optional<WorkerPool> owned;
   if (pool == nullptr) {
-    owned.emplace(std::min<std::size_t>(
-        options.num_threads == 0
-            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-            : options.num_threads,
-        st.outcomes.size() + (st.prologue_done || fleet ? 0 : 1)));
+    owned.emplace(fleet ? 1 : width);
     owned->start(formula, sampling_set);
     pool = &*owned;
   }
@@ -214,8 +217,12 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   if (fleet && iterations_wanted &&
       !fleet->start(
           ProcessFleet::make_count_setup(formula, sampling_set, st.pivot),
-          pool->num_threads()))
+          width)) {
+    // The in-process fallback runs the iterations on a pool of that width.
     fleet.reset();
+    owned.emplace(width);
+    owned->start(formula, sampling_set);
+  }
   std::vector<std::optional<ApproxMcCoreOutcome>> served;
   if (iterations_wanted || with_lead)
     served = fan_out(fleet ? &*fleet : nullptr, unsettled, with_lead);

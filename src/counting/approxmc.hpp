@@ -156,7 +156,9 @@ struct ApproxMcResult {
   /// the pool serves the probe alone).
   std::size_t threads_used = 1;
   /// Per-worker engine counters of that pool, indexed by worker (empty on
-  /// the fleet).  Worker 0's engine served the unhashed probe.
+  /// the fleet).  Worker 0's engine served the unhashed probe, unless a
+  /// fleet that could not start left the iterations to a pool built after
+  /// the probe.
   std::vector<SolverStats> workers;
   /// What the preprocessing pipeline did (ran == false when disabled).
   SimplifyStats simplify;

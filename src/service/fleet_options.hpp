@@ -13,6 +13,12 @@
 // empty, the fleet spawns `num_workers` local children over socketpairs;
 // set, it dials one pre-started `unigen_workerd --listen` server per
 // endpoint (any host) and spawns nothing.
+//
+// No knob here bounds a task's wall clock: that comes only from the Budget
+// of the call the task rides in (its deadline and per-call scalars travel
+// on every task frame).  The fleet's own clocks bound its workers only:
+// dialing, heartbeats, respawn backoff, and a fixed 5 s on every frame
+// send (process_fleet.cpp).
 
 #include <cstdint>
 #include <string>
@@ -44,18 +50,10 @@ struct FleetOptions {
   /// Dial deadline per endpoint; an unreachable host costs this much,
   /// never an indefinite stall.
   double connect_timeout_s = 5.0;
-  /// Bounded-write discipline for every supervisor-side frame send: a
-  /// worker that stops draining its socket for this long is classified a
-  /// stalled transport and killed like a heartbeat-silent hang (the
-  /// single-threaded poll loop must never block in send).  0 = unbounded.
-  double send_timeout_s = 5.0;
   /// Path to the unigen_workerd binary spawned children run.  Empty =
   /// $UNIGEN_WORKERD, else "unigen_workerd" next to the running executable
   /// (/proc/self/exe).
   std::string workerd_path;
-  /// Wall-clock ceiling per task attempt; expiry kills the worker and
-  /// re-dispatches the task.  0 = none (heartbeats still police hangs).
-  double task_deadline_s = 0.0;
   /// Worker-side heartbeat period.  The worker emits an unsolicited
   /// heartbeat frame this often from a dedicated thread, so a busy solve
   /// is distinguishable from a hung or dead process.  Reaches spawned

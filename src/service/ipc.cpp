@@ -125,7 +125,6 @@ std::string encode_setup(const SetupMsg& m) {
   w.i32(m.q);
   w.i32(m.formula_vars);
   w.f64(m.epsilon);
-  w.f64(m.sample_timeout_s);
   return w.take();
 }
 
@@ -147,7 +146,6 @@ SetupMsg decode_setup(const std::string& payload) {
   m.q = r.i32();
   m.formula_vars = r.i32();
   m.epsilon = r.f64();
-  m.sample_timeout_s = r.f64();
   r.finish();
   // The search runs over levels 1..|S| of a hash drawn over S.
   if (m.kind == TaskKind::kCount && m.sampling_set.empty())

@@ -138,11 +138,10 @@ struct SetupMsg {
   std::int32_t q = 0;
   std::int32_t formula_vars = 0;  ///< original Cnf::num_vars()
   double epsilon = 0.0;  ///< UniGen's ε; a kSample Setup needs ε > 1.71
-  /// UniGenOptions::sample_timeout_s.  The per-call Budget scalars travel
-  /// on each TaskMsg instead; pointers (cancel token, in-process fault
-  /// injector) cannot cross the boundary — cancellation is supervisor-side
-  /// (kill), faults are process-level (UNIGEN_WORKERD_FAULTS).
-  double sample_timeout_s = 0.0;
+  // No wall clock: the call's Budget scalars travel on each TaskMsg.
+  // Pointers (cancel token, in-process fault injector) cannot cross the
+  // boundary — cancellation is supervisor-side (kill), faults are
+  // process-level (UNIGEN_WORKERD_FAULTS).
 };
 
 struct TaskMsg {

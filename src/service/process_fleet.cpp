@@ -29,6 +29,12 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
 
+/// Bound on every supervisor-side frame send: a worker that stops draining
+/// its socket this long is a stalled transport, killed like a
+/// heartbeat-silent hang (the single-threaded poll loop must never block
+/// in send).
+constexpr double kSendTimeoutS = 5.0;
+
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
 }
@@ -58,7 +64,6 @@ struct ProcessFleet::Worker {
   ipc::FrameReader reader;
   /// Last frame of any kind (Ready/Heartbeat/Result) — the liveness clock.
   Clock::time_point last_frame{};
-  Clock::time_point busy_since{};
   std::size_t task = kNoTask;
   int respawns = 0;
   double backoff_s = 0.0;
@@ -149,7 +154,7 @@ bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
   w.last_frame = Clock::now();
   ++stats_.spawns;
   const ipc::WriteOutcome wr = ipc::write_frame_bounded(
-      w.fd, ipc::FrameType::kSetup, setup_payload_, options_.send_timeout_s);
+      w.fd, ipc::FrameType::kSetup, setup_payload_, kSendTimeoutS);
   if (wr != ipc::WriteOutcome::kOk) {
     // kOversize is the clean refusal path for an unshippable formula: no
     // byte hit the wire, the worker is simply unusable — every slot fails
@@ -401,8 +406,7 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
   msg.parent_span = spec.parent_span;
   w.span_start_ns = 0;
   const ipc::WriteOutcome wr = ipc::write_frame_bounded(
-      w.fd, ipc::FrameType::kTask, ipc::encode_task(msg),
-      options_.send_timeout_s);
+      w.fd, ipc::FrameType::kTask, ipc::encode_task(msg), kSendTimeoutS);
   if (wr != ipc::WriteOutcome::kOk) {
     // Worker died between poll rounds — or stopped draining its socket
     // long enough to trip the send deadline, which gets the same
@@ -439,7 +443,6 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
   }
   w.state = Worker::State::kBusy;
   w.task = task_index;
-  w.busy_since = Clock::now();
 }
 
 bool ProcessFleet::poll_once(int timeout_ms, RunState* run) {
@@ -508,22 +511,14 @@ bool ProcessFleet::poll_once(int timeout_ms, RunState* run) {
     ::nanosleep(&ts, nullptr);
   }
 
-  // Liveness and per-attempt deadlines.
+  // Liveness.
   const Clock::time_point after = Clock::now();
   for (Worker& w : workers_) {
-    if (!w.alive()) continue;
-    if (options_.heartbeat_timeout_s > 0.0 &&
+    if (w.alive() && options_.heartbeat_timeout_s > 0.0 &&
         std::chrono::duration<double>(after - w.last_frame).count() >
             options_.heartbeat_timeout_s) {
       ++stats_.hang_kills;
       obs::metrics().counter("fleet.hang_kills").add();
-      kill_worker(w);
-      continue;
-    }
-    if (w.state == Worker::State::kBusy && options_.task_deadline_s > 0.0 &&
-        std::chrono::duration<double>(after - w.busy_since).count() >
-            options_.task_deadline_s) {
-      ++stats_.deadline_kills;
       kill_worker(w);
     }
   }
@@ -619,11 +614,14 @@ std::vector<ProcessFleet::TaskOutcome> ProcessFleet::run(
   // A cut (cancel/deadline/grant) can leave workers mid-solve; SIGKILL is
   // the only out-of-process interrupt.  Observe the deaths now so the
   // fleet object is clean — and immediately reusable — for the next call.
+  // A kill the call's deadline caused, not its token, is a deadline kill.
+  const bool deadline_cut = !budget.cancelled() && budget.wall_expired();
   bool any_busy = false;
   for (Worker& w : workers_)
     if (w.state == Worker::State::kBusy) {
       kill_worker(w);
       any_busy = true;
+      if (deadline_cut) ++stats_.deadline_kills;
     }
   if (any_busy) {
     const Clock::time_point reap_by = after_seconds(10.0);
@@ -687,7 +685,6 @@ std::string ProcessFleet::make_sample_setup(
   m.q = prep.q;
   m.formula_vars = original.num_vars();
   m.epsilon = options.epsilon;
-  m.sample_timeout_s = options.sample_timeout_s;
   return ipc::encode_setup(m);
 }
 

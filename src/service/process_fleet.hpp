@@ -17,9 +17,6 @@
 //   * liveness   — workers heartbeat on a dedicated thread; a worker silent
 //                  past heartbeat_timeout_s is declared hung, SIGKILLed,
 //                  and treated like any other death.
-//   * deadlines  — task_deadline_s bounds one attempt's wall clock; expiry
-//                  kills the worker (the only way to interrupt an
-//                  out-of-process solve) and re-dispatches.
 //   * crash loop — respawns back off exponentially and are capped per
 //                  worker slot; a slot that keeps dying is abandoned and
 //                  the fleet degrades to the survivors.
@@ -27,8 +24,10 @@
 //                  poisoned: its slot reports unserved and flows through
 //                  the embeddings' existing partial/failed accounting.
 //   * cancel/    — a tripped token or expired call deadline SIGKILLs busy
-//     deadline     workers (honest statuses for their tasks); dead slots
+//     deadline     workers (the only way to interrupt an out-of-process
+//                  solve; honest statuses for their tasks); dead slots
 //                  respawn lazily, so the fleet object stays reusable.
+//                  The call's Budget is the only wall clock a task has.
 //
 // Where workers come from (FleetOptions::endpoints): the supervision loop
 // never sees anything but a connected SOCK_STREAM fd per worker, so the
@@ -37,7 +36,7 @@
 // per endpoint, on any host).  A dialed worker has no pid to SIGKILL;
 // dropping the connection is the kill (the serving loop sees EOF, resets,
 // and re-accepts), and a respawn is a re-dial under the same bounded
-// backoff.  All frame sends are deadline-bounded (send_timeout_s): a peer
+// backoff.  All frame sends are deadline-bounded (a fixed 5 s): a peer
 // that stops draining is a stalled transport, classified and killed
 // exactly like a heartbeat-silent hang — the single-threaded supervisor
 // never blocks.
@@ -70,16 +69,19 @@ struct FleetStats {
   /// / refused (the first dial and every re-dial each count once).
   std::uint64_t dials = 0;
   std::uint64_t dial_failures = 0;
-  /// Frame sends that hit the bounded-write deadline (send_timeout_s);
-  /// each one killed its worker like a heartbeat-silent hang.
+  /// Frame sends that hit the 5 s bounded-write deadline; each one killed
+  /// its worker like a heartbeat-silent hang.
   std::uint64_t send_stalls = 0;
   /// Corrupt inbound streams (bad length / unknown frame type); each one
   /// poisoned its connection — worker killed/dropped and respawned.
   std::uint64_t protocol_errors = 0;
   /// Unexpected worker deaths (crash, external kill) observed mid-service.
   std::uint64_t crashes = 0;
-  /// Supervisor-initiated kills: heartbeat silence / per-task deadline.
+  /// Supervisor-initiated kills of workers silent past
+  /// heartbeat_timeout_s.
   std::uint64_t hang_kills = 0;
+  /// Busy workers run() killed because the call's wall deadline passed
+  /// while its token had not fired.
   std::uint64_t deadline_kills = 0;
   std::uint64_t respawns = 0;
   /// Tasks sent again after their worker died mid-flight.
@@ -149,8 +151,8 @@ class ProcessFleet {
                                        const UniGenOptions& options);
 
   /// Fans `tasks` across the workers; synchronous; outcomes in task order.
-  /// `budget` supplies the call-level wall deadline and cancellation token
-  /// (its per-call scalars already travelled in the Setup frame).
+  /// `budget` supplies the call-level wall deadline and cancellation token;
+  /// its remaining deadline and per-call scalars ride on every task frame.
   std::vector<TaskOutcome> run(const std::vector<TaskSpec>& tasks,
                                const Budget& budget,
                                RunControl* control = nullptr);
@@ -195,8 +197,8 @@ class ProcessFleet {
   void process_frames(Worker& w, RunState* run);
   void dispatch(Worker& w, std::size_t task_index, RunState* run);
   /// One poll round: respawn due slots, pump readable fds, police
-  /// heartbeats and task deadlines.  Returns false when no worker is live
-  /// and none can ever come back.
+  /// heartbeats.  Returns false when no worker is live and none can ever
+  /// come back.
   bool poll_once(int timeout_ms, RunState* run);
 
   FleetOptions options_;

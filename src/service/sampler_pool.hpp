@@ -78,7 +78,9 @@ struct SamplerPoolOptions {
   /// Master seed: the whole service output is a deterministic function of
   /// (formula, options, seed, request sequence) — thread count excluded.
   std::uint64_t seed = 0xDAC14;
-  /// ε and the time budgets, shared by prepare and every worker.
+  /// ε and the default Budget, shared by prepare and every worker.  The
+  /// Budget is the only wall clock: prepare(budget) and the *_within
+  /// calls replace it for one call.
   UniGenOptions unigen;
 };
 

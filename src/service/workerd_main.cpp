@@ -218,7 +218,6 @@ int worker_main(int fd) {
             original, setup.simplify, setup.sampling_set);
       ug_options.epsilon = setup.epsilon;
       ug_options.simplify = setup.simplify;
-      ug_options.sample_timeout_s = setup.sample_timeout_s;
       engine = std::make_unique<IncrementalBsat>(prep.formula(original),
                                                  setup.sampling_set);
     }

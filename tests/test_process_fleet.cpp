@@ -2,7 +2,9 @@
 // SIGKILL mid-task costs one byte-identical retry, a hang is caught by
 // heartbeat silence, a task that keeps killing its worker is poisoned into
 // the honest partial accounting, a missing worker binary degrades to the
-// in-process pool, and a cancelled call leaves the fleet reusable.
+// in-process pool, a cancelled call leaves the fleet reusable, a deadline
+// cut counts the workers it kills, and a fleet count starts no idle pool
+// threads.
 //
 // All crash/hang scenarios are driven by the deterministic process-level
 // fault plan (UNIGEN_WORKERD_FAULTS, keyed on (task id, attempt)), so they
@@ -12,7 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "core/unigen.hpp"
@@ -289,6 +296,63 @@ TEST(ProcessFleet, CancelMidCallLeavesFleetReusable) {
   const auto second = pool.sample_many_within(kSecond, Budget::unlimited());
   EXPECT_EQ(second.status, RequestStatus::kComplete);
   expect_same_results(reference, second.samples);
+}
+
+TEST(ProcessFleet, DeadlineCutCountsTheWorkersItKills) {
+  // Stream 1 hangs and the heartbeat ceiling is far off, so the call's
+  // deadline is what ends it: run() kills the hung worker at the cut.
+  const Cnf cnf = hashed_mode_formula();
+  SamplerPoolOptions o = fleet_pool_options(
+      2, 400, ProcessFaultPlan().sleep_task(1).to_env());
+  o.unigen.fleet.heartbeat_timeout_s = 30.0;
+  SamplerPool pool(cnf, o);
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  const auto cut = pool.sample_many_within(4, Budget::within_seconds(0.3));
+  EXPECT_TRUE(cut.status == RequestStatus::kPartial ||
+              cut.status == RequestStatus::kTimedOut);
+  const FleetStats& fs = pool.fleet()->stats();
+  EXPECT_GE(fs.deadline_kills, 1u);
+  EXPECT_EQ(fs.crashes, 0u);
+  EXPECT_EQ(fs.hang_kills, 0u);
+}
+
+/// This process's thread count, read from /proc/self/status.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(ProcessFleet, FleetCountStartsNoIdlePoolThreads) {
+  // Beside a fleet, a count's private pool serves only the unhashed probe
+  // on this thread, so it must start no thread of its own.  Iteration 0's
+  // first attempt hangs until heartbeat silence kills it, which keeps the
+  // count in flight while a watcher samples the thread count.
+  const Cnf cnf = hashed_mode_formula();
+  ApproxMcOptions o;
+  o.num_threads = 4;
+  o.fleet.backend = ExecBackend::kProcessFleet;
+  o.fleet.fault_plan = ProcessFaultPlan().sleep_task(0).to_env();
+  o.fleet.heartbeat_interval_s = 0.05;
+  o.fleet.heartbeat_timeout_s = 0.5;
+  std::atomic<bool> done{false};
+  int peak = 0;  // the watcher's alone until it is joined
+  std::thread watcher([&] {
+    while (!done.load()) {
+      peak = std::max(peak, thread_count());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  const int before = thread_count();  // this thread and the watcher
+  Rng rng(4242);
+  const ApproxMcResult got = approx_count(cnf, o, rng);
+  done = true;
+  watcher.join();
+  ASSERT_TRUE(got.valid);
+  EXPECT_LE(peak, before);
 }
 
 TEST(ProcessFleet, ExternalKillOfIdleWorkerIsAbsorbed) {

@@ -81,7 +81,7 @@ TEST(SessionOptionsFingerprint, SplitsOnMeaningIgnoresDeployment) {
   other = base;
   other.num_threads = 7;
   other.unigen.budget.bsat_timeout_s = 1.0;
-  other.unigen.prepare_timeout_s = 2.0;
+  other.unigen.budget.deadline = Deadline::in_seconds(2.0);
   EXPECT_EQ(fingerprint_session_options(base),
             fingerprint_session_options(other));
 }

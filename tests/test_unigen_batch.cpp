@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/unigen.hpp"
+#include "fault_inject.hpp"
 #include "helpers.hpp"
 #include "sat/incremental_bsat.hpp"
 #include "service/sampler_pool.hpp"
@@ -130,11 +131,15 @@ TEST(UniGenBatch, TrivialModeBatchCountsAsSuccess) {
 
 TEST(UniGenBatch, TimeoutDistinguishedFromEmptyCell) {
   // An expired sample budget must surface as samples_timed_out, not be
-  // silently conflated with the ⊥ (empty-cell) outcome.
+  // silently conflated with the ⊥ (empty-cell) outcome.  Every probe
+  // faults and a request may make two, so the request's units run out
+  // inside accept_cell; neither knob reaches prepare's count.
   const Cnf cnf = hashed_mode_formula();
   Rng rng(19);
+  SeededRateFaults faults(1, 1.0);
   UniGenOptions opts;
-  opts.sample_timeout_s = 0.0;  // the accept-cell deadline expires at once
+  opts.budget.fault = &faults;
+  opts.budget.max_bsat_calls = 2;
   UniGen sampler(cnf, opts, rng);
   ASSERT_TRUE(sampler.prepare());
   EXPECT_TRUE(sampler.sample_batch(4).empty());
@@ -143,6 +148,8 @@ TEST(UniGenBatch, TimeoutDistinguishedFromEmptyCell) {
   EXPECT_EQ(st.samples_timed_out, 1u);
   EXPECT_EQ(st.samples_failed, 0u);
   EXPECT_EQ(st.samples_ok, 0u);
+  EXPECT_EQ(st.sample_bsat_calls, 2u);
+  EXPECT_EQ(st.bsat_timeout_retries, 2u);
 }
 
 TEST(UniGenBatch, BatchCoverageAccumulates) {
