@@ -4,11 +4,11 @@
 // from ≈|X|/2 to ≈|S|/2 variables and per-witness time drops with them;
 // both runs remain almost-uniform (S is an independent support).
 //
-// Env knobs: UNIGEN_BENCH_SAMPLES witnesses per run (default 10) and
-// UNIGEN_BSAT_TIMEOUT_S the per-BSAT cap (default 10).  Each run has one
-// wall deadline, armed when its UniGen is built:
-// UNIGEN_PREPARE_TIMEOUT_S (default 90) plus UNIGEN_SAMPLE_TIMEOUT_S
-// (default 30) per witness.
+// Env knobs: UNIGEN_BENCH_SAMPLES witnesses per run (default 10),
+// UNIGEN_BSAT_TIMEOUT_S the per-BSAT cap (default 10),
+// UNIGEN_PREPARE_TIMEOUT_S the prepare cap (default 90) and
+// UNIGEN_SAMPLE_TIMEOUT_S each witness's cap (default 30; each witness is a
+// call of its own, run_capped_unigen).
 
 #include <cstdio>
 
@@ -48,12 +48,10 @@ int main() {
     UniGenOptions opts;
     opts.epsilon = 6.0;
     opts.budget.bsat_timeout_s = env_double("UNIGEN_BSAT_TIMEOUT_S", 10.0);
-    opts.budget.deadline = Deadline::in_seconds(
-        env_double("UNIGEN_PREPARE_TIMEOUT_S", 90.0) +
-        static_cast<double>(samples) *
-            env_double("UNIGEN_SAMPLE_TIMEOUT_S", 30.0));
-    UniGen sampler(cnf, opts, rng);
-    if (!sampler.prepare()) {
+    const CappedUniGen run = run_capped_unigen(
+        cnf, opts, rng, samples, env_double("UNIGEN_PREPARE_TIMEOUT_S", 90.0),
+        env_double("UNIGEN_SAMPLE_TIMEOUT_S", 30.0));
+    if (!run.prepared) {
       std::printf("%-22s %6zu %10s %10s %10s %8s\n",
                   use_independent ? "independent (S)" : "full (X)",
                   cnf.sampling_set_or_all().size(), "-", "-", "(timeout)",
@@ -61,16 +59,14 @@ int main() {
       std::fflush(stdout);
       continue;
     }
-    for (std::uint64_t i = 0; i < samples; ++i) sampler.sample();
-    const auto& st = sampler.stats();
+    const SamplerPoolStats& st = run.stats;
     std::printf("%-22s %6zu %10.1f %10.3f %10.2f %8.2f\n",
                 use_independent ? "independent (S)" : "full (X)",
-                cnf.sampling_set_or_all().size(), st.average_xor_length(),
-                st.samples_requested
-                    ? st.sample_seconds /
-                          static_cast<double>(st.samples_requested)
-                    : 0.0,
-                st.prepare_seconds, st.success_rate());
+                cnf.sampling_set_or_all().size(), run.average_xor_length(),
+                st.requests ? st.service_seconds /
+                                  static_cast<double>(st.requests)
+                            : 0.0,
+                st.prepare.prepare_seconds, st.success_rate());
     std::fflush(stdout);
   }
   std::printf("\nExpected shape: the independent-support run uses ~%zu-var "

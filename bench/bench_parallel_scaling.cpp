@@ -108,7 +108,7 @@ int main() {
       // No silent success: an unmeasured run must not pass the invariant
       // comparison below as a vacuous triple of empty sample sets.
       std::fprintf(stderr, "run at %zu thread(s) did not complete; "
-                           "raise UNIGEN_PREPARE_TIMEOUT_S or shrink "
+                           "raise UNIGEN_BSAT_TIMEOUT_S or shrink "
                            "UNIGEN_PARALLEL_STATE\n", t);
       return 1;
     }

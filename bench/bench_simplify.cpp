@@ -13,8 +13,8 @@
 // Budgets follow the table benches: UNIGEN_BENCH_SCALE shrinks the
 // instances, UNIGEN_BENCH_SAMPLES sets the per-instance witness count,
 // UNIGEN_BSAT_TIMEOUT_S caps every BSAT call.  UNIGEN_PREPARE_TIMEOUT_S
-// caps the count; each UniGen leg has one wall deadline, armed when its
-// UniGen is built: that cap plus UNIGEN_SAMPLE_TIMEOUT_S per witness.
+// caps the count and the UniGen leg's prepare, UNIGEN_SAMPLE_TIMEOUT_S each
+// of its witnesses (each a call of its own, run_capped_unigen).
 
 #include <cstdio>
 
@@ -75,26 +75,21 @@ int main() {
         UniGenOptions opts;
         opts.epsilon = 6.0;
         opts.budget.bsat_timeout_s = bsat_timeout_s;
-        opts.budget.deadline = Deadline::in_seconds(
-            count_budget_s + static_cast<double>(samples) * sample_budget_s);
         opts.simplify.enabled = simplify_on;
         Rng rng(20140002);
-        UniGen sampler(instance.cnf, opts, rng);
-        if (sampler.prepare()) {
-          for (std::uint64_t i = 0; i < samples; ++i) {
-            const SampleResult r = sampler.sample();
-            leg.witnesses.push_back(r.witness);
-            leg.ok += r.ok() ? 1 : 0;
-            leg.clean =
-                leg.clean && r.status != SampleResult::Status::kTimeout;
-          }
-        } else {
-          leg.clean = false;
+        const CappedUniGen run =
+            run_capped_unigen(instance.cnf, opts, rng, samples,
+                              count_budget_s, sample_budget_s);
+        leg.clean = leg.clean && run.prepared;
+        for (const SampleResult& r : run.samples) {
+          leg.witnesses.push_back(r.witness);
+          leg.ok += r.ok() ? 1 : 0;
+          leg.clean = leg.clean && r.status != SampleResult::Status::kTimeout;
         }
-        leg.propagations += sampler.stats().solver_propagations;
+        leg.propagations += run.stats.workers[0].solver_propagations;
         // Both pipelines of this leg count: approx_count's own run (above)
-        // and the one UniGen::prepare performed.
-        leg.simplify.merge(sampler.stats().simplify);
+        // and the one the sampler's prepare performed.
+        leg.simplify.merge(run.stats.prepare.simplify);
       }
       leg.seconds = watch.seconds();
       return leg;

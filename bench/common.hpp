@@ -12,7 +12,8 @@
 //   UNIGEN_PREPARE_TIMEOUT_S  UniGen prepare wall cap       (default 240)
 //   UNIGEN_SAMPLE_TIMEOUT_S   per-witness wall cap          (default 45)
 // bench_table2 lowers some of these defaults.  The UniGen leg runs its
-// prepare and each witness as a call of its own, each under its cap.
+// prepare and each witness as a call of its own, each under its cap
+// (run_capped_unigen below).
 
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/unigen.hpp"
 #include "core/uniwit.hpp"
@@ -118,6 +121,45 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
 }
 
+/// One UniGen run driven call by call, so that prepare and every witness
+/// keep a wall cap of their own.  A width-1 SamplerPool seeded with one
+/// draw of `rng` is exactly a UniGen (tests/test_unigen_batch.cpp).
+struct CappedUniGen {
+  bool prepared = false;            ///< prepare finished within its cap
+  std::vector<SampleResult> samples;  ///< one per witness call (if prepared)
+  SamplerPoolStats stats;
+
+  double average_xor_length() const {
+    const SamplerPoolWorkerStats& w = stats.workers[0];
+    return w.total_xor_rows == 0
+               ? 0.0
+               : w.total_xor_row_length / static_cast<double>(w.total_xor_rows);
+  }
+};
+
+/// Prepares under `prepare_s` seconds, then draws `samples` witnesses, each
+/// as a call of its own under `sample_s` seconds.  Every call runs under
+/// `options.budget` with its deadline replaced by that call's cap.
+inline CappedUniGen run_capped_unigen(const Cnf& cnf, UniGenOptions options,
+                                      Rng& rng, std::uint64_t samples,
+                                      double prepare_s, double sample_s) {
+  const auto capped = [&options](double wall_s) {
+    Budget budget = options.budget;
+    budget.deadline = Deadline::in_seconds(wall_s);
+    return budget;
+  };
+  CappedUniGen run;
+  const std::uint64_t seed = rng();
+  SamplerPool pool(cnf, SamplerPoolOptions{1, seed, options});
+  run.prepared = pool.prepare(capped(prepare_s));
+  if (run.prepared)
+    for (std::uint64_t i = 0; i < samples; ++i)
+      run.samples.push_back(
+          std::move(pool.sample_many_within(1, capped(sample_s)).samples[0]));
+  run.stats = pool.stats();
+  return run;
+}
+
 struct TableBudgets {
   std::uint64_t unigen_samples = env_u64("UNIGEN_BENCH_SAMPLES", 5);
   std::uint64_t uniwit_samples = env_u64("UNIGEN_UNIWIT_SAMPLES", 2);
@@ -153,25 +195,15 @@ inline TableRow run_instance(const workloads::SuiteInstance& instance,
   row.support_size = instance.cnf.sampling_set_or_all().size();
 
   {
-    // A width-1 pool seeded with one draw of the rng is exactly a UniGen
-    // (tests/test_unigen_batch.cpp); driven directly, each witness is a
-    // call of its own under its own wall cap.
     Rng rng(seed);
-    SamplerPoolOptions opts;
-    opts.num_threads = 1;
-    opts.seed = rng();
-    opts.unigen.epsilon = 6.0;  // the paper's experimental setting
-    SamplerPool sampler(instance.cnf, opts);
-    const auto capped = [&budgets](double wall_s) {
-      Budget budget = Budget::within_seconds(wall_s);
-      budget.bsat_timeout_s = budgets.bsat_timeout_s;
-      return budget;
-    };
-    if (sampler.prepare(capped(budgets.prepare_timeout_s))) {
-      for (std::uint64_t i = 0; i < budgets.unigen_samples; ++i)
-        sampler.sample_many_within(1, capped(budgets.sample_timeout_s));
-      const SamplerPoolStats st = sampler.stats();
-      const SamplerPoolWorkerStats& w = st.workers[0];
+    UniGenOptions opts;
+    opts.epsilon = 6.0;  // the paper's experimental setting
+    opts.budget.bsat_timeout_s = budgets.bsat_timeout_s;
+    const CappedUniGen run =
+        run_capped_unigen(instance.cnf, opts, rng, budgets.unigen_samples,
+                          budgets.prepare_timeout_s, budgets.sample_timeout_s);
+    if (run.prepared) {
+      const SamplerPoolStats& st = run.stats;
       row.unigen_ran = st.samples_ok > 0;
       row.unigen_succ = st.success_rate();
       row.unigen_avg_time_s =
@@ -179,10 +211,7 @@ inline TableRow run_instance(const workloads::SuiteInstance& instance,
               ? st.service_seconds / static_cast<double>(st.requests)
               : 0.0;
       row.unigen_prepare_s = st.prepare.prepare_seconds;
-      row.unigen_xor_len =
-          w.total_xor_rows == 0
-              ? 0.0
-              : w.total_xor_row_length / static_cast<double>(w.total_xor_rows);
+      row.unigen_xor_len = run.average_xor_length();
     }
   }
   {

@@ -214,12 +214,16 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     fan_out(nullptr, {}, true);
     with_lead = false;
   }
+  // Aggregated through SolverStats::merge below; the fallback seeds it.
+  SolverStats total;
   if (fleet && iterations_wanted &&
       !fleet->start(
           ProcessFleet::make_count_setup(formula, sampling_set, st.pivot),
           width)) {
     // The in-process fallback runs the iterations on a pool of that width.
+    // The probe's engine goes with the old pool, so its counters are kept.
     fleet.reset();
+    total = pool->engine_stats(0);
     owned.emplace(width);
     owned->start(formula, sampling_set);
   }
@@ -233,7 +237,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // include the embedding's earlier probes — diagnostics, not part of any
   // byte-identity contract).  On the fleet only the probe's engine is
   // ours; the fleet's workers are external.
-  SolverStats total;
   if (fleet) {
     total = pool->engine_stats(0);
   } else {

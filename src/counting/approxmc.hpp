@@ -138,7 +138,9 @@ struct ApproxMcResult {
   // served by persistent solvers (one per pool worker), so solver_rebuilds
   // stays at the number of engines built unless the inert-row cap forces a
   // rebuild.  These flat fields are the SolverStats::merge fold across
-  // workers; the per-worker breakdown is in `workers`.
+  // workers; the per-worker breakdown is in `workers`.  When a fleet
+  // cannot start, the fold also holds the probe's engine, which is not in
+  // `workers`.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;

@@ -247,6 +247,13 @@ TEST(ProcessFleet, MissingWorkerBinaryFallsBackInProcess) {
   ASSERT_TRUE(count.valid);
   EXPECT_EQ(count.cell_count, ref_count.cell_count);
   EXPECT_EQ(count.hash_count, ref_count.hash_count);
+  // The fallback replaced the pool whose engine ran the probe; the flat
+  // engine counters still hold that engine beside the fallback pool's.
+  SolverStats fallback_pool;
+  for (const SolverStats& w : count.workers) fallback_pool.merge(w);
+  EXPECT_EQ(count.solver_rebuilds, fallback_pool.solver_rebuilds + 1);
+  EXPECT_GT(count.solver_propagations,
+            fallback_pool.propagations + fallback_pool.xor_propagations);
 }
 
 TEST(ProcessFleet, CancelMidCallLeavesFleetReusable) {

@@ -10,6 +10,7 @@
 #include "helpers.hpp"
 #include "sat/incremental_bsat.hpp"
 #include "service/sampler_pool.hpp"
+#include "service/worker_pool.hpp"
 
 namespace unigen {
 namespace {
@@ -150,6 +151,31 @@ TEST(UniGenBatch, TimeoutDistinguishedFromEmptyCell) {
   EXPECT_EQ(st.samples_ok, 0u);
   EXPECT_EQ(st.sample_bsat_calls, 2u);
   EXPECT_EQ(st.bsat_timeout_retries, 2u);
+}
+
+TEST(UniGenBatch, ExpiredDeadlineTimesOutBeforeTheFirstProbe) {
+  // The wall half of accept_cell's budget check: a request whose deadline
+  // has already passed stops before its first probe, as a timeout (not
+  // ⊥), with no BSAT call charged.
+  const Cnf cnf = hashed_mode_formula();
+  const std::vector<Var> s = cnf.sampling_set_or_all();
+  UniGenOptions opts;
+  UniGenPrepared prep;
+  UniGenStats prepare_stats;
+  Rng prepare_rng(19);
+  WorkerPool pool(1);
+  unigen_prepare(cnf, s, opts, pool, prepare_rng, prep, prepare_stats);
+  ASSERT_EQ(prep.mode, UniGenPrepared::Mode::kHashed);
+
+  IncrementalBsat engine(prep.formula(cnf), s);
+  opts.budget = Budget::within_seconds(0.0);
+  UniGenStats stats;
+  Rng rng(23);
+  const AcceptCellResult r = unigen_accept_cell(engine, s, prep, opts,
+                                                cnf.num_vars(), rng, stats, 1);
+  EXPECT_EQ(r.status, RequestStatus::kTimedOut);
+  EXPECT_TRUE(r.cell.empty());
+  EXPECT_EQ(stats.sample_bsat_calls, 0u);
 }
 
 TEST(UniGenBatch, BatchCoverageAccumulates) {
