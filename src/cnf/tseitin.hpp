@@ -33,7 +33,10 @@ struct TseitinOptions {
   /// from the clausal encoding anyway ("xor recovery"); emitting them
   /// natively lets the solver's Gaussian elimination and parity propagation
   /// see the circuit's linear structure, which is essential for refuting
-  /// empty hash cells efficiently.
+  /// empty hash cells efficiently.  The elimination, which runs once per
+  /// solver over these rows with the gate columns first, also projects the
+  /// parities that XOR-gate chains imply onto the sampling set, so the
+  /// search starts out knowing them (sat/gaussian.cpp).
   bool native_xor_gates = true;
 };
 

@@ -1,10 +1,22 @@
 // Level-0 Gaussian elimination over the XOR system (CryptoMiniSAT-style
-// preprocessing).  Run once per solve after the XOR set changes:
-//   * detects inconsistency of the parity system (UNSAT),
-//   * enqueues variables forced to constants by the reduced system,
-//   * re-injects *short* derived rows (length <= kGaussMaxRowLen) as extra
-//     XOR constraints — cheap redundant parity reasoning the watch scheme
-//     alone would only discover deep inside the search tree.
+// preprocessing), in two steps that solve() runs before searching:
+//
+//   * gauss_preprocess, the whole-formula elimination, over the formula's
+//     own rows (every row without an absorber).  It runs once per change
+//     of those rows or of the priority set, which in an incremental engine
+//     is once per solver build.  Its columns come non-priority first, so
+//     besides detecting inconsistency and enqueueing forced constants it
+//     projects the formula's parities onto the priority (sampling) set:
+//     each reduced row that pivots on a priority column is such a parity,
+//     typically one the Tseitin XOR gates hide behind auxiliary variables
+//     and the search would otherwise rediscover through conflicts.  Those
+//     rows and the short ones (length <= kGaussMaxRowLen) are added as
+//     ordinary rows — each follows from the formula alone, so no epoch
+//     retirement ever has to drop them.
+//   * reduce_priority_local_xors, the priority-local reduction, after
+//     every XOR change (a hash level pushed, an epoch retired): the rows
+//     over the priority set and live absorbers — the parities above plus
+//     the live hash rows — are replaced by their reduced basis.
 
 #include <algorithm>
 #include <set>
@@ -50,7 +62,6 @@ bool Solver::reduce_priority_local_xors() {
   std::vector<Var> absorber_cols;  // column p + i  ->  absorber_cols[i]
   bool any_local = false;
   for (std::size_t i = 0; i < xors_.size(); ++i) {
-    if (xors_[i].ephemeral) continue;  // redundant; would pollute the basis
     bool is_local = true;
     for (const Var v : xors_[i].vars) {
       if (value(v) == lbool::Undef &&
@@ -112,11 +123,8 @@ bool Solver::reduce_priority_local_xors() {
     if (reduced.vars.size() == 1) {
       // Forced constant — possibly an absorber whose row's base variables
       // are all fixed (then the constraint itself decides the absorber).
-      if (!enqueue(Lit(col_var(reduced.vars[0]), !reduced.rhs), Reason{})) {
+      if (!enqueue(Lit(col_var(reduced.vars[0]), !reduced.rhs), Reason{}))
         enqueue_failed = true;
-        return;
-      }
-      ++stats_.gauss_units;
       return;
     }
     XorCls replacement;
@@ -146,26 +154,29 @@ bool Solver::reduce_priority_local_xors() {
 
 bool Solver::gauss_preprocess() {
   assert(decision_level() == 0);
-  if (!reduce_priority_local_xors()) return false;
-  // Ephemeral rows are linear combinations of the others (no effect on the
-  // eliminated system); rows with a retired (free, never-again-assumed)
-  // absorber are inert.  Both are excluded, as in reduce_priority_local_xors.
-  const auto participates = [&](const XorCls& x) {
-    if (x.ephemeral) return false;
-    for (const Var v : x.vars) {
-      if (value(v) == lbool::Undef && is_absorber(v) && !is_live_absorber(v))
-        return false;
-    }
-    return true;
-  };
-  // Compact the variables that occur in XORs into dense column indices.
-  std::vector<Var> columns;
+  // Hash rows are left to the priority-local reduction.  Dense column
+  // indices: non-priority columns first (in variable order), then the
+  // priority columns in priority order.  Gf2System pivots on the lowest
+  // column, so a reduced row that pivots on a priority column has no
+  // non-priority variable left: it is a parity of the formula over the
+  // priority set alone.
+  std::vector<char> in_priority(static_cast<std::size_t>(num_vars()), 0);
+  for (const Var v : priority_vars_)
+    in_priority[static_cast<std::size_t>(v)] = 1;
+  std::vector<char> occurs(static_cast<std::size_t>(num_vars()), 0);
   for (const auto& x : xors_) {
-    if (!participates(x)) continue;
-    for (const Var v : x.vars) columns.push_back(v);
+    if (is_hash_row(x.vars)) continue;
+    for (const Var v : x.vars)
+      if (value(v) == lbool::Undef) occurs[static_cast<std::size_t>(v)] = 1;
   }
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  std::vector<Var> columns;
+  for (Var v = 0; v < num_vars(); ++v)
+    if (occurs[static_cast<std::size_t>(v)] &&
+        !in_priority[static_cast<std::size_t>(v)])
+      columns.push_back(v);
+  const std::size_t first_priority_col = columns.size();
+  for (const Var v : priority_vars_)
+    if (occurs[static_cast<std::size_t>(v)]) columns.push_back(v);
   if (columns.empty()) return true;
   std::vector<std::uint32_t> col_of(static_cast<std::size_t>(num_vars()), 0);
   for (std::size_t c = 0; c < columns.size(); ++c)
@@ -174,7 +185,7 @@ bool Solver::gauss_preprocess() {
   Gf2System system(columns.size());
   std::vector<std::uint32_t> row;
   for (const auto& x : xors_) {
-    if (!participates(x)) continue;
+    if (is_hash_row(x.vars)) continue;
     row.clear();
     bool rhs = x.rhs;
     for (const Var v : x.vars) {
@@ -195,20 +206,19 @@ bool Solver::gauss_preprocess() {
   }
   if (propagate() != nullptr) return false;
 
-  // Re-inject short derived rows not already present, marked ephemeral:
-  // they are pruning aids, re-derived per elimination and dropped at epoch
-  // retirement, never folded into a basis (see XorCls::ephemeral).
+  // Keep the parities over the priority set and the short rows that are
+  // not already present.  Each is a linear combination of the formula's
+  // rows and level-0 facts, so it stays valid for the solver's lifetime.
   std::set<std::pair<std::vector<Var>, bool>> existing;
   for (const auto& x : xors_) {
     auto key = x.vars;
     std::sort(key.begin(), key.end());
     existing.emplace(std::move(key), x.rhs);
   }
-  const bool saved_flag = gauss_done_;
   bool add_failed = false;
   system.for_each_reduced_row([&](const Gf2System::Row& reduced) {
-    if (add_failed) return;
-    if (reduced.vars.size() < 2 ||
+    if (add_failed || reduced.vars.size() < 2) return;
+    if (reduced.vars[0] < first_priority_col &&
         reduced.vars.size() > kGaussMaxRowLen)
       return;
     std::vector<Var> vars;
@@ -216,11 +226,9 @@ bool Solver::gauss_preprocess() {
     for (const auto col : reduced.vars) vars.push_back(columns[col]);
     std::sort(vars.begin(), vars.end());
     if (existing.count({vars, reduced.rhs}) > 0) return;
-    if (!add_xor(vars, reduced.rhs, /*ephemeral=*/true)) add_failed = true;
+    if (!add_xor(vars, reduced.rhs)) add_failed = true;
   });
-  if (add_failed) return false;
-  gauss_done_ = saved_flag;  // add_xor cleared it; the system is already reduced
-  return ok_;
+  return !add_failed && ok_;
 }
 
 }  // namespace unigen

@@ -197,8 +197,6 @@ void Solver::retire_rows(const std::vector<Var>& absorbers) {
   std::vector<const XorCls*> touched;
   kept.reserve(xors_.size());
   for (auto& x : xors_) {
-    if (x.ephemeral) continue;  // redundant pruning row: drop outright, the
-                                // next elimination re-derives it if relevant
     bool drop = false;
     for (const Var v : x.vars) {
       if (value(v) == lbool::Undef && retiring[static_cast<std::size_t>(v)]) {
@@ -260,7 +258,8 @@ void Solver::retire_rows(const std::vector<Var>& absorbers) {
   }
 
   if (!replace_xors(std::move(kept))) return;
-  gauss_done_ = false;
+  gauss_done_ = false;  // the formula's rows are untouched: only the
+                        // priority-local reduction runs again
   // Freeze the now-unmentioned absorbers (value is arbitrary) so they cost
   // neither decisions nor propagations in any later solve.
   for (const Var v : absorbers) {
@@ -279,16 +278,21 @@ void Solver::set_priority_vars(const std::vector<Var>& vars) {
                                           // reduced set and the Gauss state
   priority_request_ = vars;
   priority_vars_ = vars;
-  gauss_done_ = false;  // re-run the priority-local reduction for the new set
+  // Both eliminations depend on the set: the whole-formula one orders its
+  // columns by it, the priority-local one pivots on it.
+  formula_gauss_done_ = false;
+  gauss_done_ = false;
 }
 
-bool Solver::add_xor(std::vector<Var> vars, bool rhs, bool ephemeral) {
+bool Solver::add_xor(std::vector<Var> vars, bool rhs) {
   assert(decision_level() == 0);
   if (!ok_) return false;
   // Any change to the XOR system (including a row collapsing to a level-0
   // fact, which alters how existing rows fold) invalidates the previous
   // Gaussian elimination; without this reset a solver that already ran
-  // solve() would never re-eliminate over rows added afterwards.
+  // solve() would never re-eliminate over rows added afterwards.  A hash
+  // row leaves the formula's own rows, and so their elimination, as is.
+  if (!is_hash_row(vars)) formula_gauss_done_ = false;
   gauss_done_ = false;
   std::sort(vars.begin(), vars.end());
   std::vector<Var> norm;
@@ -319,7 +323,7 @@ bool Solver::add_xor(std::vector<Var> vars, bool rhs, bool ephemeral) {
     if (propagate() != nullptr) ok_ = false;
     return ok_;
   }
-  xors_.push_back(XorCls{std::move(norm), rhs, ephemeral});
+  xors_.push_back(XorCls{std::move(norm), rhs});
   attach_xor(static_cast<std::int32_t>(xors_.size()) - 1);
   return true;
 }
@@ -802,16 +806,20 @@ lbool Solver::solve_limited(const std::vector<Lit>& assumptions,
     return lbool::False;
   }
   if (options_.xor_gauss && !gauss_done_ && !xors_.empty()) {
-    gauss_done_ = true;
     // Pivot removal below is relative to the *current* XOR basis; start
     // from the full requested priority set so that re-eliminations (after
     // incremental XOR additions/retirements) re-derive a coherent basis
     // instead of shaving an already-shrunk set further and further.
     priority_vars_ = priority_request_;
-    if (!gauss_preprocess()) {
+    // The whole-formula elimination first: the priority-local reduction
+    // pivots on the parities over the priority set it derives.
+    if ((!formula_gauss_done_ && !gauss_preprocess()) ||
+        !reduce_priority_local_xors()) {
       ok_ = false;
       return lbool::False;
     }
+    // Set last: the rows gauss_preprocess adds clear both flags.
+    formula_gauss_done_ = gauss_done_ = true;
   }
   if (max_learnts_ == 0) max_learnts_ = options_.reduce_db_first;
   const std::uint64_t conflict_end =

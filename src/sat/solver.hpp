@@ -16,9 +16,14 @@
 //   * native XOR constraints via a two-watched-variable scheme; XOR
 //     propagations/conflicts participate in clause learning through
 //     lazily materialized reason clauses,
-//   * level-0 Gaussian elimination over the XOR system (gaussian.cpp),
+//   * level-0 Gaussian elimination over the XOR system (gaussian.cpp):
+//     the formula's own rows once per solver, non-priority columns first,
+//     which also projects their parities onto the priority set; the
+//     priority-local rows (those parities plus live hash rows) once per
+//     XOR change,
 //   * conflict budgets and wall-clock deadlines (returns Undef on limit).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -40,6 +45,8 @@ struct SolverStats {
   std::uint64_t learnt_clauses = 0;
   std::uint64_t removed_clauses = 0;
   std::uint64_t minimized_literals = 0;
+  /// The whole-formula elimination (gaussian.cpp): units it forced, and
+  /// the rank of its last run.
   std::uint64_t gauss_units = 0;
   std::uint64_t gauss_rows = 0;
   // Incremental-BSAT engine counters, maintained by IncrementalBsat (a
@@ -83,13 +90,17 @@ class Solver {
   /// enumeration loop adds one blocking clause per model).  Only the
   /// surviving literals are copied into the stored clause.
   bool add_clause_from(const Lit* lits, std::size_t n);
-  /// Adds the parity constraint XOR(vars) = rhs.  `ephemeral` marks a
-  /// redundant derived row (see XorCls::ephemeral); callers add real rows.
-  bool add_xor(std::vector<Var> vars, bool rhs, bool ephemeral = false);
+  /// Adds the parity constraint XOR(vars) = rhs.  A row without an
+  /// absorber is the formula's own and makes the next solve re-run the
+  /// whole-formula elimination; a hash row (one with an absorber) only
+  /// re-runs the priority-local reduction.
+  bool add_xor(std::vector<Var> vars, bool rhs);
   /// Declares `v` an absorber: a fresh variable folded into exactly one XOR
   /// hash row so the row can be switched on by assuming the absorber's
   /// negative literal (and is inert — merely defining `v` — otherwise).
-  /// Gaussian elimination treats absorber columns specially (gaussian.cpp).
+  /// Mark it before adding its row: that is how add_xor tells hash rows
+  /// from the formula's own.  Gaussian elimination treats absorber columns
+  /// specially (gaussian.cpp).
   void mark_absorber(Var v) { is_absorber_[static_cast<std::size_t>(v)] = 1; }
   /// Retires a whole hash epoch: removes every XOR row containing one of
   /// the given absorbers, drops the learnt clauses that mention them, and
@@ -155,7 +166,9 @@ class Solver {
   /// by the CryptoMiniSAT-based UniGen/ApproxMC tool family.
   /// A request identical to the previous one is a no-op, so that repeated
   /// enumerations over an unchanged projection neither re-trigger the
-  /// priority-local Gaussian reduction nor undo its pivot removal.
+  /// Gaussian elimination nor undo its pivot removal; a changed one re-runs
+  /// both the whole-formula elimination (its column order depends on the
+  /// set) and the priority-local reduction.
   void set_priority_vars(const std::vector<Var>& vars);
 
   /// Value of a variable in the current (level-0) assignment; used by
@@ -188,16 +201,12 @@ class Solver {
     Clause* clause;
     Lit blocker;
   };
+  /// One parity row: the formula's own, a hash row (with its absorber) or
+  /// a row Gaussian elimination derived.  Derived rows follow from the
+  /// formula alone, so they are ordinary rows that no epoch retires.
   struct XorCls {
     std::vector<Var> vars;  // vars[0], vars[1] are the watched positions
     bool rhs = false;
-    /// Redundant row re-injected by Gaussian elimination (a short linear
-    /// combination of the real rows).  Ephemeral rows prune the current
-    /// search but carry no information of their own: they are excluded
-    /// from the elimination bases and dropped wholesale when a hash epoch
-    /// retires, then re-derived if still relevant — otherwise a persistent
-    /// solver would slowly accumulate the span's entire low-weight closure.
-    bool ephemeral = false;
   };
   /// Reason for an implied literal: exactly one of clause / xor id, or
   /// neither for decisions and level-0 facts.
@@ -268,6 +277,18 @@ class Solver {
   /// Callers decide whether the change warrants re-running Gauss.
   bool replace_xors(std::vector<XorCls> rows);
   // --- Gaussian elimination (gaussian.cpp) ---
+  /// A hash row carries an absorber; every other row is the formula's own
+  /// or was derived from the formula's own rows.
+  bool is_hash_row(const std::vector<Var>& vars) const {
+    return std::any_of(vars.begin(), vars.end(),
+                       [&](Var v) { return is_absorber(v); });
+  }
+  /// The whole-formula elimination over every row without an absorber,
+  /// non-priority columns first.  Enqueues its units and keeps, as ordinary
+  /// rows, each reduced row that pivots on a priority column (a parity of
+  /// the formula over the priority set alone) or has at most three
+  /// variables.  Runs once per change of the formula's rows or of the
+  /// priority set.
   bool gauss_preprocess();
   /// RREF over the XOR rows local to the priority (sampling) set: replaces
   /// them by a reduced basis and removes the pivot variables from the
@@ -286,7 +307,8 @@ class Solver {
   std::vector<std::unique_ptr<Clause>> clauses_;  // problem clauses
   std::vector<std::unique_ptr<Clause>> learnts_;
   std::vector<XorCls> xors_;
-  bool gauss_done_ = false;
+  bool formula_gauss_done_ = false;  // gauss_preprocess is current
+  bool gauss_done_ = false;  // so is reduce_priority_local_xors
 
   std::vector<std::vector<Watcher>> watches_;      // indexed by Lit::index()
   std::vector<std::vector<std::int32_t>> xor_watches_;  // indexed by Var

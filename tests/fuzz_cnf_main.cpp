@@ -3,7 +3,9 @@
 //
 // One seed = one deterministic fuzz case (tests/helpers.hpp:
 // make_fuzz_case): a small random CNF, sometimes with XOR rows, sometimes
-// with a random sampling set S.  Per case the driver cross-checks the
+// with a random sampling set S, sometimes with XOR gate chains through
+// variables outside S (parities over S that the formula states only
+// through the gate variables).  Per case the driver cross-checks the
 // stack's independent implementations against brute force and against each
 // other:
 //
@@ -108,7 +110,7 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
   const Cnf& cnf = fc.cnf;
   const std::vector<Var>& s = fc.sampling_set;
 
-  // Ground truth by brute force (the generator keeps n <= 12).
+  // Ground truth by brute force (the generator keeps n <= 16).
   const std::uint64_t truth_total = test::brute_force_count(cnf);
   const std::uint64_t truth_projected =
       test::brute_force_projected_count(cnf, s);

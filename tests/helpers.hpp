@@ -97,10 +97,33 @@ inline std::vector<Var> attach_random_sampling_set(Cnf& cnf,
   return all;
 }
 
+/// Appends 1–2 XOR gate chains that start in `s`, run through 1–2 fresh
+/// variables outside it and end in a parity back on `s` — the shape of a
+/// Tseitin circuit's XOR gates:  g1 = s_a ^ s_b,  g2 = g1 ^ s_c,
+/// g2 ^ s_d = r.  Each chain implies a parity of `s` that the formula
+/// states only through the gate variables.  The gates are functions of
+/// `s`, so projected counts over `s` keep their meaning; at most four
+/// variables are added.
+inline void add_gate_chains(Cnf& cnf, const std::vector<Var>& s, Rng& rng) {
+  const auto pick = [&] { return s[rng.below(s.size())]; };
+  const std::uint64_t chains = 1 + rng.below(2);
+  for (std::uint64_t c = 0; c < chains; ++c) {
+    Var prev = pick();
+    const std::uint64_t gates = 1 + rng.below(2);
+    for (std::uint64_t g = 0; g < gates; ++g) {
+      const Var gate = cnf.new_var();
+      cnf.add_xor({gate, prev, pick()}, false);
+      prev = gate;
+    }
+    cnf.add_xor({prev, pick()}, rng.flip());
+  }
+}
+
 /// One randomly drawn fuzz instance: a small CNF (sometimes with XOR rows,
-/// sometimes with a random sampling set) whose full and projected model
-/// sets stay brute-forceable.  Deterministic in `seed` — the repro line a
-/// failing fuzz run prints is just this seed.
+/// sometimes with a random sampling set, sometimes with XOR gate chains
+/// outside S) whose full and projected model sets stay brute-forceable
+/// (at most 16 variables, |S| <= 12).  Deterministic in `seed` — the repro
+/// line a failing fuzz run prints is just this seed.
 struct FuzzCase {
   Cnf cnf;
   std::vector<Var> sampling_set;  ///< == cnf.sampling_set_or_all()
@@ -122,6 +145,11 @@ inline FuzzCase make_fuzz_case(std::uint64_t seed) {
   if (rng.flip(0.5))
     attach_random_sampling_set(fc.cnf, static_cast<std::size_t>(n), rng);
   fc.sampling_set = fc.cnf.sampling_set_or_all();
+  // Drawn last, so the seeds without chains keep their earlier cases.
+  if (rng.flip(0.3)) {
+    fc.cnf.set_sampling_set(fc.sampling_set);  // the chains stay outside S
+    add_gate_chains(fc.cnf, fc.sampling_set, rng);
+  }
   return fc;
 }
 

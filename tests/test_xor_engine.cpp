@@ -132,6 +132,36 @@ TEST(XorEngine, GaussFindsUnits) {
   EXPECT_EQ(s.solve(), lbool::True);
 }
 
+TEST(XorEngine, GaussProjectsGateParitiesOntoThePrioritySet) {
+  // S = {x0..x5}; two parities of S run through XOR gates outside S:
+  //   a1 = x0^x2, a2 = a1^x1, a2^x3 = 1   =>  x0^x1^x2^x3 = 1,
+  //   b1 = x0^x4, b2 = b1^x1, b2^x5 = 0   =>  x0^x1^x4^x5 = 0.
+  // Together they imply x2^x3^x4^x5 = 1, a relation of four S variables
+  // that no row of at most three variables carries.  Eliminating the gate
+  // columns first hands both parities to the priority-local reduction,
+  // which pivots two S variables out of branching: the search then
+  // decides the other four and never conflicts.
+  Solver s;
+  std::vector<Var> x;
+  for (int i = 0; i < 6; ++i) x.push_back(s.new_var());
+  const Var a1 = s.new_var(), a2 = s.new_var();
+  const Var b1 = s.new_var(), b2 = s.new_var();
+  ASSERT_TRUE(s.add_xor({a1, x[0], x[2]}, false));
+  ASSERT_TRUE(s.add_xor({a2, a1, x[1]}, false));
+  ASSERT_TRUE(s.add_xor({a2, x[3]}, true));
+  ASSERT_TRUE(s.add_xor({b1, x[0], x[4]}, false));
+  ASSERT_TRUE(s.add_xor({b2, b1, x[1]}, false));
+  ASSERT_TRUE(s.add_xor({b2, x[5]}, false));
+  s.set_priority_vars({x[2], x[3], x[4], x[5], x[0], x[1]});
+  ASSERT_EQ(s.solve(), lbool::True);
+  EXPECT_EQ(s.stats().conflicts, 0u);
+  EXPECT_EQ(s.stats().decisions, 4u);  // |S| minus the rank of 2
+  const Model& m = s.model();
+  const auto t = [&](Var v) { return m[v] == lbool::True; };
+  EXPECT_TRUE(t(x[0]) ^ t(x[1]) ^ t(x[2]) ^ t(x[3]));
+  EXPECT_FALSE(t(x[0]) ^ t(x[1]) ^ t(x[4]) ^ t(x[5]));
+}
+
 TEST(XorEngine, SolutionCountUnaffectedByGaussToggle) {
   Rng rng(17);
   for (const bool gauss : {false, true}) {
