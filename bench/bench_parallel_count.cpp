@@ -8,10 +8,9 @@
 //
 // Per thread count the run records wall-clock, total BSAT probes, the
 // engines' propagations and the leapfrog hit-rate (warm starts /
-// iterations started), and prints each row's count with its time and
-// propagations per thread count.  Probes are the unit cost, not the work:
-// a cold start's one-model probes are many and cheap, so propagations say
-// where the solver time went.  A width-1 pool
+// iterations started).  Probes are the unit cost, not the work: a cold
+// start's one-model probes are many and cheap, so propagations say where
+// the solver time went.  A width-1 pool
 // leapfrogs every iteration after the first, a wider one every iteration
 // that finds a completed predecessor, so the aggregate rate
 // should sit well above 1/2 (the acceptance bar tracked in
@@ -59,8 +58,6 @@ struct ThreadTotals {
   std::uint64_t cold = 0;
   bool one_build_per_worker = true;
   std::vector<ApproxMcResult> counts;
-  std::vector<double> row_seconds;
-  std::vector<std::uint64_t> row_propagations;
 
   double hit_rate() const {
     const std::uint64_t started = warm + cold;
@@ -110,9 +107,7 @@ int main() {
       Rng rng(kSeed);  // same seed per instance across thread counts
       const Stopwatch watch;
       ApproxMcResult r = approx_count(instance.cnf, opts, rng);
-      totals.row_seconds.push_back(watch.seconds());
-      totals.row_propagations.push_back(r.solver_propagations);
-      totals.seconds += totals.row_seconds.back();
+      totals.seconds += watch.seconds();
       totals.bsat_calls += r.bsat_calls;
       totals.propagations += r.solver_propagations;
       totals.warm += r.leapfrog_warm_starts;
@@ -148,24 +143,6 @@ int main() {
       warm + cold == 0
           ? 0.0
           : static_cast<double>(warm) / static_cast<double>(warm + cold);
-
-  // Per row: the width-1 count, then time and propagations per width.
-  std::printf("\n%-20s %14s", "instance", "count");
-  for (const std::size_t threads : thread_counts)
-    std::printf(" %9s%zu %14s%zu", "time(s)@", threads, "props@", threads);
-  std::printf("\n");
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const ApproxMcResult& c = runs[0].counts[i];
-    char count[32];
-    std::snprintf(count, sizeof count, "%llu*2^%u",
-                  static_cast<unsigned long long>(c.cell_count),
-                  static_cast<unsigned>(c.hash_count));
-    std::printf("%-20s %14s", suite[i].name.c_str(), c.valid ? count : "-");
-    for (const ThreadTotals& t : runs)
-      std::printf(" %10.2f %15llu", t.row_seconds[i],
-                  static_cast<unsigned long long>(t.row_propagations[i]));
-    std::printf("\n");
-  }
 
   std::printf("\nbyte-identical counts across thread counts: %s\n",
               identical ? "yes" : "NO — determinism contract violated");

@@ -16,7 +16,9 @@
 //   * reduce_priority_local_xors, the priority-local reduction, after
 //     every XOR change (a hash level pushed, an epoch retired): the rows
 //     over the priority set and live absorbers — the parities above plus
-//     the live hash rows — are replaced by their reduced basis.
+//     the live hash rows — are replaced by their reduced basis.  Without
+//     a priority set (a full-support projection) nothing is reduced, and
+//     the hash rows stay as added.
 
 #include <algorithm>
 #include <set>

@@ -20,7 +20,7 @@
 //     the formula's own rows once per solver, non-priority columns first,
 //     which also projects their parities onto the priority set; the
 //     priority-local rows (those parities plus live hash rows) once per
-//     XOR change,
+//     XOR change; without a priority set the hash rows stay unreduced,
 //   * conflict budgets and wall-clock deadlines (returns Undef on limit).
 
 #include <algorithm>
@@ -295,7 +295,8 @@ class Solver {
   /// branching priority, so deciding the remaining free variables forces
   /// every pivot by watch propagation.  This is the step that makes BSAT
   /// on hash-constrained formulas tractable (CryptoMiniSAT's Gaussian
-  /// elimination plays this role in the paper).
+  /// elimination plays this role in the paper).  A no-op without a
+  /// priority set: a full-support projection leaves its hash rows as added.
   bool reduce_priority_local_xors();
 
   // --- state ---

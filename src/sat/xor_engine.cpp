@@ -68,10 +68,6 @@ bool Solver::xor_parity_from(const XorCls& x, std::size_t from) const {
 Solver::Clause* Solver::propagate_xors(Lit p) {
   const Var pv = p.var();
   auto& ws = xor_watches_[static_cast<std::size_t>(pv)];
-  if (ws.empty()) return nullptr;
-  const std::int32_t pv_reason =
-      vardata_[static_cast<std::size_t>(pv)].reason.xor_id;
-  const bool pv_true = value(pv) == lbool::True;
   Clause* confl = nullptr;
   std::size_t i = 0, j = 0;
   while (i < ws.size()) {
@@ -81,41 +77,31 @@ Solver::Clause* Solver::propagate_xors(Lit p) {
     if (x.vars[0] == pv) std::swap(x.vars[0], x.vars[1]);
     assert(x.vars[1] == pv);
     ++i;
-    // The row that implied pv: every other variable was already assigned
-    // and the parity holds, so the scan below would find nothing to do.
-    if (id == pv_reason) {
-      ws[j++] = id;
-      continue;
-    }
 
-    // Look for an unassigned replacement watch, folding the parity of the
-    // assigned positions passed on the way.
+    // Look for an unassigned replacement watch.
     bool moved = false;
-    bool tail_parity = false;
     for (std::size_t k = 2; k < x.vars.size(); ++k) {
-      const lbool val = value(x.vars[k]);
-      if (val == lbool::Undef) {
+      if (value(x.vars[k]) == lbool::Undef) {
         std::swap(x.vars[1], x.vars[k]);
         xor_watches_[static_cast<std::size_t>(x.vars[1])].push_back(id);
         moved = true;
         break;
       }
-      tail_parity ^= (val == lbool::True);
     }
     if (moved) continue;
 
     ws[j++] = id;  // keep watching pv
     const Var other = x.vars[0];
-    const bool rest_parity = tail_parity ^ pv_true;  // positions 1..
     if (value(other) == lbool::Undef) {
       // Everything but `other` is assigned: force the parity.
+      const bool rest_parity = xor_parity_from(x, 1);
       const bool needed = x.rhs ^ rest_parity;
       ++stats_.xor_propagations;
       const bool enq = enqueue(Lit(other, !needed), Reason{nullptr, id});
       assert(enq);
       (void)enq;
     } else {
-      if (((value(other) == lbool::True) ^ rest_parity) != x.rhs) {
+      if (xor_parity_from(x, 0) != x.rhs) {
         // Violated: materialize the conflict clause of false literals.
         xor_confl_buf_.lits.clear();
         for (const Var v : x.vars)

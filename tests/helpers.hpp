@@ -142,14 +142,14 @@ inline FuzzCase make_fuzz_case(std::uint64_t seed) {
   } else {
     fc.cnf = random_cnf(n, c, k, rng);
   }
-  if (rng.flip(0.5))
-    attach_random_sampling_set(fc.cnf, static_cast<std::size_t>(n), rng);
-  fc.sampling_set = fc.cnf.sampling_set_or_all();
-  // Drawn last, so the seeds without chains keep their earlier cases.
-  if (rng.flip(0.3)) {
-    fc.cnf.set_sampling_set(fc.sampling_set);  // the chains stay outside S
-    add_gate_chains(fc.cnf, fc.sampling_set, rng);
+  if (rng.flip(0.5)) {
+    const std::vector<Var> s =
+        attach_random_sampling_set(fc.cnf, static_cast<std::size_t>(n), rng);
+    // Drawn last, so the seeds without chains keep their earlier cases.
+    // S is explicit here, so the chains' gates stay outside it.
+    if (rng.flip(0.6)) add_gate_chains(fc.cnf, s, rng);
   }
+  fc.sampling_set = fc.cnf.sampling_set_or_all();
   return fc;
 }
 
