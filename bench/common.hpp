@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -30,13 +31,29 @@
 #include "util/timer.hpp"
 #include "workloads/suite.hpp"
 
-// Baked in at configure time (CMake runs `git describe`); "unknown" when
-// building outside a checkout.
-#ifndef UNIGEN_GIT_DESCRIBE
-#define UNIGEN_GIT_DESCRIBE "unknown"
+// The checkout the bench was built from (CMake passes it); git_describe()
+// asks git about it when the bench runs.
+#ifndef UNIGEN_SOURCE_DIR
+#define UNIGEN_SOURCE_DIR "."
 #endif
 
 namespace unigen::bench {
+
+/// `git describe --always --dirty --tags` of the source checkout, run now,
+/// so the stamp names the commit the bench ran at even when the build
+/// directory was configured at an older one; "unknown" outside a checkout.
+inline std::string git_describe() {
+  const char* cmd = "git -C '" UNIGEN_SOURCE_DIR
+                    "' describe --always --dirty --tags 2>/dev/null";
+  std::string out;
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> git(
+      ::popen(cmd, "r"), ::pclose);
+  char buf[256];
+  while (git && std::fgets(buf, sizeof buf, git.get()) != nullptr) out += buf;
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
 
 /// Bumped whenever the shared BENCH_*.json preamble changes shape.
 /// v2: bench/schema_version/hardware_threads/git_describe header fields.
@@ -50,13 +67,13 @@ class BenchJson {
   BenchJson() = default;
   /// The versioned preamble every BENCH_*.json shares, so a committed
   /// file says what produced it: bench name, schema_version,
-  /// hardware_threads, and the configure-time git describe.
+  /// hardware_threads, and the run-time git describe.
   explicit BenchJson(const char* bench) {
     add("bench", bench);
     add("schema_version", kBenchSchemaVersion);
     add("hardware_threads",
         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-    add("git_describe", UNIGEN_GIT_DESCRIBE);
+    add("git_describe", git_describe().c_str());
   }
 
   void add(const char* key, double v) {

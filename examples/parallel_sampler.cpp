@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write %s\n", stats_json.c_str());
       return 1;
     }
-    const std::string text = obs::to_json(st).dump() + "\n";
+    const std::string text = obs::to_json(st) + "\n";
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     std::printf("c wrote %s\n", stats_json.c_str());

@@ -161,15 +161,13 @@ int main(int argc, char** argv) {
   if (!trace_out.empty() && server.write_trace_jsonl(trace_out))
     std::printf("c wrote %s\n", trace_out.c_str());
   if (!stats_json.empty()) {
-    obs::JsonValue doc = obs::JsonValue::object();
-    doc.set("registry", obs::to_json(st));
-    doc.set("metrics", obs::JsonValue::parse(server.metrics_json()));
     std::FILE* f = std::fopen(stats_json.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "error: cannot write %s\n", stats_json.c_str());
       return 1;
     }
-    const std::string text = doc.dump() + "\n";
+    const std::string text = "{\"registry\":" + obs::to_json(st) +
+                             ",\"metrics\":" + server.metrics_json() + "}\n";
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     std::printf("c wrote %s\n", stats_json.c_str());

@@ -1,116 +1,36 @@
 #pragma once
-// Stats-struct JSON serialization — one canonical, round-trippable encoding
-// for every result/stats struct the services expose, replacing the ad-hoc
-// per-CLI printf schemas.
+// Stats-struct JSON serialization — one canonical encoding for every
+// result/stats struct the services expose, replacing the ad-hoc per-CLI
+// printf schemas.
 //
-// Two layers:
-//
-//   * `JsonValue` — a minimal JSON document model with an exact-integer
-//     number representation (uint64/int64 survive a round trip; doubles
-//     print with %.17g) plus a strict recursive-descent parser.  It exists
-//     so the unit tests can assert serialize → parse → equal field-wise,
-//     not to be a general JSON library.
-//   * `to_json(...)` / `from_json(...)` overloads per stats struct, both
-//     driven by a single `visit_fields` field list per struct — the writer
-//     and the reader cannot drift apart, which is what makes the
-//     round-trip tests meaningful.
-//
-// Enum names round-trip through to_string / *_from_string (RequestStatus's
-// to_string lives in service/budget.hpp; SampleResult::Status's here).
+// Each struct has one `visit_fields` list (stats_json.cpp) that fixes its
+// keys and their order; `to_json` writes the text straight from it.
+// Integers print exactly (%llu / %lld), doubles with %.17g, bools as
+// true / false.  No stats struct has a string field and every key is a
+// fixed identifier, so nothing needs escaping.
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/sampler.hpp"
 #include "core/unigen.hpp"
-#include "service/budget.hpp"
 #include "service/process_fleet.hpp"
 #include "service/sampler_pool.hpp"
 #include "service/session_registry.hpp"
 
 namespace unigen::obs {
 
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+std::string to_json(const SolverStats& s);
+std::string to_json(const SimplifyStats& s);
+/// The flat fields, then the nested `"simplify"` object.
+std::string to_json(const UniGenStats& s);
+std::string to_json(const SamplerPoolWorkerStats& s);
+/// The flat fields, then `"prepare"` (a UniGenStats object) and the
+/// `"workers"` array.
+std::string to_json(const SamplerPoolStats& s);
+std::string to_json(const SessionRegistryStats& s);
+std::string to_json(const FleetStats& s);
 
-  JsonValue() = default;
-  static JsonValue object();
-  static JsonValue array();
-  static JsonValue of_bool(bool b);
-  static JsonValue of_double(double d);
-  static JsonValue of_int(std::int64_t i);
-  static JsonValue of_uint(std::uint64_t u);
-  static JsonValue of_string(std::string s);
-
-  Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
-  /// Object field access; null when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-  /// Appends/overwrites an object field (insertion order preserved).
-  void set(std::string key, JsonValue v);
-
-  void push_back(JsonValue v);
-  const std::vector<JsonValue>& items() const { return arr_; }
-
-  // Coercing scalar reads (number kinds convert into each other; anything
-  // else throws std::runtime_error).
-  bool as_bool() const;
-  double as_double() const;
-  std::int64_t as_int() const;
-  std::uint64_t as_uint() const;
-  const std::string& as_string() const;
-
-  /// Compact JSON text.
-  std::string dump() const;
-  /// Strict parse of a complete document; throws std::runtime_error with a
-  /// byte offset on malformed input.
-  static JsonValue parse(std::string_view text);
-
- private:
-  enum class NumKind { kDouble, kInt, kUint };
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  NumKind num_kind_ = NumKind::kDouble;
-  double dbl_ = 0.0;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  std::string str_;
-  std::vector<JsonValue> arr_;
-  std::vector<std::pair<std::string, JsonValue>> obj_;
-};
-
-// --- per-struct serializers --------------------------------------------
-
-JsonValue to_json(const SolverStats& s);
-JsonValue to_json(const SimplifyStats& s);
-JsonValue to_json(const UniGenStats& s);
-JsonValue to_json(const SamplerPoolWorkerStats& s);
-JsonValue to_json(const SamplerPoolStats& s);
-JsonValue to_json(const SessionRegistryStats& s);
-JsonValue to_json(const FleetStats& s);
-
-/// Each returns false when a field is missing or has the wrong shape (the
-/// present fields before the failure point may already be assigned).
-bool from_json(const JsonValue& v, SolverStats& out);
-bool from_json(const JsonValue& v, SimplifyStats& out);
-bool from_json(const JsonValue& v, UniGenStats& out);
-bool from_json(const JsonValue& v, SamplerPoolWorkerStats& out);
-bool from_json(const JsonValue& v, SamplerPoolStats& out);
-bool from_json(const JsonValue& v, SessionRegistryStats& out);
-bool from_json(const JsonValue& v, FleetStats& out);
-
-// --- enum name round-trips ---------------------------------------------
-
-/// Inverse of service/budget.hpp's to_string(RequestStatus).
-bool request_status_from_string(std::string_view name, RequestStatus& out);
-
+/// RequestStatus's name lives in service/budget.hpp; SampleResult's here.
 const char* to_string(SampleResult::Status s);
-bool sample_status_from_string(std::string_view name,
-                               SampleResult::Status& out);
 
 }  // namespace unigen::obs

@@ -11,9 +11,7 @@
 //     a process-salted counter.  Samples and counts are byte-identical with
 //     tracing on or off — the determinism suites assert exactly that.
 //   * Off by default, and near-free when off: constructing a disabled Span
-//     is one relaxed atomic load and a branch.  A compile-time kill switch
-//     (`UNIGEN_OBS_DISABLED`, CMake option `UNIGEN_OBS=OFF`) turns the
-//     whole layer into dead code behind `if constexpr`.
+//     is one relaxed atomic load and a branch.
 //   * Lock-free recording: each thread owns a fixed-capacity ring of
 //     seqlock-published slots (every field a relaxed atomic, so the
 //     concurrent snapshot is ThreadSanitizer-clean).  The ring overwrites
@@ -45,12 +43,6 @@
 
 namespace unigen::obs {
 
-#ifdef UNIGEN_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }
@@ -59,7 +51,6 @@ extern std::atomic<bool> g_enabled;
 /// recording site; flipping it mid-run only affects spans opened after the
 /// flip.
 inline bool enabled() {
-  if constexpr (!kCompiledIn) return false;
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);

@@ -275,7 +275,7 @@ TEST(IncrementalBsat, TwoEnginesGivenTheSameCallsDoTheSameWork) {
     });
     const SolverStats work = engine.stats();
     EXPECT_GT(work.removed_clauses, before.removed_clauses);
-    return std::make_pair(obs::to_json(work).dump(), calls);
+    return std::make_pair(obs::to_json(work), calls);
   };
   const auto a = std::make_unique<IncrementalBsat>(cnf, s);
   std::vector<std::unique_ptr<char[]>> spacer;

@@ -582,7 +582,6 @@ TEST(TcpFleet, SpansArriveTaggedInTheRequestTrace) {
   // never-spawned remote worker ship back over TCP inside the Result
   // frame, land in the request's single trace, and carry the REMOTE
   // process's pid and the attempt ordinal.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RemoteWorkerd server;
   ASSERT_TRUE(server.start());
   const Cnf cnf = hashed_mode_formula();

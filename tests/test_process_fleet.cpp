@@ -43,6 +43,15 @@ Cnf hashed_mode_formula() {
   return cnf;
 }
 
+/// 7 models over 3 vars: an easy case for both the counter and the
+/// sampling pool, which never reach the fleet; selecting the fleet backend
+/// must not change their bytes.
+Cnf easy_case_formula() {
+  Cnf cnf(3);
+  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
+  return cnf;
+}
+
 SamplerPoolOptions fleet_pool_options(std::size_t threads, std::uint64_t seed,
                                       const std::string& fault_plan = {}) {
   SamplerPoolOptions o;
@@ -71,25 +80,28 @@ void expect_same_results(const std::vector<SampleResult>& a,
 }
 
 TEST(ProcessFleet, CountMatchesInProcessAcrossWorkerCounts) {
-  const Cnf cnf = hashed_mode_formula();
-  ApproxMcOptions base;
-  Rng ref_rng(4242);
-  const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
-  ASSERT_TRUE(reference.valid);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    ApproxMcOptions o = base;
-    o.fleet.backend = ExecBackend::kProcessFleet;
-    o.fleet.num_workers = workers;
-    Rng rng(4242);
-    const ApproxMcResult got = approx_count(cnf, o, rng);
-    ASSERT_TRUE(got.valid) << workers << " workers";
-    EXPECT_EQ(got.cell_count, reference.cell_count) << workers << " workers";
-    EXPECT_EQ(got.hash_count, reference.hash_count) << workers << " workers";
-    EXPECT_EQ(got.exact, reference.exact);
-    // The caller's rng advanced identically (same fork discipline).
-    Rng probe_a = ref_rng;
-    Rng probe_b = rng;
-    EXPECT_EQ(probe_a(), probe_b()) << workers << " workers";
+  for (const Cnf& cnf : {hashed_mode_formula(), easy_case_formula()}) {
+    ApproxMcOptions base;
+    Rng ref_rng(4242);
+    const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
+    ASSERT_TRUE(reference.valid);
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      ApproxMcOptions o = base;
+      o.fleet.backend = ExecBackend::kProcessFleet;
+      o.fleet.num_workers = workers;
+      Rng rng(4242);
+      const ApproxMcResult got = approx_count(cnf, o, rng);
+      ASSERT_TRUE(got.valid) << workers << " workers";
+      EXPECT_EQ(got.cell_count, reference.cell_count)
+          << workers << " workers";
+      EXPECT_EQ(got.hash_count, reference.hash_count)
+          << workers << " workers";
+      EXPECT_EQ(got.exact, reference.exact);
+      // The caller's rng advanced identically (same fork discipline).
+      Rng probe_a = ref_rng;
+      Rng probe_b = rng;
+      EXPECT_EQ(probe_a(), probe_b()) << workers << " workers";
+    }
   }
 }
 
@@ -114,24 +126,39 @@ TEST(ProcessFleet, CountSurvivesWorkerKillMidIteration) {
 }
 
 TEST(ProcessFleet, SampleStreamsMatchInProcessPool) {
-  const Cnf cnf = hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 24;
-  std::vector<SampleResult> reference;
-  {
-    SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
-    reference = pool.sample_many(kRequests);
-  }
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SamplerPoolOptions o = fleet_pool_options(2, kSeed);
-    o.unigen.fleet.num_workers = workers;
-    SamplerPool pool(cnf, o);
-    ASSERT_TRUE(pool.prepare());
-    ASSERT_NE(pool.fleet(), nullptr)
-        << "fleet backend should come up (unigen_workerd next to the test "
-           "binary)";
-    const auto got = pool.sample_many(kRequests);
-    expect_same_results(reference, got);
+  for (const bool hashed : {true, false}) {
+    const Cnf cnf = hashed ? hashed_mode_formula() : easy_case_formula();
+    std::vector<SampleResult> reference;
+    {
+      SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
+      reference = pool.sample_many(kRequests);
+    }
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SamplerPoolOptions o = fleet_pool_options(2, kSeed);
+      o.unigen.fleet.num_workers = workers;
+      SamplerPool pool(cnf, o);
+      ASSERT_TRUE(pool.prepare());
+      const auto got = pool.sample_many(kRequests);
+      expect_same_results(reference, got);
+      if (!hashed) {
+        // An easy-case session serves from its witness list in-process.
+        EXPECT_EQ(pool.fleet(), nullptr);
+        continue;
+      }
+      ASSERT_NE(pool.fleet(), nullptr)
+          << "fleet backend should come up (unigen_workerd next to the "
+             "test binary)";
+      // An unfaulted run: the supervisor saw no failure of any kind.
+      const FleetStats& fs = pool.fleet()->stats();
+      EXPECT_EQ(fs.crashes, 0u) << workers << " workers";
+      EXPECT_EQ(fs.redispatches, 0u) << workers << " workers";
+      EXPECT_EQ(fs.hang_kills, 0u) << workers << " workers";
+      EXPECT_EQ(fs.poisoned_tasks, 0u) << workers << " workers";
+      EXPECT_EQ(fs.protocol_errors, 0u) << workers << " workers";
+      EXPECT_EQ(fs.send_stalls, 0u) << workers << " workers";
+    }
   }
 }
 

@@ -217,27 +217,29 @@ TEST(SessionRegistry, WarmPathByteIdenticalToFreshPoolAcrossThreads) {
   // The server contract: interleaved warm requests against a session are
   // byte-identical to one fresh pool serving the same per-formula request
   // script — at every thread count (streams continue across requests and
-  // never depend on the serving schedule).
-  const Cnf cnf = hashed_formula();
-  std::vector<SampleResult> reference;
-  {
-    SamplerPool pool(cnf, registry_options(1).pool);
-    for (int call = 0; call < 3; ++call) {
-      const auto r = pool.sample_many(10);
-      reference.insert(reference.end(), r.begin(), r.end());
+  // never depend on the serving schedule), for hashed and easy-case
+  // sessions alike.
+  for (const Cnf& cnf : {hashed_formula(), trivial_formula()}) {
+    std::vector<SampleResult> reference;
+    {
+      SamplerPool pool(cnf, registry_options(1).pool);
+      for (int call = 0; call < 3; ++call) {
+        const auto r = pool.sample_many(10);
+        reference.insert(reference.end(), r.begin(), r.end());
+      }
     }
-  }
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    SessionRegistry registry(registry_options(threads));
-    std::vector<SampleResult> got;
-    for (int call = 0; call < 3; ++call) {
-      const AcquireResult a = registry.acquire(cnf);
-      ASSERT_TRUE(a.ok());
-      EXPECT_EQ(a.warm, call > 0);
-      const auto r = a.session->pool().sample_many(10);
-      got.insert(got.end(), r.begin(), r.end());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SessionRegistry registry(registry_options(threads));
+      std::vector<SampleResult> got;
+      for (int call = 0; call < 3; ++call) {
+        const AcquireResult a = registry.acquire(cnf);
+        ASSERT_TRUE(a.ok());
+        EXPECT_EQ(a.warm, call > 0);
+        const auto r = a.session->pool().sample_many(10);
+        got.insert(got.end(), r.begin(), r.end());
+      }
+      expect_same_results(reference, got);
     }
-    expect_same_results(reference, got);
   }
 }
 
@@ -274,25 +276,31 @@ TEST(SessionRegistry, HandoffBuildsAtMostOneEnginePerWorker) {
   // The ownership refactor's observable: prepare + sampling on a width-1
   // session constructs exactly ONE IncrementalBsat — worker 0's: the
   // easy-case check builds it, the counting fan-out and every sample reuse
-  // it.
+  // it (an easy-case session builds it for the check alone).
   // The pre-handoff design built a transient counting pool on top (2 per
   // worker).  Width-4 may build up to 4 (lazily, schedule-dependent).
-  const Cnf cnf = hashed_formula();
-  {
-    const std::uint64_t before = IncrementalBsat::total_constructions();
-    SamplerPool pool(cnf, registry_options(1).pool);
-    ASSERT_TRUE(pool.prepare());
-    ASSERT_EQ(pool.prepared().mode, UniGenPrepared::Mode::kHashed);
-    pool.sample_many(16);
-    EXPECT_EQ(IncrementalBsat::total_constructions() - before, 1u);
-  }
-  {
-    const std::uint64_t before = IncrementalBsat::total_constructions();
-    SamplerPool pool(cnf, registry_options(4).pool);
-    ASSERT_TRUE(pool.prepare());
-    pool.sample_many(16);
-    EXPECT_LE(IncrementalBsat::total_constructions() - before, 4u);
-    EXPECT_GE(IncrementalBsat::total_constructions() - before, 1u);
+  const Cnf formulas[] = {hashed_formula(), trivial_formula()};
+  const UniGenPrepared::Mode modes[] = {UniGenPrepared::Mode::kHashed,
+                                        UniGenPrepared::Mode::kTrivial};
+  for (std::size_t f = 0; f < 2; ++f) {
+    const Cnf& cnf = formulas[f];
+    {
+      const std::uint64_t before = IncrementalBsat::total_constructions();
+      SamplerPool pool(cnf, registry_options(1).pool);
+      ASSERT_TRUE(pool.prepare());
+      ASSERT_EQ(pool.prepared().mode, modes[f]);
+      pool.sample_many(16);
+      EXPECT_EQ(IncrementalBsat::total_constructions() - before, 1u);
+    }
+    {
+      const std::uint64_t before = IncrementalBsat::total_constructions();
+      SamplerPool pool(cnf, registry_options(4).pool);
+      ASSERT_TRUE(pool.prepare());
+      ASSERT_EQ(pool.prepared().mode, modes[f]);
+      pool.sample_many(16);
+      EXPECT_LE(IncrementalBsat::total_constructions() - before, 4u);
+      EXPECT_GE(IncrementalBsat::total_constructions() - before, 1u);
+    }
   }
 }
 
