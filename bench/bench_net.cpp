@@ -161,7 +161,7 @@ struct RemoteWorkerd {
   RemoteWorkerd(const RemoteWorkerd&) = delete;
   RemoteWorkerd& operator=(const RemoteWorkerd&) = delete;
 
-  static std::string workerd_path() {
+  static std::string workerd_binary() {
     char buf[4096];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
     if (n <= 0) return {};
@@ -185,7 +185,7 @@ struct RemoteWorkerd {
     envp.push_back(nullptr);
     int out[2];
     if (::pipe(out) != 0) return false;
-    const std::string path = workerd_path();
+    const std::string path = workerd_binary();
     pid = ::fork();
     if (pid < 0) return false;
     if (pid == 0) {

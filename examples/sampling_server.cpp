@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "cnf/dimacs.hpp"
+#include "obs/metrics.hpp"
 #include "obs/stats_json.hpp"
 #include "obs/trace.hpp"
 #include "service/sampling_server.hpp"
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(st.prepare_failures), st.sessions,
       st.resident_bytes);
 
-  if (!trace_out.empty() && server.write_trace_jsonl(trace_out))
+  if (!trace_out.empty() && obs::write_trace_jsonl(trace_out))
     std::printf("c wrote %s\n", trace_out.c_str());
   if (!stats_json.empty()) {
     std::FILE* f = std::fopen(stats_json.c_str(), "w");
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::string text = "{\"registry\":" + obs::to_json(st) +
-                             ",\"metrics\":" + server.metrics_json() + "}\n";
+                             ",\"metrics\":" + obs::metrics_json() + "}\n";
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     std::printf("c wrote %s\n", stats_json.c_str());

@@ -44,8 +44,6 @@ class Circuit {
   Sig lor(Sig a, Sig b) { return lnot(land(lnot(a), lnot(b))); }
   Sig lxor(Sig a, Sig b);
   Sig lxnor(Sig a, Sig b) { return lnot(lxor(a, b)); }
-  Sig nand2(Sig a, Sig b) { return lnot(land(a, b)); }
-  Sig nor2(Sig a, Sig b) { return lnot(lor(a, b)); }
   Sig implies(Sig a, Sig b) { return lor(lnot(a), b); }
   /// if s then t else e.
   Sig mux(Sig s, Sig t, Sig e);

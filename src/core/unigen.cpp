@@ -237,15 +237,12 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
           r.count <= prep.kp.hi_thresh) {
         std::vector<Model> cell =
             project_models_to_formula(std::move(r.models), formula_vars);
-        // Witnesses of the simplified formula become witnesses of the
-        // original: BVE'd variables get their reconstructed values.
-        if (prep.simplifier)
-          cell = prep.simplifier->extend_models(std::move(cell));
         // Canonical order (see the header contract): the index a caller's
         // RNG then draws selects the same S-assignment on every replica.
         sort_by_projection(cell, sampling_set);
         out.status = RequestStatus::kComplete;
         out.cell = std::move(cell);
+        out.reconstruct = prep.simplifier.get();
         return out;
       }
       break;  // cell out of range: next i
@@ -269,8 +266,11 @@ SampleResult::Status sample_status_from_request(RequestStatus status) {
 }
 
 SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng) {
-  if (r.ok())
-    return SampleResult::success(std::move(r.cell[rng.below(r.cell.size())]));
+  if (r.ok()) {
+    Model& witness = r.cell[rng.below(r.cell.size())];
+    if (r.reconstruct != nullptr) r.reconstruct->extend_model(witness);
+    return SampleResult::success(std::move(witness));
+  }
   SampleResult out;
   out.status = sample_status_from_request(r.status);
   return out;
@@ -283,6 +283,8 @@ BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
   if (r.ok()) {
     rng.shuffle(r.cell);
     if (r.cell.size() > max_batch) r.cell.resize(max_batch);
+    if (r.reconstruct != nullptr)
+      for (Model& m : r.cell) r.reconstruct->extend_model(m);
     out.models = std::move(r.cell);
   }
   return out;

@@ -179,9 +179,10 @@ struct UniGenPrepared {
   /// The count-safe preprocessing run (null when simplification is off).
   /// Owns the simplified formula every engine references — workers resolve
   /// it through formula() — and the reconstruction that maps its models
-  /// back onto the original's (unigen_accept_cell applies it before the
-  /// canonical sort).  Shared because the pool's N workers and the
-  /// prepare-warmed engine all outlive different scopes.
+  /// back onto the original's (finish_single_from_cell and
+  /// finish_batch_from_cell apply it to the witnesses they return).  Shared
+  /// because the pool's N workers and the prepare-warmed engine all outlive
+  /// different scopes.
   std::shared_ptr<const Simplifier> simplifier;
 
   /// The formula engines should solve: the simplified one when available,
@@ -234,8 +235,14 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
 /// from cancellation.
 struct AcceptCellResult {
   RequestStatus status = RequestStatus::kFailed;
-  /// Non-empty iff status == kComplete.
+  /// Non-empty iff status == kComplete.  Models of the engine's formula:
+  /// variables simplification eliminated are not yet reconstructed.
   std::vector<Model> cell;
+  /// The session's simplifier, which maps a cell model onto a witness of
+  /// the original formula (null when there is none).  The finish_* pair
+  /// applies it to the witnesses it keeps only; it sets eliminated
+  /// variables, never S, so the canonical order and the draw do not see it.
+  const Simplifier* reconstruct = nullptr;
 
   bool ok() const { return status == RequestStatus::kComplete; }
 };
@@ -270,7 +277,8 @@ SampleResult::Status sample_status_from_request(RequestStatus status);
 /// The post-accept_cell tail of one sampling request: the request's rng
 /// continues from wherever accept_cell left it — single pick via one
 /// rng.below, batch via rng.shuffle + truncate — which is part of the
-/// request's keyed-stream purity.
+/// request's keyed-stream purity.  The witnesses returned are then
+/// reconstructed onto the original formula (r.reconstruct).
 SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng);
 BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
                                    Rng& rng);

@@ -26,52 +26,6 @@ void Histogram::reset() {
   max_ns_.store(0, std::memory_order_relaxed);
 }
 
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  // Both sides are name-sorted (snapshot() walks a std::map; merge
-  // preserves it), so this is the classic sorted-merge fold.
-  std::vector<CounterRow> mc;
-  std::size_t i = 0, j = 0;
-  while (i < counters.size() || j < other.counters.size()) {
-    if (j == other.counters.size() ||
-        (i < counters.size() && counters[i].name < other.counters[j].name)) {
-      mc.push_back(counters[i++]);
-    } else if (i == counters.size() ||
-               other.counters[j].name < counters[i].name) {
-      mc.push_back(other.counters[j++]);
-    } else {
-      CounterRow row = counters[i++];
-      row.value += other.counters[j++].value;
-      mc.push_back(row);
-    }
-  }
-  counters = std::move(mc);
-
-  std::vector<HistogramRow> mh;
-  i = 0;
-  j = 0;
-  while (i < histograms.size() || j < other.histograms.size()) {
-    if (j == other.histograms.size() ||
-        (i < histograms.size() &&
-         histograms[i].name < other.histograms[j].name)) {
-      mh.push_back(histograms[i++]);
-    } else if (i == histograms.size() ||
-               other.histograms[j].name < histograms[i].name) {
-      mh.push_back(other.histograms[j++]);
-    } else {
-      HistogramRow row = histograms[i++];
-      const HistogramRow& o = other.histograms[j++];
-      row.count += o.count;
-      row.sum_ns += o.sum_ns;
-      row.max_ns = std::max(row.max_ns, o.max_ns);
-      for (int b = 0; b < Histogram::kBuckets; ++b)
-        row.buckets[static_cast<std::size_t>(b)] +=
-            o.buckets[static_cast<std::size_t>(b)];
-      mh.push_back(row);
-    }
-  }
-  histograms = std::move(mh);
-}
-
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"schema_version\":1,\"counters\":{";
   char buf[192];

@@ -94,8 +94,7 @@ class ScopedTimer {
   std::uint64_t start_ = 0;
 };
 
-/// A point-in-time copy of the registry, mergeable by name (the
-/// SolverStats::merge-style fold) and exportable as one versioned JSON
+/// A point-in-time copy of the registry, exportable as one versioned JSON
 /// document.
 struct MetricsSnapshot {
   struct CounterRow {
@@ -116,10 +115,6 @@ struct MetricsSnapshot {
   };
   std::vector<CounterRow> counters;      // name-sorted
   std::vector<HistogramRow> histograms;  // name-sorted
-
-  /// Adds `other` into this: counters sum, histogram counts/sums/buckets
-  /// sum, maxima take the max.  Names present in either survive.
-  void merge(const MetricsSnapshot& other);
 
   /// {"schema_version":1,"counters":{…},"histograms":{…}} — buckets are
   /// emitted sparse as [bucket_index, count] pairs.

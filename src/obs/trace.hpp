@@ -32,7 +32,8 @@
 //
 // Cross-process attribution: trace ids ride the Task IPC frame, workers
 // record into their own rings and ship the events back inside Result
-// (`ipc::SpanWire`), and the supervisor re-emits them — one timeline,
+// (`ipc::ResultMsg::spans`, TraceEvents without their trace id), and the
+// supervisor stamps the task's trace id and re-emits them — one timeline,
 // CLOCK_MONOTONIC being host-wide — with worker pid and dispatch attempt
 // tags.
 

@@ -149,11 +149,6 @@ class Solver {
   SolverOptions& options() { return options_; }
   const SolverStats& stats() const { return stats_; }
 
-  // Database-size diagnostics (tests and engine-tuning instrumentation).
-  std::size_t num_xor_rows() const { return xors_.size(); }
-  std::size_t num_problem_clauses() const { return clauses_.size(); }
-  std::size_t num_learnt_clauses() const { return learnts_.size(); }
-
   /// Optional RNG for phase/branching diversification; not owned.
   void set_rng(Rng* rng) { rng_ = rng; }
 
@@ -261,7 +256,6 @@ class Solver {
   void heap_insert(Var v);
   void heap_update(Var v);
   Var heap_pop();
-  bool heap_empty() const { return heap_.empty(); }
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
 

@@ -1,6 +1,6 @@
 #pragma once
-// Execution-backend switch and tuning knobs of the crash-isolated process
-// fleet (service/process_fleet.hpp).
+// Execution-backend switch of the crash-isolated process fleet
+// (service/process_fleet.hpp).
 //
 // The keyed-stream determinism contract (worker_pool.hpp) is
 // location-independent: task k draws everything from fork_stream(k) and
@@ -14,11 +14,19 @@
 // set, it dials one pre-started `unigen_workerd --listen` server per
 // endpoint (any host) and spawns nothing.
 //
-// No knob here bounds a task's wall clock: that comes only from the Budget
-// of the call the task rides in (its deadline and per-call scalars travel
-// on every task frame).  The fleet's own clocks bound its workers only:
-// dialing, heartbeats, respawn backoff, and a fixed 5 s on every frame
-// send (process_fleet.cpp).
+// A worker reads its own settings from the environment it starts in, and
+// the supervisor writes nothing there: the binary a spawn runs is
+// $UNIGEN_WORKERD, else "unigen_workerd" next to the running executable;
+// UNIGEN_WORKERD_HEARTBEAT_S sets a worker's heartbeat period (0.25 s when
+// unset) and UNIGEN_WORKERD_FAULTS its test fault plan (ProcessFaultPlan).
+// A spawned child inherits them from its supervisor's process, and a
+// `--listen` server has its own.
+//
+// No setting here bounds a task's wall clock: that comes only from the
+// Budget of the call the task rides in (its deadline and per-call scalars
+// travel on every task frame).  The fleet's own clocks bound its workers
+// only: heartbeat silence, and fixed dial, send and respawn-backoff bounds
+// (process_fleet.cpp).
 
 #include <cstdint>
 #include <string>
@@ -47,40 +55,14 @@ struct FleetOptions {
   /// machines is adding endpoints — the multi-host fan-out the paper's
   /// no-communication argument promises.
   std::vector<std::string> endpoints;
-  /// Dial deadline per endpoint; an unreachable host costs this much,
-  /// never an indefinite stall.
-  double connect_timeout_s = 5.0;
-  /// Path to the unigen_workerd binary spawned children run.  Empty =
-  /// $UNIGEN_WORKERD, else "unigen_workerd" next to the running executable
-  /// (/proc/self/exe).
-  std::string workerd_path;
-  /// Worker-side heartbeat period.  The worker emits an unsolicited
-  /// heartbeat frame this often from a dedicated thread, so a busy solve
-  /// is distinguishable from a hung or dead process.  Reaches spawned
-  /// children through their environment (UNIGEN_WORKERD_HEARTBEAT_S); a
-  /// `--listen` server reads its own.
-  double heartbeat_interval_s = 0.25;
   /// Supervisor-side silence ceiling: a busy worker that produced no frame
   /// (result or heartbeat) for this long is declared hung, killed, and its
   /// task re-dispatched.
   double heartbeat_timeout_s = 10.0;
-  /// Attempts (1 + retries) before a task is poisoned and surfaces through
-  /// the existing RequestStatus partial/failed accounting.
-  int max_task_attempts = 3;
-  /// Bounded exponential backoff between respawns of a crashing worker.
-  double respawn_backoff_initial_s = 0.02;
-  double respawn_backoff_max_s = 2.0;
-  /// Respawns per worker slot before the slot is abandoned; the fleet
-  /// degrades to the surviving workers (and poisons what it must) rather
-  /// than fork-bombing on a crash loop.
-  int max_respawns_per_worker = 8;
-  /// UNIGEN_WORKERD_FAULTS value handed to every spawned child — the
-  /// process-level fault-injection seam (see ProcessFaultPlan).  Empty =
-  /// no injected faults.  A `--listen` server reads its own environment.
-  std::string fault_plan;
 };
 
-/// Builder for the UNIGEN_WORKERD_FAULTS plan: a ;-separated list of
+/// Builder for the UNIGEN_WORKERD_FAULTS plan (tests only: set it in the
+/// environment the workers start in): a ;-separated list of
 /// `kill@task:attempt` / `sleep@task:attempt` directives.  The worker
 /// checks the plan when it receives a task frame: `kill` raises SIGKILL
 /// (crash mid-task), `sleep` blocks the heartbeat mutex and sleeps forever

@@ -96,6 +96,14 @@ std::uint32_t WireReader::count(std::size_t min_bytes) {
 
 namespace {
 
+/// A frame's little-endian u32 length prefix (type byte + body) at
+/// `prefix`, or 0 when it is zero or over kMaxFrame: framing is lost, and
+/// nothing may be sized by it.
+std::uint32_t frame_length(const char* prefix) {
+  const std::uint32_t len = WireReader(prefix, 4).u32();
+  return len <= kMaxFrame ? len : 0;
+}
+
 void put_model(WireWriter& w, const Model& m) {
   w.u32(static_cast<std::uint32_t>(m.size()));
   for (const lbool v : m) w.u8(static_cast<std::uint8_t>(v));
@@ -219,7 +227,7 @@ std::string encode_result(const ResultMsg& m) {
   w.u32(static_cast<std::uint32_t>(
       std::min<std::size_t>(m.spans.size(), ResultMsg::kMaxSpans)));
   std::size_t emitted = 0;
-  for (const SpanWire& s : m.spans) {
+  for (const obs::TraceEvent& s : m.spans) {
     if (emitted++ >= ResultMsg::kMaxSpans) break;
     w.str(s.name);
     w.u64(s.span_id);
@@ -270,8 +278,8 @@ ResultMsg decode_result(const std::string& payload) {
   if (ns > ResultMsg::kMaxSpans) throw std::runtime_error("ipc: span flood");
   m.spans.reserve(ns);
   for (std::uint32_t i = 0; i < ns; ++i) {
-    SpanWire s;
-    s.name = r.str();
+    obs::TraceEvent s;
+    s.name = obs::intern_name(r.str().c_str());
     s.span_id = r.u64();
     s.parent_id = r.u64();
     s.start_ns = r.u64();
@@ -279,7 +287,7 @@ ResultMsg decode_result(const std::string& payload) {
     s.value = r.u64();
     s.worker = r.u32();
     s.attempt = r.u32();
-    m.spans.push_back(std::move(s));
+    m.spans.push_back(s);
   }
   r.finish();
   return m;
@@ -351,13 +359,8 @@ WriteOutcome write_frame_bounded(int fd, FrameType type,
 bool FrameReader::next(FrameType& type, std::string& body) {
   const std::size_t avail = buf_.size() - pos_;
   if (avail < 4) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(buf_[pos_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-  if (len == 0 || len > kMaxFrame)
-    throw std::runtime_error("ipc: bad frame length");
+  const std::uint32_t len = frame_length(buf_.data() + pos_);
+  if (len == 0) throw std::runtime_error("ipc: bad frame length");
   if (avail < 4 + static_cast<std::size_t>(len)) return false;
   const auto type_byte = static_cast<unsigned char>(buf_[pos_ + 4]);
   if (!valid_frame_type(type_byte))
@@ -390,15 +393,12 @@ bool read_exact(int fd, char* out, std::size_t n) {
 ReadOutcome read_frame_outcome(int fd, FrameType& type, std::string& body) {
   char hdr[4];
   if (!read_exact(fd, hdr, 4)) return ReadOutcome::kEof;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(hdr[i]))
-           << (8 * i);
   // A zero or over-limit length loses framing permanently (the length
   // check runs BEFORE the allocation — a corrupt prefix cannot demand a
   // gigabyte); an unknown type byte consumes exactly one frame and leaves
   // the stream in sync.
-  if (len == 0 || len > kMaxFrame) return ReadOutcome::kBadLength;
+  const std::uint32_t len = frame_length(hdr);
+  if (len == 0) return ReadOutcome::kBadLength;
   std::string payload(len, '\0');
   if (!read_exact(fd, payload.data(), len)) return ReadOutcome::kEof;
   const auto type_byte = static_cast<unsigned char>(payload[0]);

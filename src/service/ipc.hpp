@@ -11,9 +11,10 @@
 //   child  → parent  Ready      (setup parsed, worker serving)
 //   parent → child   Task       (repeated; at most one in flight per worker)
 //   child  → parent  Result     (one per Task)
-//   child  → parent  Heartbeat  (unsolicited, every heartbeat_interval_s,
-//                                from a dedicated thread — so a busy solve
-//                                is distinguishable from a hung process)
+//   child  → parent  Heartbeat  (unsolicited, every
+//                                UNIGEN_WORKERD_HEARTBEAT_S seconds, from a
+//                                dedicated thread — so a busy solve is
+//                                distinguishable from a hung process)
 //   child  → parent  Error      (structured failure: the worker caught an
 //                                exception; the task is retried/poisoned,
 //                                the worker keeps serving)
@@ -36,6 +37,7 @@
 #include "cnf/types.hpp"
 #include "core/sampler.hpp"
 #include "counting/approxmc_core.hpp"
+#include "obs/trace.hpp"
 #include "simplify/simplify.hpp"
 
 namespace unigen::ipc {
@@ -174,22 +176,6 @@ struct TaskMsg {
   std::uint64_t parent_span = 0;
 };
 
-/// One completed span, shipped child → parent inside ResultMsg so the
-/// worker's trace fragment survives the process boundary.  Carries no
-/// trace id — all spans of a Result belong to the task's trace; the
-/// supervisor re-stamps it on merge.  Span/parent ids are process-salted
-/// (obs::fresh_span_id), so supervisor and worker ids cannot collide.
-struct SpanWire {
-  std::string name;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_id = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t end_ns = 0;
-  std::uint64_t value = 0;
-  std::uint32_t worker = 0;   ///< recording worker's pid
-  std::uint32_t attempt = 0;  ///< attempt ordinal the span belongs to
-};
-
 struct ResultMsg {
   /// The task function's return value, exactly as an in-process worker
   /// gets it: a count iteration's outcome, or a sampling request's
@@ -201,9 +187,14 @@ struct ResultMsg {
   std::uint64_t task_id = 0;
   Outcome outcome;
   /// Worker-side trace fragment for this attempt (empty when the task's
-  /// trace_id was 0).  Decode caps the count (kMaxSpans) so a corrupt
-  /// frame cannot trigger a runaway allocation.
-  std::vector<SpanWire> spans;
+  /// trace_id was 0), each span tagged with the worker's pid and the
+  /// 1-based attempt.  The wire carries every field but the trace id — all
+  /// spans of a Result belong to the task's trace, which the supervisor
+  /// stamps on merge — and decode interns the names.  Span/parent ids are
+  /// process-salted (obs::fresh_span_id), so supervisor and worker ids
+  /// cannot collide.  Decode caps the count (kMaxSpans) so a corrupt frame
+  /// cannot trigger a runaway allocation.
+  std::vector<obs::TraceEvent> spans;
 
   static constexpr std::uint32_t kMaxSpans = 1u << 20;
 };
@@ -293,8 +284,6 @@ class FrameReader {
   /// stream can no longer be trusted and the caller must drop the
   /// connection (supervisor: kill + respawn the worker).
   bool next(FrameType& type, std::string& body);
-
-  static constexpr std::uint32_t kMaxFrame = ipc::kMaxFrame;
 
  private:
   std::string buf_;

@@ -7,7 +7,8 @@
 // adds handled here once:
 //
 //   * connect is non-blocking with a deadline — a blackholed host costs
-//     connect_timeout_s, never an indefinite supervisor stall;
+//     the fleet's fixed 5 s dial bound, never an indefinite supervisor
+//     stall;
 //   * accept is deadline-bounded the same way (the listener fd stays
 //     non-blocking; a dialer that never completes its handshake cannot
 //     wedge the accept loop);

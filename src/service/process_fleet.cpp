@@ -19,8 +19,6 @@
 #include "obs/trace.hpp"
 #include "service/net_transport.hpp"
 
-extern char** environ;
-
 namespace unigen {
 
 namespace {
@@ -34,6 +32,19 @@ constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
 /// heartbeat-silent hang (the single-threaded poll loop must never block
 /// in send).
 constexpr double kSendTimeoutS = 5.0;
+/// Dial deadline per endpoint: an unreachable host costs this much, never
+/// an indefinite stall.
+constexpr double kConnectTimeoutS = 5.0;
+/// Attempts (1 + retries) before a task is poisoned and surfaces through
+/// the embeddings' RequestStatus partial/failed accounting.
+constexpr std::uint32_t kMaxTaskAttempts = 3;
+/// Bounded exponential backoff between respawns of a crashing worker.
+constexpr double kRespawnBackoffInitialS = 0.02;
+constexpr double kRespawnBackoffMaxS = 2.0;
+/// Respawns per worker slot before the slot is abandoned: the fleet
+/// degrades to the surviving workers (and poisons what it must) rather
+/// than fork-bombing on a crash loop.
+constexpr int kMaxRespawnsPerWorker = 8;
 
 double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
@@ -42,6 +53,42 @@ double seconds_since(Clock::time_point t) {
 Clock::time_point after_seconds(double s) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(s));
+}
+
+/// $UNIGEN_WORKERD, else "unigen_workerd" next to the running executable;
+/// empty when neither can be named.
+std::string resolve_workerd_binary() {
+  if (const char* env = std::getenv("UNIGEN_WORKERD")) return env;
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return {};
+  buf[n] = '\0';
+  std::string path(buf);
+  const std::size_t slash = path.rfind('/');
+  if (slash == std::string::npos) return {};
+  return path.substr(0, slash + 1) + "unigen_workerd";
+}
+
+/// Closes the supervisor-side span of one dispatch attempt of `spec`,
+/// opened at `start_ns` (0 = none was opened): `fleet.attempt` when its
+/// Result arrived, `fleet.attempt.crashed` when its worker died with it —
+/// the dead worker's own spans are gone, so this is that attempt's record
+/// in the trace.  Observability only.
+void record_attempt_span(const ProcessFleet::TaskSpec& spec,
+                         std::uint64_t start_ns, std::uint32_t attempt,
+                         pid_t pid, const char* name) {
+  if (start_ns == 0 || spec.trace_id == 0 || !obs::enabled()) return;
+  obs::TraceEvent e;
+  e.trace_id = spec.trace_id;
+  e.span_id = obs::fresh_span_id();
+  e.parent_id = spec.parent_span;
+  e.start_ns = start_ns;
+  e.end_ns = obs::now_ns();
+  e.value = spec.id;
+  e.name = name;
+  e.worker = pid > 0 ? static_cast<std::uint32_t>(pid) : 0;
+  e.attempt = attempt;
+  obs::record_span(e);
 }
 
 }  // namespace
@@ -71,7 +118,6 @@ struct ProcessFleet::Worker {
   /// The pending death (if any) was our own SIGKILL (hang/deadline/cancel),
   /// not a crash — kept out of the crash count.
   bool supervisor_kill = false;
-  std::uint64_t tasks_dispatched = 0;
   /// Supervisor-side attempt span bookkeeping (observability only): set by
   /// dispatch() when the task carries a trace id, closed at Result arrival
   /// or death.  0 = no open attempt span.
@@ -126,20 +172,6 @@ std::vector<int> ProcessFleet::worker_pids() const {
   return pids;
 }
 
-std::string ProcessFleet::resolve_workerd_path() const {
-  if (!options_.workerd_path.empty()) return options_.workerd_path;
-  if (const char* env = std::getenv("UNIGEN_WORKERD")) return env;
-  // Default: "unigen_workerd" next to the running executable.
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  std::string path(buf);
-  const std::size_t slash = path.rfind('/');
-  if (slash == std::string::npos) return {};
-  return path.substr(0, slash + 1) + "unigen_workerd";
-}
-
 bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
   // CLOEXEC on every supervisor-side channel (dialed fds got it at
   // connect; socketpair ends need it here): a later spawn's child must not
@@ -169,7 +201,7 @@ bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
 
 bool ProcessFleet::spawn(Worker& w) {
   if (!options_.endpoints.empty()) {
-    const int fd = net::tcp_connect(w.endpoint, options_.connect_timeout_s);
+    const int fd = net::tcp_connect(w.endpoint, kConnectTimeoutS);
     if (fd < 0) {
       ++stats_.spawn_failures;
       ++stats_.dial_failures;
@@ -191,15 +223,14 @@ bool ProcessFleet::spawn(Worker& w) {
     return false;
   }
   if (pid == 0) {
-    // Child: channel on fd 3, then exec the worker.  Env customization
-    // happened before fork (the exec env is this process's, already
-    // carrying the fault plan / heartbeat settings via setenv in start()).
+    // Child: channel on fd 3, then exec the worker, which inherits this
+    // process's environment and reads its settings there.
     ::close(sv[0]);
     if (sv[1] != 3) {
       ::dup2(sv[1], 3);
       ::close(sv[1]);
     }
-    ::execl(workerd_path_.c_str(), workerd_path_.c_str(), "--fd", "3",
+    ::execl(workerd_binary_.c_str(), workerd_binary_.c_str(), "--fd", "3",
             static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -240,36 +271,11 @@ void ProcessFleet::handle_death(Worker& w, RunState* run) {
   }
   if (w.state == Worker::State::kBusy && w.task != kNoTask && run != nullptr) {
     const std::size_t t = w.task;
-    const TaskSpec& spec = (*run->tasks)[t];
-    // Close the supervisor-side attempt span as crashed: the dead worker's
-    // own spans are gone with it, so this is the attempt's attested record
-    // in the trace (attempt-tagged, same trace id as the retry).
-    if (w.span_start_ns != 0 && spec.trace_id != 0 && obs::enabled()) {
-      obs::TraceEvent e;
-      e.trace_id = spec.trace_id;
-      e.span_id = obs::fresh_span_id();
-      e.parent_id = spec.parent_span;
-      e.start_ns = w.span_start_ns;
-      e.end_ns = obs::now_ns();
-      e.value = spec.id;
-      e.name = "fleet.attempt.crashed";
-      e.worker = dead_pid > 0 ? static_cast<std::uint32_t>(dead_pid) : 0;
-      e.attempt = w.span_attempt;
-      obs::record_span(e);
-    }
-    TaskOutcome& out = (*run->outcomes)[t];
-    if (!out.served && !out.poisoned) {
-      if (out.attempts >=
-          static_cast<std::uint32_t>(options_.max_task_attempts)) {
-        out.poisoned = true;
-        ++run->settled;
-        ++stats_.poisoned_tasks;
-        obs::metrics().counter("fleet.poisoned_tasks").add();
-      } else {
-        run->pending.push_front(t);
-        run->death_time[t] = Clock::now();
-        run->death_pending[t] = 1;
-      }
+    record_attempt_span((*run->tasks)[t], w.span_start_ns, w.span_attempt,
+                        dead_pid, "fleet.attempt.crashed");
+    if (requeue_or_poison(t, *run)) {
+      run->death_time[t] = Clock::now();
+      run->death_pending[t] = 1;
     }
   }
   w.span_start_ns = 0;
@@ -277,8 +283,8 @@ void ProcessFleet::handle_death(Worker& w, RunState* run) {
   w.task = kNoTask;
   w.supervisor_kill = false;
   w.backoff_s = w.backoff_s <= 0.0
-                    ? options_.respawn_backoff_initial_s
-                    : std::min(w.backoff_s * 2.0, options_.respawn_backoff_max_s);
+                    ? kRespawnBackoffInitialS
+                    : std::min(w.backoff_s * 2.0, kRespawnBackoffMaxS);
   w.next_spawn = after_seconds(w.backoff_s);
 }
 
@@ -330,37 +336,17 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         ++run->settled;
         if (run->control != nullptr)
           run->control->units_spent += ipc::units_of(out.result.outcome);
-        // Merge the worker's shipped spans into this process's trace and
-        // close the supervisor-side attempt span (observability only).
+        // Merge the worker's shipped spans into this process's trace under
+        // the task's trace id, then close the supervisor-side attempt span
+        // (observability only).
         const TaskSpec& spec = (*run->tasks)[t];
-        if (spec.trace_id != 0 && obs::enabled()) {
-          for (const ipc::SpanWire& s : out.result.spans) {
-            obs::TraceEvent e;
+        if (spec.trace_id != 0 && obs::enabled())
+          for (obs::TraceEvent& e : out.result.spans) {
             e.trace_id = spec.trace_id;
-            e.span_id = s.span_id;
-            e.parent_id = s.parent_id;
-            e.start_ns = s.start_ns;
-            e.end_ns = s.end_ns;
-            e.value = s.value;
-            e.name = obs::intern_name(s.name.c_str());
-            e.worker = s.worker;
-            e.attempt = s.attempt;
             obs::record_span(e);
           }
-          if (att_start != 0) {
-            obs::TraceEvent e;
-            e.trace_id = spec.trace_id;
-            e.span_id = obs::fresh_span_id();
-            e.parent_id = spec.parent_span;
-            e.start_ns = att_start;
-            e.end_ns = obs::now_ns();
-            e.value = spec.id;
-            e.name = "fleet.attempt";
-            e.worker = w.pid > 0 ? static_cast<std::uint32_t>(w.pid) : 0;
-            e.attempt = att_ordinal;
-            obs::record_span(e);
-          }
-        }
+        record_attempt_span(spec, att_start, att_ordinal, w.pid,
+                            "fleet.attempt");
         break;
       }
       case ipc::FrameType::kError: {
@@ -369,23 +355,27 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         const std::size_t t = w.task;
         w.state = Worker::State::kIdle;
         w.task = kNoTask;
-        if (t == kNoTask) break;
-        TaskOutcome& out = (*run->outcomes)[t];
-        if (out.served || out.poisoned) break;
-        if (out.attempts >=
-            static_cast<std::uint32_t>(options_.max_task_attempts)) {
-          out.poisoned = true;
-          ++run->settled;
-          ++stats_.poisoned_tasks;
-        } else {
-          run->pending.push_front(t);
-        }
+        if (t != kNoTask) requeue_or_poison(t, *run);
         break;
       }
       default:
         break;
     }
   }
+}
+
+bool ProcessFleet::requeue_or_poison(std::size_t task_index, RunState& run) {
+  TaskOutcome& out = (*run.outcomes)[task_index];
+  if (out.served || out.poisoned) return false;
+  if (out.attempts >= kMaxTaskAttempts) {
+    out.poisoned = true;
+    ++run.settled;
+    ++stats_.poisoned_tasks;
+    obs::metrics().counter("fleet.poisoned_tasks").add();
+    return false;
+  }
+  run.pending.push_front(task_index);
+  return true;
 }
 
 void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
@@ -421,7 +411,6 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
     return;
   }
   ++out.attempts;
-  ++w.tasks_dispatched;
   // Open the supervisor-side attempt span only once the frame is actually
   // on the wire — a failed send above is not an attempt.
   if (spec.trace_id != 0 && obs::enabled()) {
@@ -450,7 +439,7 @@ bool ProcessFleet::poll_once(int timeout_ms, RunState* run) {
   // Respawn slots whose backoff elapsed (or abandon exhausted ones).
   for (Worker& w : workers_) {
     if (w.state != Worker::State::kDown || now < w.next_spawn) continue;
-    if (w.respawns >= options_.max_respawns_per_worker) {
+    if (w.respawns >= kMaxRespawnsPerWorker) {
       w.state = Worker::State::kAbandoned;
       continue;
     }
@@ -543,18 +532,10 @@ bool ProcessFleet::start(std::string setup_payload,
         return false;
       }
   } else {
-    workerd_path_ = resolve_workerd_path();
-    if (workerd_path_.empty() ||
-        ::access(workerd_path_.c_str(), X_OK) != 0)
+    workerd_binary_ = resolve_workerd_binary();
+    if (workerd_binary_.empty() ||
+        ::access(workerd_binary_.c_str(), X_OK) != 0)
       return false;
-    // The fault plan and heartbeat interval reach spawned children via
-    // the environment; set them once here, before any fork.
-    if (!options_.fault_plan.empty())
-      ::setenv("UNIGEN_WORKERD_FAULTS", options_.fault_plan.c_str(), 1);
-    else
-      ::unsetenv("UNIGEN_WORKERD_FAULTS");
-    ::setenv("UNIGEN_WORKERD_HEARTBEAT_S",
-             std::to_string(options_.heartbeat_interval_s).c_str(), 1);
     const std::size_t n =
         options_.num_workers != 0 ? options_.num_workers : default_workers;
     workers_ = std::vector<Worker>(std::max<std::size_t>(n, 1));
@@ -633,33 +614,7 @@ std::vector<ProcessFleet::TaskOutcome> ProcessFleet::run(
       poll_once(25, nullptr);
     }
   }
-  last_run_attempts_.resize(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    last_run_attempts_[i] = outcomes[i].attempts;
   return outcomes;
-}
-
-ProcessFleet::FleetSnapshot ProcessFleet::snapshot() const {
-  FleetSnapshot snap;
-  snap.totals = stats_;
-  snap.workers.reserve(workers_.size());
-  for (const Worker& w : workers_) {
-    WorkerSnapshot ws;
-    ws.pid = w.alive() ? static_cast<int>(w.pid) : -1;
-    switch (w.state) {
-      case Worker::State::kDown: ws.state = "down"; break;
-      case Worker::State::kAbandoned: ws.state = "abandoned"; break;
-      case Worker::State::kSpawning: ws.state = "spawning"; break;
-      case Worker::State::kIdle: ws.state = "idle"; break;
-      case Worker::State::kBusy: ws.state = "busy"; break;
-    }
-    ws.respawns = static_cast<std::uint32_t>(w.respawns);
-    ws.backoff_seconds = w.backoff_s;
-    ws.tasks_dispatched = w.tasks_dispatched;
-    snap.workers.push_back(ws);
-  }
-  snap.last_run_attempts = last_run_attempts_;
-  return snap;
 }
 
 std::string ProcessFleet::make_count_setup(

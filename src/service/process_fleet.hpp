@@ -20,9 +20,10 @@
 //   * crash loop — respawns back off exponentially and are capped per
 //                  worker slot; a slot that keeps dying is abandoned and
 //                  the fleet degrades to the survivors.
-//   * poisoning  — a task whose attempts exceed max_task_attempts is
-//                  poisoned: its slot reports unserved and flows through
-//                  the embeddings' existing partial/failed accounting.
+//   * poisoning  — a task whose attempt ends without a result (its worker
+//                  died, or answered Error) after 3 attempts is poisoned:
+//                  its slot reports unserved and flows through the
+//                  embeddings' existing partial/failed accounting.
 //   * cancel/    — a tripped token or expired call deadline SIGKILLs busy
 //     deadline     workers (the only way to interrupt an out-of-process
 //                  solve; honest statuses for their tasks); dead slots
@@ -157,36 +158,15 @@ class ProcessFleet {
                                const Budget& budget,
                                RunControl* control = nullptr);
 
-  bool started() const { return started_; }
   std::size_t num_workers() const;
   /// Live child pids — the test seam for external `kill -9`.
   std::vector<int> worker_pids() const;
   const FleetStats& stats() const { return stats_; }
 
-  /// Supervisor internals that used to die inside the poll loop, frozen
-  /// into a point-in-time snapshot: per-slot respawn/backoff state plus the
-  /// last run's per-task attempt ordinals.  Dispatcher-only, between runs.
-  struct WorkerSnapshot {
-    int pid = -1;               ///< -1 when the slot is down/abandoned
-    const char* state = "";     ///< "down"/"abandoned"/"spawning"/"idle"/"busy"
-    std::uint32_t respawns = 0;
-    double backoff_seconds = 0.0;  ///< current exponential-backoff delay
-    std::uint64_t tasks_dispatched = 0;
-  };
-  struct FleetSnapshot {
-    FleetStats totals;
-    std::vector<WorkerSnapshot> workers;
-    /// Attempt count per task of the most recent run(), in task order
-    /// (1 = served first try; > 1 = re-dispatched after worker deaths).
-    std::vector<std::uint32_t> last_run_attempts;
-  };
-  FleetSnapshot snapshot() const;
-
  private:
   struct Worker;
   struct RunState;
 
-  std::string resolve_workerd_path() const;
   /// Brings a slot's connection up: dials its endpoint, or forks/execs a
   /// child over a socketpair when the fleet has no endpoints.
   bool spawn(Worker& w);
@@ -195,6 +175,10 @@ class ProcessFleet {
   void kill_worker(Worker& w);
   void handle_death(Worker& w, RunState* run);
   void process_frames(Worker& w, RunState* run);
+  /// The rule for an attempt that ended without a result: poison the task
+  /// once it has used every attempt, else put it back at the queue's front.
+  /// True when it was requeued.
+  bool requeue_or_poison(std::size_t task_index, RunState& run);
   void dispatch(Worker& w, std::size_t task_index, RunState* run);
   /// One poll round: respawn due slots, pump readable fds, police
   /// heartbeats.  Returns false when no worker is live and none can ever
@@ -203,11 +187,10 @@ class ProcessFleet {
 
   FleetOptions options_;
   std::string setup_payload_;
-  std::string workerd_path_;
+  std::string workerd_binary_;
   bool started_ = false;
   std::vector<Worker> workers_;
   FleetStats stats_;
-  std::vector<std::uint32_t> last_run_attempts_;
 };
 
 }  // namespace unigen

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace unigen {
@@ -117,20 +116,6 @@ ServerCountResponse SamplingServer::count(const Cnf& cnf,
 
 ServerCountResponse SamplingServer::count(const Cnf& cnf) {
   return count(cnf, registry_.options().pool.unigen.budget);
-}
-
-std::string SamplingServer::trace_jsonl() const { return obs::trace_jsonl(); }
-
-bool SamplingServer::write_trace_jsonl(const std::string& path) const {
-  return obs::write_trace_jsonl(path);
-}
-
-std::string SamplingServer::metrics_json() const {
-  return obs::metrics_json();
-}
-
-bool SamplingServer::write_metrics_json(const std::string& path) const {
-  return obs::write_metrics_json(path);
 }
 
 }  // namespace unigen

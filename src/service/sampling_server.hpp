@@ -94,16 +94,6 @@ class SamplingServer {
   const SessionRegistry& registry() const { return registry_; }
   SessionRegistryStats stats() const { return registry_.stats(); }
 
-  /// Observability export surfaces (src/obs/): the recorded spans as JSONL
-  /// ({"schema":"unigen.trace.v1"} header + one line per span) and the
-  /// metric registry as JSON ({"schema_version":1,...}).  Empty-ish when
-  /// tracing was never enabled (obs::set_enabled).  Forwarders, so
-  /// embedders drive exports through the object they already hold.
-  std::string trace_jsonl() const;
-  bool write_trace_jsonl(const std::string& path) const;
-  std::string metrics_json() const;
-  bool write_metrics_json(const std::string& path) const;
-
  private:
   SessionRegistry registry_;
 };

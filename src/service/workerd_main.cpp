@@ -35,9 +35,9 @@
 // matching task — the crash-mid-task case, which ends a `--listen` server
 // too; `sleep` grabs the heartbeat mutex and sleeps forever — the hang
 // case, detectable only through heartbeat silence.  Keyed on (task,
-// attempt) so a retry runs clean.  A spawned child gets both from the
-// supervisor's FleetOptions; a `--listen` server reads the environment it
-// was started with.
+// attempt) so a retry runs clean.  The environment is the only source of
+// both: a spawned child inherits its supervisor's, and a `--listen` server
+// reads the one it was started with.
 
 #include <algorithm>
 #include <chrono>
@@ -77,7 +77,7 @@ struct FaultDirective {
   std::uint32_t attempt = 0;
 };
 
-std::vector<FaultDirective> parse_fault_plan(const char* env) {
+std::vector<FaultDirective> parse_faults(const char* env) {
   std::vector<FaultDirective> plan;
   if (env == nullptr) return plan;
   const std::string s(env);
@@ -164,7 +164,7 @@ void heartbeat_main(Writer* writer, double interval_s) {
 int worker_main(int fd) {
   ::signal(SIGPIPE, SIG_IGN);  // dead parent → failed write, not death
   const std::vector<FaultDirective> faults =
-      parse_fault_plan(std::getenv("UNIGEN_WORKERD_FAULTS"));
+      parse_faults(std::getenv("UNIGEN_WORKERD_FAULTS"));
 
   Writer writer;
   writer.fd = fd;
@@ -318,19 +318,12 @@ int worker_main(int fd) {
     }
     if (tracing) {
       // task_span closed at the end of the try block above; everything this
-      // attempt recorded is now drained into the Result frame.
-      for (const obs::TraceEvent& e : obs::snapshot_events()) {
-        ipc::SpanWire s;
-        s.name = e.name;
-        s.span_id = e.span_id;
-        s.parent_id = e.parent_id;
-        s.start_ns = e.start_ns;
-        s.end_ns = e.end_ns;
-        s.value = e.value;
-        s.worker = e.worker != 0 ? e.worker
-                                 : static_cast<std::uint32_t>(::getpid());
-        s.attempt = e.attempt != 0 ? e.attempt : task.attempt + 1;
-        result.spans.push_back(std::move(s));
+      // attempt recorded is now drained into the Result frame, tagged with
+      // this process and attempt.
+      result.spans = obs::snapshot_events();
+      for (obs::TraceEvent& e : result.spans) {
+        if (e.worker == 0) e.worker = static_cast<std::uint32_t>(::getpid());
+        if (e.attempt == 0) e.attempt = task.attempt + 1;
       }
       obs::clear_all();
     }

@@ -1,6 +1,7 @@
 #include "fault_inject.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace unigen {
 namespace {
@@ -48,6 +49,21 @@ bool CancelAfterProbes::inject_timeout(std::uint64_t /*key*/,
   }
   if (cur == 1) token_.cancel();
   return false;
+}
+
+ScopedEnv::ScopedEnv(const char* name, const char* value) : name_(name) {
+  if (const char* old = std::getenv(name)) saved_ = old;
+  if (value != nullptr)
+    ::setenv(name, value, 1);
+  else
+    ::unsetenv(name);
+}
+
+ScopedEnv::~ScopedEnv() {
+  if (saved_)
+    ::setenv(name_.c_str(), saved_->c_str(), 1);
+  else
+    ::unsetenv(name_.c_str());
 }
 
 }  // namespace unigen

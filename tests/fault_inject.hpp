@@ -15,12 +15,14 @@
 // Process-level faults (worker self-SIGKILL, sleep-forever hangs) follow
 // the same (key, attempt) keying but cannot ride a function pointer across
 // an exec boundary — they travel as the UNIGEN_WORKERD_FAULTS env var,
-// built by ProcessFaultPlan (service/fleet_options.hpp) and interpreted by
-// the unigen_workerd binary.
+// built by ProcessFaultPlan (service/fleet_options.hpp), set by a test
+// through ScopedEnv and interpreted by the unigen_workerd binary.
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "service/budget.hpp"
@@ -86,6 +88,27 @@ class CancelAfterProbes final : public FaultInjector {
  private:
   CancelToken& token_;
   std::atomic<std::uint64_t> remaining_;
+};
+
+/// Sets one environment variable for a scope (`value` nullptr unsets it)
+/// and restores what was there on exit.  A fleet's workers read their
+/// settings (UNIGEN_WORKERD, UNIGEN_WORKERD_FAULTS,
+/// UNIGEN_WORKERD_HEARTBEAT_S) from the environment they start in, so a
+/// test declares this before the pool: every child it spawns, respawned
+/// ones included, inherits the setting.  Not thread-safe: no other thread
+/// may read the environment while one is made or destroyed.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value);
+  ScopedEnv(const char* name, const std::string& value)
+      : ScopedEnv(name, value.c_str()) {}
+  ~ScopedEnv();
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> saved_;
 };
 
 }  // namespace unigen

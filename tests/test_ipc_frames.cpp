@@ -414,7 +414,7 @@ TEST(ResultCodec, CountOutcomeRoundTrips) {
   o.hash_count = 9;
   o.bsat_calls = 12;
   m.outcome = o;
-  ipc::SpanWire span;
+  obs::TraceEvent span;
   span.name = "worker.task";
   span.span_id = 3;
   span.value = 7;
@@ -433,7 +433,7 @@ TEST(ResultCodec, CountOutcomeRoundTrips) {
   EXPECT_EQ(c->bsat_calls, 12u);
   EXPECT_EQ(ipc::units_of(back.outcome), 12u);
   ASSERT_EQ(back.spans.size(), 1u);
-  EXPECT_EQ(back.spans[0].name, "worker.task");
+  EXPECT_STREQ(back.spans[0].name, "worker.task");
   EXPECT_EQ(back.spans[0].value, 7u);
 }
 

@@ -147,7 +147,7 @@ TEST(TcpConnect, FramesRoundTripOverRealSockets) {
 
 // ---- the worker binary ------------------------------------------------
 
-std::string workerd_path() {
+std::string workerd_binary() {
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (n <= 0) return {};
@@ -162,7 +162,7 @@ std::string workerd_path() {
 /// wrote to stderr in `err`; -1 if it had not exited within 5 s (it is
 /// then killed).
 int run_workerd(const std::vector<std::string>& args, std::string& err) {
-  const std::string path = workerd_path();
+  const std::string path = workerd_binary();
   std::vector<char*> argv{const_cast<char*>(path.c_str())};
   for (const std::string& a : args)
     argv.push_back(const_cast<char*>(a.c_str()));
@@ -276,9 +276,8 @@ struct RemoteWorkerd {
   RemoteWorkerd& operator=(const RemoteWorkerd&) = delete;
 
   /// The server sees this process's environment with its UNIGEN_WORKERD_*
-  /// settings replaced by `env` ("NAME=value" entries): a fleet spawned
-  /// earlier in this binary leaves its fault plan in the environment, and a
-  /// real server starts with its own.
+  /// settings replaced by `env` ("NAME=value" entries): a real server
+  /// starts with its own.
   bool start(const std::vector<std::string>& env = {}) {
     std::vector<std::string> vars;
     for (char** e = environ; *e != nullptr; ++e)
@@ -289,7 +288,7 @@ struct RemoteWorkerd {
     envp.push_back(nullptr);
     int out[2];
     if (::pipe(out) != 0) return false;
-    const std::string path = workerd_path();
+    const std::string path = workerd_binary();
     pid = ::fork();
     if (pid < 0) return false;
     if (pid == 0) {
@@ -531,14 +530,9 @@ TEST(TcpFleet, DeadServerSurvivedByTheOtherEndpoint) {
     pool.sample_many(6);
     reference = pool.sample_many(6);
   }
-  SamplerPoolOptions o = dialed_pool_options(
-      2, kSeed, {net::to_string(a.endpoint), net::to_string(b.endpoint)});
-  // Keep the dead slot's re-dial loop cheap: refused loopback connects
-  // fail instantly, and two respawn attempts are plenty to prove decay.
-  o.unigen.fleet.max_respawns_per_worker = 2;
-  o.unigen.fleet.respawn_backoff_initial_s = 0.01;
-  o.unigen.fleet.respawn_backoff_max_s = 0.05;
-  SamplerPool pool(cnf, o);
+  SamplerPool pool(cnf, dialed_pool_options(2, kSeed,
+                                            {net::to_string(a.endpoint),
+                                             net::to_string(b.endpoint)}));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   const auto warm = pool.sample_many(6);
@@ -568,10 +562,9 @@ TEST(TcpFleet, AllServersDeadDegradesGracefully) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_many(10);
   }
-  SamplerPoolOptions o = dialed_pool_options(
-      2, kSeed, {net::to_string({"127.0.0.1", dead_port})});
-  o.unigen.fleet.connect_timeout_s = 1.0;
-  SamplerPool pool(cnf, o);
+  SamplerPool pool(
+      cnf, dialed_pool_options(2, kSeed,
+                               {net::to_string({"127.0.0.1", dead_port})}));
   ASSERT_TRUE(pool.prepare());
   EXPECT_EQ(pool.fleet(), nullptr) << "dial failure must degrade, not hang";
   expect_same_results(reference, pool.sample_many(10));

@@ -232,38 +232,6 @@ TEST(ObsMetrics, CounterAndHistogramArithmetic) {
   obs_reset(false);
 }
 
-TEST(ObsMetrics, SnapshotMergeFoldsByName) {
-  obs::MetricsSnapshot a, b;
-  a.counters = {{"alpha", 1}, {"shared", 10}};
-  b.counters = {{"beta", 2}, {"shared", 5}};
-  obs::MetricsSnapshot::HistogramRow ha, hb;
-  ha.name = "lat";
-  ha.count = 2;
-  ha.sum_ns = 100;
-  ha.max_ns = 80;
-  ha.buckets[3] = 2;
-  hb.name = "lat";
-  hb.count = 1;
-  hb.sum_ns = 50;
-  hb.max_ns = 90;
-  hb.buckets[3] = 1;
-  a.histograms = {ha};
-  b.histograms = {hb};
-
-  a.merge(b);
-  ASSERT_EQ(a.counters.size(), 3u);
-  std::map<std::string, std::uint64_t> got;
-  for (const auto& row : a.counters) got[row.name] = row.value;
-  EXPECT_EQ(got["alpha"], 1u);
-  EXPECT_EQ(got["beta"], 2u);
-  EXPECT_EQ(got["shared"], 15u);
-  ASSERT_EQ(a.histograms.size(), 1u);
-  EXPECT_EQ(a.histograms[0].count, 3u);
-  EXPECT_EQ(a.histograms[0].sum_ns, 150u);
-  EXPECT_EQ(a.histograms[0].max_ns, 90u);
-  EXPECT_EQ(a.histograms[0].buckets[3], 3u);
-}
-
 TEST(ObsMetrics, JsonExportIsVersioned) {
   obs_reset(true);
   obs::metrics().counter("test.json_counter").add(3);

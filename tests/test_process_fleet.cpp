@@ -3,12 +3,14 @@
 // heartbeat silence, a task that keeps killing its worker is poisoned into
 // the honest partial accounting, a missing worker binary degrades to the
 // in-process pool, a cancelled call leaves the fleet reusable, a deadline
-// cut counts the workers it kills, and a fleet count starts no idle pool
-// threads.
+// cut counts the workers it kills, a fleet count starts no idle pool
+// threads, and starting a fleet writes nothing to its host's environment.
 //
 // All crash/hang scenarios are driven by the deterministic process-level
 // fault plan (UNIGEN_WORKERD_FAULTS, keyed on (task id, attempt)), so they
-// fire identically on every machine — no timing races.  Only an externally
+// fire identically on every machine — no timing races.  A test sets it, and
+// any other worker setting, with a ScopedEnv declared before the pool, so
+// every child the fleet spawns inherits it.  Only an externally
 // delivered `kill -9` (via ProcessFleet::worker_pids) is inherently racy,
 // and that test asserts recovery, not byte equality of the interleaving.
 
@@ -18,12 +20,14 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
+#include "fault_inject.hpp"
 #include "helpers.hpp"
 #include "service/process_fleet.hpp"
 #include "service/sampler_pool.hpp"
@@ -52,13 +56,12 @@ Cnf easy_case_formula() {
   return cnf;
 }
 
-SamplerPoolOptions fleet_pool_options(std::size_t threads, std::uint64_t seed,
-                                      const std::string& fault_plan = {}) {
+SamplerPoolOptions fleet_pool_options(std::size_t threads,
+                                      std::uint64_t seed) {
   SamplerPoolOptions o;
   o.num_threads = threads;
   o.seed = seed;
   o.unigen.fleet.backend = ExecBackend::kProcessFleet;
-  o.unigen.fleet.fault_plan = fault_plan;
   return o;
 }
 
@@ -113,11 +116,11 @@ TEST(ProcessFleet, CountSurvivesWorkerKillMidIteration) {
   ASSERT_TRUE(reference.valid);
   // Iterations 0 and 3 SIGKILL their worker on the first attempt; the
   // retries (attempt 1) run clean and byte-identical.
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().kill_task(0).kill_task(3).to_env());
   ApproxMcOptions o = base;
   o.fleet.backend = ExecBackend::kProcessFleet;
   o.fleet.num_workers = 2;
-  o.fleet.fault_plan =
-      ProcessFaultPlan().kill_task(0).kill_task(3).to_env();
   Rng rng(99);
   const ApproxMcResult got = approx_count(cnf, o, rng);
   ASSERT_TRUE(got.valid);
@@ -173,10 +176,9 @@ TEST(ProcessFleet, KilledSampleRequestRetriesByteIdentically) {
   }
   // Request streams start at 1 (stream 0 = prepare); kill the workers
   // serving streams 2 and 7 on their first attempt.
-  SamplerPool pool(cnf, fleet_pool_options(
-                            2, kSeed,
-                            ProcessFaultPlan().kill_task(2).kill_task(7)
-                                .to_env()));
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().kill_task(2).kill_task(7).to_env());
+  SamplerPool pool(cnf, fleet_pool_options(2, kSeed));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   const auto got = pool.sample_many(kRequests);
@@ -197,9 +199,10 @@ TEST(ProcessFleet, HungWorkerIsKilledByHeartbeatSilenceAndReplaced) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_many(kRequests);
   }
-  SamplerPoolOptions o = fleet_pool_options(
-      2, kSeed, ProcessFaultPlan().sleep_task(3).to_env());
-  o.unigen.fleet.heartbeat_interval_s = 0.05;
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().sleep_task(3).to_env());
+  const ScopedEnv heartbeat("UNIGEN_WORKERD_HEARTBEAT_S", "0.05");
+  SamplerPoolOptions o = fleet_pool_options(2, kSeed);
   o.unigen.fleet.heartbeat_timeout_s = 0.8;
   SamplerPool pool(cnf, o);
   ASSERT_TRUE(pool.prepare());
@@ -217,12 +220,11 @@ TEST(ProcessFleet, RepeatedKillsPoisonTheTaskIntoPartialAccounting) {
   // Stream 4 kills its worker on attempts 0, 1 and 2 — every attempt the
   // fleet is willing to make — so the request is poisoned; the other five
   // are served normally.
-  SamplerPoolOptions o = fleet_pool_options(
-      2, 13,
+  const ScopedEnv faults(
+      "UNIGEN_WORKERD_FAULTS",
       ProcessFaultPlan().kill_task(4, 0).kill_task(4, 1).kill_task(4, 2)
           .to_env());
-  o.unigen.fleet.max_task_attempts = 3;
-  SamplerPool pool(cnf, o);
+  SamplerPool pool(cnf, fleet_pool_options(2, 13));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   const auto out = pool.sample_many_within(kRequests, Budget::unlimited());
@@ -254,9 +256,8 @@ TEST(ProcessFleet, MissingWorkerBinaryFallsBackInProcess) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_many(10);
   }
-  SamplerPoolOptions o = fleet_pool_options(2, kSeed);
-  o.unigen.fleet.workerd_path = "/nonexistent/unigen_workerd";
-  SamplerPool pool(cnf, o);
+  const ScopedEnv binary("UNIGEN_WORKERD", "/nonexistent/unigen_workerd");
+  SamplerPool pool(cnf, fleet_pool_options(2, kSeed));
   ASSERT_TRUE(pool.prepare());
   EXPECT_EQ(pool.fleet(), nullptr) << "spawn must fail gracefully";
   const auto got = pool.sample_many(10);
@@ -265,7 +266,6 @@ TEST(ProcessFleet, MissingWorkerBinaryFallsBackInProcess) {
   // Same degradation on the counting side.
   ApproxMcOptions co;
   co.fleet.backend = ExecBackend::kProcessFleet;
-  co.fleet.workerd_path = "/nonexistent/unigen_workerd";
   Rng crng(7);
   const ApproxMcResult count = approx_count(cnf, co, crng);
   ApproxMcOptions ref_co;
@@ -298,8 +298,9 @@ TEST(ProcessFleet, CancelMidCallLeavesFleetReusable) {
   // Stream 1 (the first request) sleeps forever, so the call is guaranteed
   // to still be in flight when the token trips — no timing race.  The
   // generous heartbeat ceiling keeps the hang police out of this test.
-  SamplerPoolOptions o = fleet_pool_options(
-      2, kSeed, ProcessFaultPlan().sleep_task(1).to_env());
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().sleep_task(1).to_env());
+  SamplerPoolOptions o = fleet_pool_options(2, kSeed);
   o.unigen.fleet.heartbeat_timeout_s = 30.0;
   SamplerPool pool(cnf, o);
   ASSERT_TRUE(pool.prepare());
@@ -336,8 +337,9 @@ TEST(ProcessFleet, DeadlineCutCountsTheWorkersItKills) {
   // Stream 1 hangs and the heartbeat ceiling is far off, so the call's
   // deadline is what ends it: run() kills the hung worker at the cut.
   const Cnf cnf = hashed_mode_formula();
-  SamplerPoolOptions o = fleet_pool_options(
-      2, 400, ProcessFaultPlan().sleep_task(1).to_env());
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().sleep_task(1).to_env());
+  SamplerPoolOptions o = fleet_pool_options(2, 400);
   o.unigen.fleet.heartbeat_timeout_s = 30.0;
   SamplerPool pool(cnf, o);
   ASSERT_TRUE(pool.prepare());
@@ -366,11 +368,12 @@ TEST(ProcessFleet, FleetCountStartsNoIdlePoolThreads) {
   // first attempt hangs until heartbeat silence kills it, which keeps the
   // count in flight while a watcher samples the thread count.
   const Cnf cnf = hashed_mode_formula();
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().sleep_task(0).to_env());
+  const ScopedEnv heartbeat("UNIGEN_WORKERD_HEARTBEAT_S", "0.05");
   ApproxMcOptions o;
   o.num_threads = 4;
   o.fleet.backend = ExecBackend::kProcessFleet;
-  o.fleet.fault_plan = ProcessFaultPlan().sleep_task(0).to_env();
-  o.fleet.heartbeat_interval_s = 0.05;
   o.fleet.heartbeat_timeout_s = 0.5;
   std::atomic<bool> done{false};
   int peak = 0;  // the watcher's alone until it is joined
@@ -420,9 +423,9 @@ TEST(ProcessFleet, BatchRequestsMatchInProcessUnderCrashes) {
     SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
     reference = pool.sample_batches(8, 5);
   }
-  SamplerPool pool(cnf, fleet_pool_options(
-                            2, kSeed,
-                            ProcessFaultPlan().kill_task(3).to_env()));
+  const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
+                         ProcessFaultPlan().kill_task(3).to_env());
+  SamplerPool pool(cnf, fleet_pool_options(2, kSeed));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   const auto got = pool.sample_batches(8, 5);
@@ -432,6 +435,23 @@ TEST(ProcessFleet, BatchRequestsMatchInProcessUnderCrashes) {
     EXPECT_EQ(got[i].models, reference[i].models) << "request " << i;
   }
   EXPECT_GE(pool.fleet()->stats().crashes, 1u);
+}
+
+TEST(ProcessFleet, StartLeavesTheHostEnvironmentAlone) {
+  // A worker reads its settings from the environment it starts in, so
+  // bringing a fleet up must write none of them into its host's: with all
+  // three unset, the fleet comes up, serves, and leaves them unset.
+  const char* const kSettings[] = {"UNIGEN_WORKERD", "UNIGEN_WORKERD_FAULTS",
+                                   "UNIGEN_WORKERD_HEARTBEAT_S"};
+  const ScopedEnv binary(kSettings[0], nullptr);
+  const ScopedEnv faults(kSettings[1], nullptr);
+  const ScopedEnv heartbeat(kSettings[2], nullptr);
+  SamplerPool pool(hashed_mode_formula(), fleet_pool_options(2, 5));
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  for (const SampleResult& r : pool.sample_many(4)) EXPECT_TRUE(r.ok());
+  for (const char* name : kSettings)
+    EXPECT_EQ(std::getenv(name), nullptr) << name;
 }
 
 }  // namespace
