@@ -2,8 +2,7 @@
 
 namespace unigen {
 
-TseitinResult tseitin_encode(const Circuit& circuit,
-                             const TseitinOptions& options) {
+TseitinResult tseitin_encode(const Circuit& circuit) {
   TseitinResult result;
   Cnf& cnf = result.cnf;
 
@@ -35,15 +34,8 @@ TseitinResult tseitin_encode(const Circuit& circuit,
       }
       case Circuit::NodeKind::Xor: {
         const Lit a = sig_lit(nd.a), b = sig_lit(nd.b);
-        if (options.native_xor_gates) {
-          // x_g = (x_a ⊕ s_a) ⊕ (x_b ⊕ s_b)  ⟺  x_g ⊕ x_a ⊕ x_b = s_a ⊕ s_b.
-          cnf.add_xor({g.var(), a.var(), b.var()}, a.sign() ^ b.sign());
-        } else {
-          cnf.add_ternary(~g, a, b);
-          cnf.add_ternary(~g, ~a, ~b);
-          cnf.add_ternary(g, ~a, b);
-          cnf.add_ternary(g, a, ~b);
-        }
+        // x_g = (x_a ⊕ s_a) ⊕ (x_b ⊕ s_b)  ⟺  x_g ⊕ x_a ⊕ x_b = s_a ⊕ s_b.
+        cnf.add_xor({g.var(), a.var(), b.var()}, a.sign() ^ b.sign());
         break;
       }
       case Circuit::NodeKind::Const:
@@ -52,11 +44,8 @@ TseitinResult tseitin_encode(const Circuit& circuit,
   }
 
   for (const auto o : circuit.outputs()) result.output_lits.push_back(sig_lit(o));
-  if (options.assert_outputs) {
-    for (const Lit l : result.output_lits) cnf.add_unit(l);
-  }
-  if (options.mark_inputs_as_sampling_set)
-    cnf.set_sampling_set(result.input_vars);
+  for (const Lit l : result.output_lits) cnf.add_unit(l);
+  cnf.set_sampling_set(result.input_vars);
   return result;
 }
 

@@ -107,11 +107,6 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
   // cancellation token rides along with the call's deadline.
   // The check's outcome is the mode; a check the budget cut, or never let
   // start, leaves kTimedOut — a cut prepare, never an empty cell.
-  ProbeLimits limits;
-  limits.deadline = options.budget.deadline;
-  limits.cancel = options.budget.cancel != nullptr
-                      ? options.budget.cancel->flag()
-                      : nullptr;
   using Mode = UniGenPrepared::Mode;
   prep.mode = Mode::kTimedOut;
   std::optional<EnumerateResult> check;  // unset when the check never ran
@@ -119,7 +114,8 @@ void unigen_prepare(const Cnf& cnf, const std::vector<Var>& sampling_set,
       formula, amc, pool, rng,
       [&](IncrementalBsat& engine, std::uint64_t min_models) {
         check = engine.enumerate_cell(
-            0, std::max(prep.kp.hi_thresh + 1, min_models), limits, true);
+            0, std::max(prep.kp.hi_thresh + 1, min_models),
+            options.budget.deadline, true, options.budget.cancel_flag());
         prep.mode = check->timed_out || check->cancelled ? Mode::kTimedOut
                     : check->count == 0                 ? Mode::kUnsat
                     : check->count <= prep.kp.hi_thresh ? Mode::kTrivial
@@ -214,13 +210,9 @@ AcceptCellResult unigen_accept_cell(IncrementalBsat& engine,
       // and everything learnt in earlier samples keeps working for us.
       engine.begin_hash();
       engine.push_rows(hash);
-      ProbeLimits limits;
-      limits.deadline = budget.per_call_deadline();
-      limits.conflict_budget = budget.conflicts_per_call;
-      limits.cancel = budget.cancel != nullptr ? budget.cancel->flag()
-                                               : nullptr;
       EnumerateResult r = engine.enumerate_cell(
-          static_cast<std::size_t>(i), prep.kp.hi_thresh + 1, limits, true);
+          static_cast<std::size_t>(i), prep.kp.hi_thresh + 1,
+          budget.per_call_deadline(), true, budget.cancel_flag());
       ++calls;
       ++stats.sample_bsat_calls;
 

@@ -60,14 +60,15 @@ struct UniGenOptions {
   /// run), except for `deadline` and `cancel` which are shared seams the
   /// embedding arms per service call:
   ///   * budget.bsat_timeout_s — wall-clock cap on each BSAT probe (paper
-  ///     Section 5: 2500 s), in accept_cell and in prepare's nested count;
-  ///     a probe that hits it is retried with a fresh hash.  The default is
-  ///     Budget's, none: probes are bounded only by the request deadline.
+  ///     Section 5: 2500 s).  An accept_cell probe that hits it is retried
+  ///     under a fresh hash; an iteration of prepare's nested count that
+  ///     hits it stays unsettled.  Prepare's easy-case check, which is also
+  ///     the nested count's unhashed probe, runs under the call's deadline
+  ///     only.  The default is Budget's, none: probes are bounded only by
+  ///     the request deadline.
   ///   * budget.max_bsat_calls — deterministic cap on BSAT probes within
   ///     one request; it bounds the otherwise-unbounded fresh-hash retry
   ///     loop machine-independently (expiry reports kTimedOut).
-  ///   * budget.conflicts_per_call — deterministic per-probe conflict cap,
-  ///     threaded into every solver call.
   ///   * budget.cancel — cooperative cancellation token, polled between
   ///     probes and inside the solver's periodic conflict check.
   ///   * budget.fault — deterministic fault injector; a request keyed k

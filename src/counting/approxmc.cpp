@@ -26,27 +26,24 @@ struct Estimate {
 /// (+ fault plan)?  Those are the outcomes a resume may keep; anything else
 /// — never started, cancelled, or cut by a wall clock — is treated as
 /// never run and re-executed.  An injected-fault timeout IS deterministic
-/// (the plan is keyed on schedule-independent coordinates); a conflict-cap
-/// timeout is deterministic exactly when no wall clock could also have
-/// fired (`wall_free`), since the two are indistinguishable after the fact.
-bool deterministic_end(const ApproxMcCoreOutcome& o, bool wall_free) {
+/// (the plan is keyed on schedule-independent coordinates); any other
+/// timeout was a wall clock's (the call's deadline or `bsat_timeout_s`).
+bool deterministic_end(const ApproxMcCoreOutcome& o) {
   if (o.bsat_calls == 0 || o.cancelled) return false;
   if (o.ok || o.faulted) return true;
-  if (o.timed_out) return wall_free;
-  return true;  // ran out of hash counts without a small cell: stream-pure
+  // Otherwise it either found no small cell at any hash count (stream-pure)
+  // or a wall clock cut it.
+  return !o.timed_out;
 }
 
 /// The standalone count's unhashed probe: cell(0) counted up to
-/// `min_models`, witnesses not kept, under the budget's per-call limits.
+/// `min_models`, witnesses not kept, under the budget's per-call deadline.
 /// A cut probe reports no count.
 UnhashedProbeFn count_only_probe(const Budget& budget) {
   return [&budget](IncrementalBsat& engine, std::uint64_t min_models) {
-    ProbeLimits limits;
-    limits.deadline = budget.per_call_deadline();
-    limits.conflict_budget = budget.conflicts_per_call;
-    limits.cancel = budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
-    const EnumerateResult r =
-        engine.enumerate_cell(0, min_models, limits, false);
+    const EnumerateResult r = engine.enumerate_cell(
+        0, min_models, budget.per_call_deadline(), false,
+        budget.cancel_flag());
     return UnhashedProbe{r.count, !r.timed_out && !r.cancelled};
   };
 }
@@ -279,7 +276,6 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // schedule) and a resume re-runs it byte-identically.  Wall-clock mode keeps every
   // stream-pure completion wherever it sits (there is no purity claim to
   // protect) and leaves wall-cut slots unsettled for a resume to retry.
-  const bool wall_free = budget.wall_free();
   bool cancelled_seen = budget.cancelled();
   for (const ApproxMcCoreOutcome& o : st.outcomes)
     cancelled_seen = cancelled_seen || o.cancelled;
@@ -289,7 +285,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     while (prefix < st.outcomes.size()) {
       const ApproxMcCoreOutcome& o = st.outcomes[prefix];
       if (!st.settled[prefix]) {
-        if (!deterministic_end(o, wall_free)) break;
+        if (!deterministic_end(o)) break;
         if (grant != 0 && cum + o.bsat_calls > grant) break;
       }
       cum += o.bsat_calls;
@@ -301,7 +297,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     }
   } else {
     for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-      if (deterministic_end(st.outcomes[i], wall_free)) {
+      if (deterministic_end(st.outcomes[i])) {
         st.settled[i] = 1;
       } else {
         // Wall-mode diagnostics count the cut attempt before scrubbing it
@@ -405,8 +401,6 @@ int approxmc_iteration_count(double delta) {
     if (approxmc_median_failure_tail(t) <= delta) return t;
   return 999;
 }
-
-double approxmc_delta_achieved(int t) { return approxmc_median_failure_tail(t); }
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng) {

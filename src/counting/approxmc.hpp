@@ -30,8 +30,8 @@
 // still owns every iteration it completed.  A cut run reports
 // RequestStatus::kPartial with the median over the completed iterations
 // and the δ those iterations actually achieve (fewer iterations ⇒ a fatter
-// binomial median tail ⇒ weaker confidence — approxmc_delta_achieved), plus
-// a resume state.  Under a *deterministic* budget (Budget::max_bsat_calls
+// binomial median tail ⇒ weaker confidence — approxmc_median_failure_tail),
+// plus a resume state.  Under a *deterministic* budget (Budget::max_bsat_calls
 // and/or a fault plan; no wall clocks) the contract sharpens to byte
 // identity: cut + resume(remaining units) ≡ the uninterrupted run with the
 // total grant, at every thread count.  The three mechanisms behind that:
@@ -88,10 +88,7 @@ struct ApproxMcOptions {
   /// budgets comfortably above per-probe solve times when replicas must
   /// agree — or use the deterministic units (budget.max_bsat_calls), whose
   /// cuts are part of the byte-identity contract rather than a breach of
-  /// it.  (budget.conflicts_per_call sits in between: deterministic
-  /// run-to-run at a fixed thread count, but whether a probe hits the cap
-  /// depends on the serving engine's learnt history, which is
-  /// schedule-dependent on pools.)
+  /// it.
   std::size_t num_threads = 1;
   /// Count-safe CNF simplification in front of the run (on by default;
   /// projected counts over S are invariant, see simplify/simplify.hpp).
@@ -173,16 +170,14 @@ std::uint64_t approxmc_pivot(double epsilon);
 /// independently good with p = 1 − e^{−3/2} (the CP 2013 analysis): the
 /// binomial tail P[#bad >= ⌊t/2⌋+1].  Defined for every t >= 1 (a cut run
 /// may be left with an even or single iteration count); t <= 0 → 1.0.
+/// It is also the δ a count from t completed iterations actually achieves:
+/// the honesty label on a Partial result, whose (ε, δ') guarantee holds
+/// with δ' = approxmc_median_failure_tail(t), weaker than the requested δ
+/// when the budget cut iterations away.
 double approxmc_median_failure_tail(int t);
 
 /// Smallest odd iteration count t with approxmc_median_failure_tail(t) <= δ.
 int approxmc_iteration_count(double delta);
-
-/// The δ a count computed from t completed iterations actually achieves —
-/// the honesty label on a Partial result: its (ε, δ') guarantee holds with
-/// δ' = approxmc_median_failure_tail(t), weaker than the requested δ when
-/// the budget cut iterations away.
-double approxmc_delta_achieved(int t);
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng);
@@ -282,7 +277,7 @@ struct ApproxMcAnytimeState {
 struct ApproxMcAnytime {
   RequestStatus status = RequestStatus::kTimedOut;
   ApproxMcResult result;
-  /// approxmc_delta_achieved(#estimates the median was taken over); 1.0
+  /// approxmc_median_failure_tail(#estimates the median was taken over); 1.0
   /// when there is no estimate.  kComplete runs can sit slightly above the
   /// requested δ too when some iterations failed algorithmically.
   double achieved_delta = 1.0;

@@ -46,11 +46,8 @@ std::optional<std::uint64_t> probe(IncrementalBsat& engine, std::uint32_t m,
   if (m > engine.hash_level())
     engine.push_rows(
         draw_xor_hash(engine.projection(), m - engine.hash_level(), rng));
-  ProbeLimits limits;
-  limits.deadline = budget.per_call_deadline();
-  limits.conflict_budget = budget.conflicts_per_call;
-  limits.cancel = budget.cancel != nullptr ? budget.cancel->flag() : nullptr;
-  const EnumerateResult r = engine.enumerate_cell(m, cap, limits, false);
+  const EnumerateResult r = engine.enumerate_cell(
+      m, cap, budget.per_call_deadline(), false, budget.cancel_flag());
   ++out.bsat_calls;
   if (r.cancelled) {
     out.cancelled = true;

@@ -87,8 +87,9 @@ struct ApproxMcOptions;
 struct ApproxMcCoreOutcome {
   /// The iteration produced an estimate (cell_count · 2^hash_count).
   bool ok = false;
-  /// A budget expired mid-search (per-probe deadline or conflict cap, or —
-  /// when `faulted` is also set — an injected fault posing as one).
+  /// A wall clock cut the search (the call's deadline or the per-call
+  /// timeout, or — when `faulted` is also set — an injected fault posing as
+  /// one).
   bool timed_out = false;
   /// The cancel token tripped mid-search; contributes nothing, and the
   /// anytime layer treats the slot as never run (cancellation is the one
@@ -113,8 +114,8 @@ struct ApproxMcCoreOutcome {
 /// Runs one iteration on `engine` (a fresh hash epoch is opened; previous
 /// epochs' rows become inert).  `n` = |S|, `pivot` the cell-size bound,
 /// `start_m` = 0 for the cold search or the leapfrog hint.  The probe
-/// envelope (deadline, per-call timeout, conflict cap, cancellation, fault
-/// plan) comes from options.budget; the caller owns the iteration-level
+/// envelope (deadline, per-call timeout, cancellation, fault plan) comes
+/// from options.budget; the caller owns the iteration-level
 /// budget policy.  `rng` must be the iteration's private stream (see
 /// stream purity above).  `fault_key` identifies this iteration to the
 /// fault plan (the canonical iteration index): probe c of iteration k asks

@@ -13,6 +13,9 @@ using ClauseSet = std::vector<std::vector<Lit>>;
 
 struct CounterTimeout {};
 
+/// The component cache is cleared when it reaches this many entries.
+constexpr std::size_t kMaxCacheEntries = 1u << 20;
+
 /// Sorted list of distinct variables occurring in `clauses`.
 std::vector<Var> occurring_vars(const ClauseSet& clauses) {
   std::vector<Var> vars;
@@ -130,7 +133,7 @@ class Engine {
       cnt <<= scope - sub_scope - 1;
       total += cnt;
     }
-    if (cache_.size() >= options_.max_cache_entries) cache_.clear();
+    if (cache_.size() >= kMaxCacheEntries) cache_.clear();
     cache_.emplace(key, total);
     return total;
   }

@@ -22,8 +22,6 @@ namespace unigen {
 
 struct ExactCounterOptions {
   Deadline deadline = Deadline::never();
-  /// Component cache is cleared when it exceeds this many entries.
-  std::size_t max_cache_entries = 1u << 20;
 };
 
 struct ExactCounterStats {

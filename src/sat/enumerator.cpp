@@ -41,13 +41,13 @@ EnumerateResult enumerate_models(Solver& solver,
       result.timed_out = true;
       return result;
     }
-    const lbool status =
-        solver.solve_limited(options.assumptions, options.deadline,
-                             options.conflict_budget, options.cancel);
+    // No conflict limit: a search stops only on the deadline or the token.
+    const lbool status = solver.solve_limited(
+        options.assumptions, options.deadline, 0, options.cancel);
     if (status == lbool::Undef) {
-      // Undef = some limit fired mid-search; the flag says which caller
-      // intent it was (a tripped token wins over a concurrently expired
-      // budget — the caller asked to stop either way).
+      // Undef = the deadline or the token fired mid-search; a tripped token
+      // wins over a concurrently expired deadline — the caller asked to
+      // stop either way.
       if (cancelled())
         result.cancelled = true;
       else

@@ -26,11 +26,6 @@ struct EnumerateOptions {
   /// Wall-clock deadline for the whole enumeration (maps to the paper's
   /// 2500 s per-BSAT timeout).
   Deadline deadline = Deadline::never();
-  /// Deterministic per-solve conflict cap (0 = none): each model search is
-  /// limited to this many conflicts, so the enumeration's Undef exits are
-  /// reproducible on a fixed solver history — the machine-independent
-  /// counterpart of `deadline` (Budget::conflicts_per_call).
-  std::uint64_t conflict_budget = 0;
   /// Cooperative cancellation flag (a CancelToken's raw atomic); polled
   /// between model searches and, inside them, at the solver's periodic
   /// conflict check.  Null = not cancellable.
@@ -70,8 +65,7 @@ struct EnumerateResult {
   std::uint64_t count = 0;
   /// True iff the solution space was exhausted below max_models.
   bool exhausted = false;
-  /// True iff enumeration stopped because a budget expired (the deadline,
-  /// or the per-solve conflict cap).
+  /// True iff enumeration stopped because the deadline expired.
   bool timed_out = false;
   /// True iff enumeration stopped because the cancel flag tripped.  Takes
   /// precedence over timed_out; the cell's blocks are still retractable

@@ -175,19 +175,9 @@ void IncrementalBsat::push_rows(const XorHash& h) {
   store_.push_rows(h);
 }
 
-EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
-                                                std::uint64_t max_models,
-                                                const Deadline& deadline,
-                                                bool store_models) {
-  ProbeLimits limits;
-  limits.deadline = deadline;
-  return enumerate_cell(m, max_models, limits, store_models);
-}
-
-EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
-                                                std::uint64_t max_models,
-                                                const ProbeLimits& limits,
-                                                bool store_models) {
+EnumerateResult IncrementalBsat::enumerate_cell(
+    std::size_t m, std::uint64_t max_models, const Deadline& deadline,
+    bool store_models, const std::atomic<bool>* cancel) {
   assert(m <= activations_.size());
   // Observability only (outside every RNG path): one span + latency sample
   // per BSAT call, tagged with the hash level probed.
@@ -210,9 +200,8 @@ EnumerateResult IncrementalBsat::enumerate_cell(std::size_t m,
   }
   EnumerateOptions eopts;
   eopts.max_models = max_models - known;
-  eopts.deadline = limits.deadline;
-  eopts.conflict_budget = limits.conflict_budget;
-  eopts.cancel = limits.cancel;
+  eopts.deadline = deadline;
+  eopts.cancel = cancel;
   eopts.projection = projection_;
   eopts.store_models = store_models;
   eopts.formula_vars = cnf_.num_vars();

@@ -46,6 +46,7 @@
 // samples, in SolverStats::solver_rebuilds) that merely compacts the
 // tables.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -59,16 +60,6 @@
 #include "util/timer.hpp"
 
 namespace unigen {
-
-/// Resource envelope of one BSAT probe (one enumerate_cell call): the
-/// wall-clock deadline the paper uses, plus the deterministic conflict cap
-/// and the cancellation flag the anytime layer adds.  Built from a request
-/// Budget by the counting/sampling algorithms; plain value type.
-struct ProbeLimits {
-  Deadline deadline = Deadline::never();
-  std::uint64_t conflict_budget = 0;  ///< per solver call; 0 = none
-  const std::atomic<bool>* cancel = nullptr;
-};
 
 class IncrementalBsat {
  public:
@@ -93,18 +84,16 @@ class IncrementalBsat {
   std::size_t hash_level() const { return activations_.size(); }
 
   /// BSAT(F ∧ first-m-rows-of-the-active-hash, max_models): enumerates the
-  /// target cell at hash level m on the persistent solver.  All blocking
-  /// clauses added during the call are retracted before returning.  A
-  /// count-only call may be served in part, or wholly, from the models the
-  /// epoch's earlier calls found (see the file comment).
+  /// target cell at hash level m on the persistent solver, until `deadline`
+  /// (the paper's per-call timeout) or the `cancel` flag (a CancelToken's
+  /// raw atomic; null = not cancellable) stops it.  All exits — exhausted,
+  /// timed out, cancelled — leave the engine in the same reusable state:
+  /// the blocking clauses added during the call are retracted before
+  /// returning.  A count-only call may be served in part, or wholly, from
+  /// the models the epoch's earlier calls found (see the file comment).
   EnumerateResult enumerate_cell(std::size_t m, std::uint64_t max_models,
-                                 const Deadline& deadline, bool store_models);
-  /// Same, under the full probe envelope (deadline + deterministic conflict
-  /// cap + cancellation).  All exits — exhausted, timed out, cancelled —
-  /// leave the engine in the same reusable state: the cell's blocks are
-  /// retracted unconditionally.
-  EnumerateResult enumerate_cell(std::size_t m, std::uint64_t max_models,
-                                 const ProbeLimits& limits, bool store_models);
+                                 const Deadline& deadline, bool store_models,
+                                 const std::atomic<bool>* cancel = nullptr);
 
   /// Cumulative statistics across rebuilds, including the engine counters
   /// solver_rebuilds / reused_solves / retracted_blocks.

@@ -6,11 +6,10 @@
 // 2500 s per-BSAT-call timeout, retried under a fresh hash).  A service
 // needs three more things a wall clock cannot give:
 //
-//   * deterministic budget units (BSAT-call and conflict budgets) whose
-//     expiry is a pure function of the work, not of the machine — so
-//     degraded paths are byte-reproducible and can be driven on purpose
-//     in tests, including on a 1-core container where wall-clock races
-//     never fire;
+//   * a deterministic budget unit (the BSAT-call grant) whose expiry is a
+//     pure function of the work, not of the machine — so degraded paths
+//     are byte-reproducible and can be driven on purpose in tests,
+//     including on a 1-core container where wall-clock races never fire;
 //   * cooperative cancellation, observed between (and, via the solver's
 //     conflict-counting hook, inside) BSAT probes, leaving every engine
 //     and pool reusable for the next request;
@@ -96,15 +95,13 @@ struct Budget {
   /// Wall-clock budget per BSAT call (paper Section 5: 2500 s); 0 = none.
   double bsat_timeout_s = 0.0;
   /// Deterministic unit budget: total BSAT calls the request may consume
-  /// (0 = unlimited).  Expiry is a pure function of the work — see
-  /// deterministic_units() for what that buys.
+  /// (0 = unlimited).  Expiry is a pure function of the work, so a grant
+  /// (or a fault plan) makes degraded paths byte-reproducible: budgeted
+  /// algorithms then pin every schedule-dependent cost knob (ApproxMC's
+  /// leapfrog hint: every iteration starts cold), and unit consumption and
+  /// fault points are identical across thread counts and across a
+  /// cut-and-resume.
   std::uint64_t max_bsat_calls = 0;
-  /// Deterministic unit budget: solver conflicts per BSAT call (0 = none).
-  /// Reproducible run-to-run at a fixed schedule; on pooled runs whether a
-  /// probe hits its conflict cap depends on the serving engine's learnt
-  /// history, so cross-thread-count byte-identity requires max_bsat_calls
-  /// or fault injection instead.
-  std::uint64_t conflicts_per_call = 0;
   /// Cooperative cancellation; null = not cancellable.
   const CancelToken* cancel = nullptr;
   /// Deterministic fault injection; null = no faults.
@@ -118,24 +115,11 @@ struct Budget {
   }
 
   bool cancelled() const { return cancel != nullptr && cancel->cancelled(); }
-  bool wall_expired() const { return deadline.expired(); }
-
-  /// True when degraded paths must be byte-reproducible: a deterministic
-  /// unit budget or a fault plan is in play.  Budgeted algorithms then pin
-  /// every schedule-dependent cost knob (the ApproxMC leapfrog hint is the
-  /// one that exists today: warm starts change per-iteration probe counts,
-  /// so deterministic-budget runs use cold starts throughout) so that unit
-  /// consumption and fault points are pure functions of the work, identical
-  /// across thread counts and across a cut-and-resume.
-  bool deterministic_units() const {
-    return max_bsat_calls > 0 || fault != nullptr;
+  /// The token's raw flag, for the solver layers; null = not cancellable.
+  const std::atomic<bool>* cancel_flag() const {
+    return cancel != nullptr ? cancel->flag() : nullptr;
   }
-
-  /// True when nothing nondeterministic can cut the run: no wall clocks
-  /// armed.  (Cancellation is always the caller's nondeterminism; budgeted
-  /// algorithms treat a cancelled slice as never-run so the determinism
-  /// contract survives it.)
-  bool wall_free() const { return !deadline.armed() && bsat_timeout_s <= 0.0; }
+  bool wall_expired() const { return deadline.expired(); }
 
   /// Deadline for one BSAT call: whole-request deadline capped by the
   /// per-call timeout.  (The pre-Budget per_call_deadline helpers of

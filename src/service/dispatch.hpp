@@ -105,7 +105,7 @@ std::vector<std::optional<Outcome>> run_tasks(
         out[j] = task(engine, worker, ids[j], rng);
         spent[j].store(ipc::units_of(*out[j]), std::memory_order_relaxed);
       },
-      budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
+      budget.cancel_flag());
   return out;
 }
 

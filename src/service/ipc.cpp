@@ -182,7 +182,6 @@ std::string encode_task(const TaskMsg& m) {
   w.f64(m.deadline_s);
   w.f64(m.bsat_timeout_s);
   w.u64(m.max_bsat_calls);
-  w.u64(m.conflicts_per_call);
   w.u64(m.trace_id);
   w.u64(m.parent_span);
   return w.take();
@@ -198,7 +197,6 @@ TaskMsg decode_task(const std::string& payload) {
   m.deadline_s = r.f64();
   m.bsat_timeout_s = r.f64();
   m.max_bsat_calls = r.u64();
-  m.conflicts_per_call = r.u64();
   m.trace_id = r.u64();
   m.parent_span = r.u64();
   r.finish();

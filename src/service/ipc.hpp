@@ -146,6 +146,8 @@ struct SetupMsg {
   // process-level (UNIGEN_WORKERD_FAULTS).
 };
 
+/// One task; its body has a fixed 92 bytes, every field in declaration
+/// order.
 struct TaskMsg {
   /// Canonical work-unit id: iteration index (kCount) or request stream
   /// (kSample).  Also the fault-plan key.
@@ -163,11 +165,11 @@ struct TaskMsg {
   std::uint64_t max_batch = 0;
   /// Remaining call-level wall budget at dispatch; <= 0 = unarmed.
   double deadline_s = 0.0;
-  // Per-call Budget scalars (the embeddings let every service call carry
-  // its own Budget, so these ride on the task, not the Setup).
+  // Per-call Budget scalars, the per-call timeout and the BSAT-call grant
+  // (the embeddings let every service call carry its own Budget, so these
+  // ride on the task, not the Setup).
   double bsat_timeout_s = 0.0;
   std::uint64_t max_bsat_calls = 0;
-  std::uint64_t conflicts_per_call = 0;
   /// Trace propagation (obs/trace.hpp): which request trace the worker's
   /// spans should land in, and under which parent span.  0 = tracing off —
   /// the worker records nothing and ships no spans back.  Observability

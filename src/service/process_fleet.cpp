@@ -128,6 +128,14 @@ struct ProcessFleet::Worker {
     return state == State::kSpawning || state == State::kIdle ||
            state == State::kBusy;
   }
+  /// One step of the respawn backoff (0.02 s doubling to 2 s): the slot's
+  /// next dial or spawn waits that long.
+  void back_off() {
+    backoff_s = backoff_s <= 0.0
+                    ? kRespawnBackoffInitialS
+                    : std::min(backoff_s * 2.0, kRespawnBackoffMaxS);
+    next_spawn = after_seconds(backoff_s);
+  }
 };
 
 struct ProcessFleet::RunState {
@@ -200,27 +208,29 @@ bool ProcessFleet::adopt_connection(Worker& w, int fd, int pid) {
 }
 
 bool ProcessFleet::spawn(Worker& w) {
+  // A slot whose dial, socketpair or fork fails stays down for one backoff
+  // step.  (A failed adopt_connection takes its step in handle_death.)
+  const auto failed = [&] {
+    ++stats_.spawn_failures;
+    w.back_off();
+    return false;
+  };
   if (!options_.endpoints.empty()) {
     const int fd = net::tcp_connect(w.endpoint, kConnectTimeoutS);
     if (fd < 0) {
-      ++stats_.spawn_failures;
       ++stats_.dial_failures;
-      return false;
+      return failed();
     }
     ++stats_.dials;
     return adopt_connection(w, fd, /*pid=*/-1);
   }
   int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    ++stats_.spawn_failures;
-    return false;
-  }
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return failed();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);
     ::close(sv[1]);
-    ++stats_.spawn_failures;
-    return false;
+    return failed();
   }
   if (pid == 0) {
     // Child: channel on fd 3, then exec the worker, which inherits this
@@ -282,10 +292,7 @@ void ProcessFleet::handle_death(Worker& w, RunState* run) {
   w.state = Worker::State::kDown;
   w.task = kNoTask;
   w.supervisor_kill = false;
-  w.backoff_s = w.backoff_s <= 0.0
-                    ? kRespawnBackoffInitialS
-                    : std::min(w.backoff_s * 2.0, kRespawnBackoffMaxS);
-  w.next_spawn = after_seconds(w.backoff_s);
+  w.back_off();
 }
 
 void ProcessFleet::process_frames(Worker& w, RunState* run) {
@@ -391,7 +398,6 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
       budget.deadline.armed() ? budget.deadline.remaining_seconds() : 0.0;
   msg.bsat_timeout_s = budget.bsat_timeout_s;
   msg.max_bsat_calls = budget.max_bsat_calls;
-  msg.conflicts_per_call = budget.conflicts_per_call;
   msg.trace_id = spec.trace_id;
   msg.parent_span = spec.parent_span;
   w.span_start_ns = 0;

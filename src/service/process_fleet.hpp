@@ -18,8 +18,10 @@
 //                  past heartbeat_timeout_s is declared hung, SIGKILLed,
 //                  and treated like any other death.
 //   * crash loop — respawns back off exponentially and are capped per
-//                  worker slot; a slot that keeps dying is abandoned and
-//                  the fleet degrades to the survivors.
+//                  worker slot; a failed dial, fork or socketpair takes a
+//                  backoff step as a death does.  A slot that keeps dying,
+//                  or cannot be brought back, is abandoned and the fleet
+//                  degrades to the survivors.
 //   * poisoning  — a task whose attempt ends without a result (its worker
 //                  died, or answered Error) after 3 attempts is poisoned:
 //                  its slot reports unserved and flows through the

@@ -36,18 +36,18 @@
 // (asserted by tests/test_sampler_pool.cpp and bench_parallel_scaling).
 // Outside S a witness carries whatever completion its serving engine
 // found, which may differ between engines with different histories.
-// Stream indices
-// keep advancing across calls, so consecutive calls continue one global
-// deterministic sequence.  A UniGen (core/unigen.hpp) is this service at
-// width 1, seeded by one draw of its caller's rng.  One caveat: the
-// contract assumes no per-BSAT timeout fires — a timeout retry (paper
-// Section 5) draws a fresh hash from the request's stream, and whether a
-// solve beats its wall-clock budget is machine- and contention-dependent.  Leave budget.bsat_timeout_s unset
-// (the default), or comfortably above the workload's per-cell solve time
-// (orders of magnitude), when byte-identical replicas matter.  The same
-// caveat covers the parallel count inside prepare(): a per-probe budget
-// firing mid-iteration is schedule-dependent and can shift q (see
-// ApproxMcOptions::num_threads); with budgets that never bind, q is
+// Stream indices keep advancing across calls, so consecutive calls
+// continue one global deterministic sequence.  A UniGen (core/unigen.hpp)
+// is this service at width 1, seeded by one draw of its caller's rng.  One
+// caveat: the contract assumes no per-BSAT timeout fires — a timeout retry
+// (paper Section 5) draws a fresh hash from the request's stream, and
+// whether a solve beats its wall-clock budget is machine- and
+// contention-dependent.  Leave budget.bsat_timeout_s unset (the default),
+// or comfortably above the workload's per-cell solve time (orders of
+// magnitude), when byte-identical replicas matter.  The same caveat covers
+// the parallel count inside prepare(): a count iteration the per-call
+// timeout cuts stays unsettled, which is schedule-dependent and can shift
+// q (see ApproxMcOptions::num_threads); with budgets that never bind, q is
 // thread-count-independent.
 //
 // Threading contract: one dispatcher thread drives the pool (prepare /
@@ -197,9 +197,9 @@ class SamplerPool {
   /// one call.  Its deadline and cancellation token are call-level (a cut
   /// stops starting new requests and interrupts in-flight solves; served
   /// and unserved slots are reported per the SampleManyResult contract);
-  /// max_bsat_calls / conflicts_per_call / fault apply *per request*, so
-  /// each served request's outcome stays a pure function of its stream —
-  /// byte-identical across thread counts.  After a cancelled call the pool
+  /// max_bsat_calls and fault apply *per request*, so each served
+  /// request's outcome stays a pure function of its stream — byte-identical
+  /// across thread counts.  After a cancelled call the pool
   /// is immediately reusable: streams keep advancing by `count` whatever
   /// happened, so a follow-up call sees exactly the streams it would have
   /// on a pool whose earlier calls all completed.

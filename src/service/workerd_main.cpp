@@ -295,7 +295,6 @@ int worker_main(int fd) {
                                  : Deadline::never();
       task_budget.bsat_timeout_s = task.bsat_timeout_s;
       task_budget.max_bsat_calls = task.max_bsat_calls;
-      task_budget.conflicts_per_call = task.conflicts_per_call;
       // The same task functions the in-process pool calls (dispatch.hpp);
       // counts always start their hash-count search cold here.
       if (setup.kind == ipc::TaskKind::kCount) {

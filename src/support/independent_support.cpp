@@ -60,8 +60,7 @@ std::optional<bool> is_independent_support(const Cnf& cnf,
   const Cnf query = build_padoa_query(cnf, candidate);
   Solver solver;
   if (!solver.load(query)) return true;  // query UNSAT at load: independent
-  const lbool verdict =
-      solver.solve_limited({}, options.deadline, options.conflict_budget);
+  const lbool verdict = solver.solve_limited({}, options.deadline);
   if (verdict == lbool::Undef) return std::nullopt;
   return verdict == lbool::False;
 }

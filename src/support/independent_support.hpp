@@ -25,13 +25,12 @@
 namespace unigen {
 
 struct SupportCheckOptions {
+  /// Wall-clock deadline for the whole check.  A query it cuts counts as
+  /// "unknown" (nullopt / keep var).
   Deadline deadline = Deadline::never();
-  /// Conflict budget per SAT query; 0 = unlimited.  A budgeted query that
-  /// comes back unresolved is treated as "unknown" (nullopt / keep var).
-  std::uint64_t conflict_budget = 0;
 };
 
-/// True/false when decided; nullopt when a budget expired first.
+/// True/false when decided; nullopt when the deadline expired first.
 std::optional<bool> is_independent_support(
     const Cnf& cnf, const std::vector<Var>& candidate,
     const SupportCheckOptions& options = {});
@@ -39,10 +38,10 @@ std::optional<bool> is_independent_support(
 /// Greedily shrinks `start` (which must itself be an independent support —
 /// verified first) into a minimal one.  Variables are tried in random order
 /// when `rng` is given, else in reverse index order.  Returns nullopt when
-/// `start` is not an independent support or the budget expired during the
-/// initial verification; otherwise returns the (possibly partially)
-/// minimized set — query budget exhaustion mid-way conservatively keeps
-/// variables.
+/// `start` is not an independent support or the deadline expired during
+/// the initial verification; otherwise returns the (possibly partially)
+/// minimized set — a query the deadline cuts mid-way conservatively keeps
+/// its variable.
 std::optional<std::vector<Var>> minimize_independent_support(
     const Cnf& cnf, std::vector<Var> start,
     const SupportCheckOptions& options = {}, Rng* rng = nullptr);

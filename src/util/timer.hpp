@@ -1,7 +1,7 @@
 #pragma once
-// Wall-clock stopwatch and deadline helpers.  Resource budgets (time and
-// conflicts) are threaded through the SAT solver and every algorithm that
-// the paper runs with timeouts (BSAT calls: 2500 s; whole runs: 20 h).
+// Wall-clock stopwatch and deadline helpers.  Deadlines are threaded
+// through the SAT solver and every algorithm that the paper runs with
+// timeouts (BSAT calls: 2500 s; whole runs: 20 h).
 
 #include <chrono>
 #include <limits>

@@ -219,7 +219,7 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                "anytime verdict %s but valid=%d", to_string(full.status),
                full.result.valid);
     if (full.result.valid && !full.result.exact) {
-      FUZZ_CHECK(full.achieved_delta == approxmc_delta_achieved(
+      FUZZ_CHECK(full.achieved_delta == approxmc_median_failure_tail(
                                             full.result.iterations_succeeded),
                  "achieved_delta %.6f inconsistent with %d estimates",
                  full.achieved_delta, full.result.iterations_succeeded);
@@ -240,7 +240,7 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                  first, total, to_string(cut.status));
       if (cut.status == RequestStatus::kPartial) {
         FUZZ_CHECK(cut.result.valid, "kPartial without an estimate");
-        FUZZ_CHECK(cut.achieved_delta == approxmc_delta_achieved(
+        FUZZ_CHECK(cut.achieved_delta == approxmc_median_failure_tail(
                                              cut.result.iterations_succeeded),
                    "partial achieved_delta %.6f vs %d estimates",
                    cut.achieved_delta, cut.result.iterations_succeeded);

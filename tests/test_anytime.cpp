@@ -121,7 +121,7 @@ TEST_P(AnytimeCutResume, ResumeEqualsUninterrupted) {
     if (cut.status == RequestStatus::kPartial) {
       EXPECT_TRUE(cut.result.valid);
       EXPECT_EQ(cut.achieved_delta,
-                approxmc_delta_achieved(cut.result.iterations_succeeded));
+                approxmc_median_failure_tail(cut.result.iterations_succeeded));
     } else {
       EXPECT_FALSE(cut.result.valid);
       EXPECT_EQ(cut.achieved_delta, 1.0);
@@ -196,9 +196,11 @@ TEST(AnytimeCount, ExactRunIsWidthIndependentUnderAGrant) {
 }
 
 TEST(AnytimeCount, CutProbeResumesToTheUncappedCount) {
-  // A conflict cap of 1 cuts the unhashed probe: the run has no count, so
-  // it wants no iteration and leaves the prologue open; a resume probes
-  // again, from the same iteration base, and lands on the uncapped count.
+  // A per-call timeout of 1e-12 s cuts the unhashed probe (Deadline
+  // truncates it to 0 ns, so the probe's first deadline check fires): the
+  // run has no count, so it wants no iteration and leaves the prologue
+  // open; a resume probes again, from the same iteration base, and lands
+  // on the uncapped count.
   Rng gen(2);
   const Cnf cnf = test::random_cnf(16, 60, 3, gen);
   for (const std::size_t threads : {1u, 4u}) {
@@ -212,7 +214,7 @@ TEST(AnytimeCount, CutProbeResumesToTheUncappedCount) {
     EXPECT_EQ(full.result.cell_count, 40u);
     EXPECT_EQ(full.result.hash_count, 2u);
 
-    opts.budget.conflicts_per_call = 1;
+    opts.budget.bsat_timeout_s = 1e-12;
     Rng rng(9);
     const ApproxMcAnytime cut = approx_count_anytime(cnf, opts, rng);
     EXPECT_EQ(cut.status, RequestStatus::kTimedOut) << "width " << threads;
@@ -248,7 +250,7 @@ TEST(AnytimeCount, FaultedIterationIsSkippedAndAccounted) {
     EXPECT_EQ(r.result.iterations_succeeded,
               r.result.iterations_requested - 2);
     EXPECT_EQ(r.achieved_delta,
-              approxmc_delta_achieved(r.result.iterations_succeeded));
+              approxmc_median_failure_tail(r.result.iterations_succeeded));
     EXPECT_TRUE(r.state.outcomes[1].faulted);
     EXPECT_TRUE(r.state.outcomes[1].timed_out);
     EXPECT_FALSE(r.state.outcomes[1].ok);

@@ -478,6 +478,31 @@ TEST(ResultCodec, RejectsOutOfRangeStatusAndKind) {
   EXPECT_THROW(ipc::decode_result(kind.substr(0, 9)), std::runtime_error);
 }
 
+TEST(TaskCodec, EveryFieldRoundTrips) {
+  ipc::TaskMsg m;
+  m.task_id = 11;
+  m.attempt = 2;
+  m.rng_state = {3, 4, 5, 6};
+  m.max_batch = 7;
+  m.deadline_s = 8.5;
+  m.bsat_timeout_s = 9.25;
+  m.max_bsat_calls = 10;
+  m.trace_id = 12;
+  m.parent_span = 13;
+  const std::string body = ipc::encode_task(m);
+  EXPECT_EQ(body.size(), 92u);
+  const ipc::TaskMsg back = ipc::decode_task(body);
+  EXPECT_EQ(back.task_id, m.task_id);
+  EXPECT_EQ(back.attempt, m.attempt);
+  EXPECT_EQ(back.rng_state, m.rng_state);
+  EXPECT_EQ(back.max_batch, m.max_batch);
+  EXPECT_EQ(back.deadline_s, m.deadline_s);
+  EXPECT_EQ(back.bsat_timeout_s, m.bsat_timeout_s);
+  EXPECT_EQ(back.max_bsat_calls, m.max_bsat_calls);
+  EXPECT_EQ(back.trace_id, m.trace_id);
+  EXPECT_EQ(back.parent_span, m.parent_span);
+}
+
 // ---- input validation ----------------------------------------------------
 //
 // A frame's bytes come from another process: every count is checked

@@ -34,6 +34,7 @@
 #include "service/net_transport.hpp"
 #include "service/process_fleet.hpp"
 #include "service/sampler_pool.hpp"
+#include "util/timer.hpp"
 
 namespace unigen {
 namespace {
@@ -538,11 +539,16 @@ TEST(TcpFleet, DeadServerSurvivedByTheOtherEndpoint) {
   const auto warm = pool.sample_many(6);
   ASSERT_EQ(warm.size(), 6u);
   // SIGKILL one server between calls — the supervisor sees EOF, re-dials
-  // a dead port, abandons the slot, and the survivor serves the whole
-  // next call byte-identically.
+  // a dead port under backoff, and the survivor serves the whole next call
+  // byte-identically.
+  const Stopwatch since_kill;
   a.kill_server();
   const auto got = pool.sample_many(6);
   expect_same_results(reference, got);
+  // Each failed re-dial waits one backoff step (0.02 s doubling), so 0.4 s
+  // of calls spend at most 4 of the slot's 8 re-dials and leave it alive.
+  while (since_kill.seconds() < 0.4) pool.sample_many(1);
+  EXPECT_LE(pool.fleet()->stats().dial_failures, 4u);
 }
 
 TEST(TcpFleet, AllServersDeadDegradesGracefully) {

@@ -66,25 +66,11 @@ TEST(Tseitin, SamplingSetIsInputs) {
   EXPECT_EQ(*enc.cnf.sampling_set(), expected);
 }
 
-TEST(Tseitin, NoAssertOutputsKeepsAllEvaluations) {
-  Circuit c;
-  const Sig a = c.add_input();
-  const Sig b = c.add_input();
-  c.add_output(c.land(a, b));
-  TseitinOptions opts;
-  opts.assert_outputs = false;
-  const auto enc = tseitin_encode(c, opts);
-  // Every input assignment extends uniquely: count = 2^inputs.
-  EXPECT_EQ(test::brute_force_count(enc.cnf), 4u);
-}
-
 TEST(Tseitin, OutputLitsReflectCircuitOutputs) {
   Circuit c;
   const Sig a = c.add_input();
   c.add_output(Circuit::lnot(a));
-  TseitinOptions opts;
-  opts.assert_outputs = true;
-  const auto enc = tseitin_encode(c, opts);
+  const auto enc = tseitin_encode(c);
   const auto models = test::brute_force_models(enc.cnf);
   ASSERT_EQ(models.size(), 1u);
   EXPECT_EQ(models[0][static_cast<std::size_t>(enc.input_vars[0])],
