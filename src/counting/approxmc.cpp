@@ -67,8 +67,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   obs::Span count_span("count.request");
 
   result.pivot = st.pivot;
-  result.iterations_requested = st.iterations_requested;
+  result.iterations_requested = static_cast<int>(st.outcomes.size());
   const std::vector<Var> sampling_set = cnf.sampling_set_or_all();
+  const auto n = static_cast<std::uint32_t>(sampling_set.size());
 
   // Count-safe preprocessing: ApproxMC only ever reports |R_S|, which every
   // simplification pass preserves (simplify/simplify.hpp), and it never
@@ -93,7 +94,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // yields the same status on every machine instead of racing the first
   // deadline check.
   if (const RequestStatus adm = budget.admission_status();
-      adm != RequestStatus::kComplete && !st.exact_done) {
+      adm != RequestStatus::kComplete && !st.exact) {
     return finish(adm);
   }
 
@@ -101,8 +102,7 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // no iterations.
   const auto settle_exact = [&](std::uint64_t count) -> ApproxMcAnytime& {
     st.prologue_done = true;
-    st.exact_done = true;
-    st.exact_cell_count = count;
+    st.exact = count;
     result.valid = true;
     result.exact = true;
     result.cell_count = count;
@@ -110,20 +110,19 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     any.achieved_delta = 0.0;
     return finish(RequestStatus::kComplete);
   };
-  if (st.exact_done) return settle_exact(st.exact_cell_count);
+  if (st.exact) return settle_exact(*st.exact);
 
-  count_span.set_value(static_cast<std::uint64_t>(st.iterations_requested));
+  count_span.set_value(st.outcomes.size());
   // Deterministic mode follows the *cumulative* grant (a resume that adds
   // units continues a deterministic run even if its own Budget carries no
   // fault plan), so the cold-start policy cannot flip between slices.
   const bool det = st.units_granted > 0 || budget.fault != nullptr;
   const std::uint64_t grant = st.units_granted;
 
-  // Unit ledger entering this slice: the unhashed probe plus every settled
-  // iteration, all of whose costs are stream-pure in deterministic mode.
-  ProcessFleet::RunControl ledger;
-  ledger.units_granted = grant;
-  ledger.units_spent = 1;
+  // The grant's admission rule for this slice's fan-out, charged with the
+  // unhashed probe plus every settled iteration, all of whose costs are
+  // stream-pure in deterministic mode.
+  UnitGrant admission{grant, 1};
   // The ApproxMC2-style leapfrog hint: the m of the last completed
   // iteration, 0 (cold) while none has.  Racy on purpose — the hint only
   // steers where a search starts, never what it finds (approxmc_core.hpp),
@@ -131,16 +130,18 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // (from an earlier slice) seed it in iteration order, as a width-1 pool
   // running them would have.  Deterministic mode never reads it: every
   // iteration starts cold, so its probe count is a pure function of its
-  // stream at every thread count.
+  // stream at every thread count.  A slot is settled exactly when its
+  // outcome spent BSAT calls: the fold below resets every other slot.
   std::atomic<std::uint32_t> hint{0};
   std::vector<std::uint64_t> unsettled;
   for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-    if (!st.settled[i]) {
+    const ApproxMcCoreOutcome& o = st.outcomes[i];
+    if (o.bsat_calls == 0) {
       unsettled.push_back(i);
       continue;
     }
-    ledger.units_spent += st.outcomes[i].bsat_calls;
-    if (const auto m = leapfrog_publish(st.outcomes[i])) hint.store(*m);
+    admission.spent += o.bsat_calls;
+    if (const auto m = leapfrog_publish(o)) hint.store(*m);
   }
 
   // The process-fleet backend for the iterations: the task frames carry
@@ -189,11 +190,12 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
                            const std::vector<std::uint64_t>& ids,
                            bool with_lead) {
     return run_tasks<ApproxMcCoreOutcome>(
-        *pool, on_fleet, ids, st.iter_base, /*max_batch=*/0, budget, &ledger,
+        *pool, on_fleet, ids, st.iter_base, /*max_batch=*/0, budget,
+        &admission,
         [&](IncrementalBsat& engine, std::size_t, std::uint64_t i,
             Rng& it_rng) {
           ApproxMcCoreOutcome o = approxmc_core_iteration(
-              engine, st.n, st.pivot, options,
+              engine, n, st.pivot, options,
               det ? 0 : hint.load(std::memory_order_relaxed), it_rng,
               /*fault_key=*/i);
           if (!det)
@@ -269,13 +271,15 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   // pool width and on the fleet because each outcome is a pure function of
   // its iteration's stream (approxmc_core.hpp).
   //
-  // Settlement first.  Deterministic mode admits the longest prefix of
-  // stream-pure completions the cumulative grant covers — executed work
-  // beyond that prefix is scrubbed (parallel schedules may run more than
-  // the grant covers; what the grant *bought* must not depend on the
-  // schedule) and a resume re-runs it byte-identically.  Wall-clock mode keeps every
-  // stream-pure completion wherever it sits (there is no purity claim to
-  // protect) and leaves wall-cut slots unsettled for a resume to retry.
+  // Settlement first: every slot left unsettled is reset.  Deterministic
+  // mode admits the longest prefix of stream-pure completions the
+  // cumulative grant covers (slots settled by an earlier slice pass
+  // unchecked) — executed work beyond that prefix is scrubbed (parallel
+  // schedules may run more than the grant covers; what the grant *bought*
+  // must not depend on the schedule) and a resume re-runs it
+  // byte-identically.  Wall-clock mode keeps every stream-pure completion
+  // wherever it sits (there is no purity claim to protect) and leaves
+  // wall-cut slots for a resume to retry.
   bool cancelled_seen = budget.cancelled();
   for (const ApproxMcCoreOutcome& o : st.outcomes)
     cancelled_seen = cancelled_seen || o.cancelled;
@@ -284,39 +288,31 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     std::size_t prefix = 0;
     while (prefix < st.outcomes.size()) {
       const ApproxMcCoreOutcome& o = st.outcomes[prefix];
-      if (!st.settled[prefix]) {
+      if (std::binary_search(unsettled.begin(), unsettled.end(), prefix)) {
         if (!deterministic_end(o)) break;
         if (grant != 0 && cum + o.bsat_calls > grant) break;
       }
       cum += o.bsat_calls;
       ++prefix;
     }
-    for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-      st.settled[i] = i < prefix ? 1 : 0;
-      if (i >= prefix) st.outcomes[i] = ApproxMcCoreOutcome{};
-    }
+    for (std::size_t i = prefix; i < st.outcomes.size(); ++i)
+      st.outcomes[i] = ApproxMcCoreOutcome{};
   } else {
-    for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-      if (deterministic_end(st.outcomes[i])) {
-        st.settled[i] = 1;
-      } else {
+    for (ApproxMcCoreOutcome& o : st.outcomes)
+      if (!deterministic_end(o)) {
         // Wall-mode diagnostics count the cut attempt before scrubbing it
         // (legacy behavior: a timed-out iteration's probes happened).
-        result.bsat_calls += st.outcomes[i].bsat_calls;
-        st.settled[i] = 0;
-        st.outcomes[i] = ApproxMcCoreOutcome{};
+        result.bsat_calls += o.bsat_calls;
+        o = ApproxMcCoreOutcome{};
       }
-    }
   }
 
   std::vector<Estimate> estimates;
-  for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-    if (!st.settled[i]) continue;
-    const ApproxMcCoreOutcome& o = st.outcomes[i];
+  for (const ApproxMcCoreOutcome& o : st.outcomes) {
+    if (o.bsat_calls == 0) continue;  // unsettled
     result.bsat_calls += o.bsat_calls;
-    if (o.bsat_calls > 0)  // the iteration actually started
-      ++(o.leapfrogged ? result.leapfrog_warm_starts
-                       : result.leapfrog_cold_starts);
+    ++(o.leapfrogged ? result.leapfrog_warm_starts
+                     : result.leapfrog_cold_starts);
     if (o.ok) {
       estimates.push_back(Estimate{o.cell_count, o.hash_count});
       ++result.iterations_succeeded;
@@ -336,36 +332,29 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     result.hash_count = median.hash_count;
   }
 
-  const bool all_settled =
-      any.iterations_completed == st.iterations_requested;
-
   if (cancelled_seen) return finish(RequestStatus::kCancelled);
-  if (all_settled)
+  if (any.iterations_completed == result.iterations_requested)
     return finish(result.valid ? RequestStatus::kComplete
                                : RequestStatus::kFailed);
   return finish(result.valid ? RequestStatus::kPartial
                              : RequestStatus::kTimedOut);
 }
 
-/// The state a run starts from: the call's options and grant, the pivot,
-/// |S| and t, and the iteration base — the one fork this takes from the
-/// caller's rng, on every first slice.  Per-iteration keyed RNG streams:
-/// iteration i draws everything from fork_stream(i) of that base, whatever
-/// executes it, which — together with the canonical fold — makes the count
-/// a pure function of (formula, options, seed), thread count and backend
-/// excluded.
-ApproxMcAnytimeState first_slice(const Cnf& cnf, const ApproxMcOptions& options,
-                                 Rng& rng) {
+/// The state a run starts from: the call's options and grant, the pivot, t
+/// empty slots, and the iteration base — the one fork this takes from the
+/// caller's rng, on every first slice, once ε and δ are validated.
+/// Per-iteration keyed RNG streams: iteration i draws everything from
+/// fork_stream(i) of that base, whatever executes it, which — together
+/// with the canonical fold — makes the count a pure function of (formula,
+/// options, seed), thread count and backend excluded.
+ApproxMcAnytimeState first_slice(const ApproxMcOptions& options, Rng& rng) {
   ApproxMcAnytimeState st;
   st.options = options;
   st.units_granted = options.budget.max_bsat_calls;
   st.pivot = approxmc_pivot(options.epsilon);
-  st.n = static_cast<std::uint32_t>(cnf.sampling_set_or_all().size());
-  st.iterations_requested = approxmc_iteration_count(options.delta);
+  st.outcomes.resize(
+      static_cast<std::size_t>(approxmc_iteration_count(options.delta)));
   st.iter_base = rng.fork();
-  st.outcomes.assign(static_cast<std::size_t>(st.iterations_requested),
-                     ApproxMcCoreOutcome{});
-  st.settled.assign(static_cast<std::size_t>(st.iterations_requested), 0);
   return st;
 }
 
@@ -410,14 +399,14 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             WorkerPool& pool, Rng& rng,
                             const UnhashedProbeFn& probe) {
-  return run_anytime(cnf, first_slice(cnf, options, rng), &pool, probe)
+  return run_anytime(cnf, first_slice(options, rng), &pool, probe)
       .result;
 }
 
 ApproxMcAnytime approx_count_anytime(const Cnf& cnf,
                                      const ApproxMcOptions& options,
                                      Rng& rng) {
-  return run_anytime(cnf, first_slice(cnf, options, rng), nullptr,
+  return run_anytime(cnf, first_slice(options, rng), nullptr,
                      count_only_probe(options.budget));
 }
 

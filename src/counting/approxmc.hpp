@@ -40,10 +40,12 @@
 //     its RNG stream (approxmc_core.hpp);
 //   * grant accounting — the state records units *granted*, not spent, so
 //     resume(B₂) after a cut at B₁ reproduces the single-grant run B₁+B₂;
-//   * canonical admission — a worker skips an iteration only once the
-//     iterations before it have spent the grant, so no schedule skips one
-//     the grant covers; what the result *admits* is decided at fold time:
-//     the longest prefix of iterations that ran to their deterministic end
+//   * canonical admission — both backends ask one rule (UnitGrant,
+//     service/budget.hpp) before an iteration starts, a fleet retry
+//     included: it is refused only once the iterations before it have
+//     spent the grant, so no schedule, crash or hang refuses one the grant
+//     covers; what the result *admits* is decided at fold time: the
+//     longest prefix of iterations that ran to their deterministic end
 //     within the grant.  Anything a schedule ran beyond that prefix is
 //     discarded from result and state, and resume re-runs it — stream
 //     purity makes the re-run byte-identical.
@@ -51,6 +53,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "cnf/cnf.hpp"
@@ -229,11 +232,12 @@ ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
 // --- anytime API ------------------------------------------------------
 
 /// Everything a cut ApproxMC run needs to continue: what the unhashed
-/// probe settled (so resume never re-probes it), the run's constants and
-/// iteration RNG base (stream i of which fully determines iteration i),
-/// the per-iteration outcomes settled so far, and the cumulative unit
-/// grant.  Plain value type — copyable, serializable field-by-field; no
-/// live pointers.
+/// probe settled (so resume never re-probes it), the pivot and iteration
+/// RNG base (stream i of which fully determines iteration i), the
+/// per-iteration outcomes settled so far, and the cumulative unit grant.
+/// |S| comes from the formula a resume is given, t from outcomes.size().
+/// Plain value type — copyable, serializable field-by-field; no live
+/// pointers.
 struct ApproxMcAnytimeState {
   /// The options of the original call (budget pointers scrubbed; each
   /// resume supplies a fresh Budget).  Resume must run against the same
@@ -241,17 +245,16 @@ struct ApproxMcAnytimeState {
   ApproxMcOptions options;
   /// The unhashed probe (1 unit) counted more than pivot models and the
   /// run is in the iteration phase — or it resolved the run exactly
-  /// (`exact_done`).  False after a probe that produced no count, so a
-  /// resume probes again.
+  /// (`exact`).  False after a probe that produced no count, so a resume
+  /// probes again.
   bool prologue_done = false;
-  bool exact_done = false;
-  /// The exact projected count when exact_done (the run needs no
-  /// iterations; resume is a no-op that reconstructs the result).
-  std::uint64_t exact_cell_count = 0;
-  /// The run's constants, fixed on entry to the first slice.
+  /// The exact projected count, when the unhashed probe found at most
+  /// pivot models: the run needs no iterations, and a resume is a no-op
+  /// that reconstructs the result.
+  std::optional<std::uint64_t> exact;
+  /// pivot(ε), fixed on entry to the first slice, which validates ε before
+  /// it forks the caller's rng.
   std::uint64_t pivot = 0;
-  std::uint32_t n = 0;  ///< |S| of the (simplified) formula
-  int iterations_requested = 0;
   /// Base of the per-iteration keyed streams (iteration i uses
   /// fork_stream(i)): the one fork the first slice takes from the caller's
   /// rng on entry, whatever the run then does.
@@ -261,15 +264,13 @@ struct ApproxMcAnytimeState {
   /// this total, which is what makes cut-then-resume reproduce the
   /// single-grant run instead of re-billing the spent prefix.
   std::uint64_t units_granted = 0;
-  /// Slot i = iteration i.  Settled slots (see `settled`) are never re-run;
-  /// the rest are default-valued and resume re-executes them from their
-  /// streams.
+  /// Slot i = iteration i, t slots.  A slot is settled — final, never
+  /// re-run — exactly when its outcome spent BSAT calls: the fold resets
+  /// every other slot, and resume re-executes those from their streams.
+  /// Deterministic mode settles the canonically admitted prefix; wall-clock
+  /// mode every iteration that ran to a deterministic end (an estimate, or
+  /// a no-estimate completion), leaving wall-timed-out ones to a resume.
   std::vector<ApproxMcCoreOutcome> outcomes;
-  /// settled[i] != 0 ⇔ outcomes[i] is final.  Deterministic mode: the
-  /// canonically admitted prefix.  Wall-clock mode: iterations that ran to
-  /// a deterministic end (an estimate, or a no-estimate completion);
-  /// wall-timed-out iterations stay unsettled so resume retries them.
-  std::vector<char> settled;
 };
 
 /// Anytime result: the classic ApproxMcResult (its estimate drawn from the

@@ -19,7 +19,9 @@
 //     waiting for rare timeouts in production.
 //
 // All three travel in one `Budget` value threaded through approxmc_core,
-// the parallel counter, unigen_accept_cell and the pools.  Outcomes are
+// the parallel counter, unigen_accept_cell and the pools.  What a
+// call-level grant admits is one rule, `UnitGrant`, which both fan-out
+// backends ask before a task starts.  Outcomes are
 // reported as `RequestStatus`, which keeps the paper's ⊥ (algorithmic
 // failure, bounded probability) distinct from budget expiry and from
 // cancellation — collapsing those is exactly the footgun the old
@@ -27,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/timer.hpp"
@@ -148,6 +151,28 @@ struct Budget {
     if (cancelled()) return RequestStatus::kCancelled;
     if (wall_expired()) return RequestStatus::kTimedOut;
     return RequestStatus::kComplete;
+  }
+};
+
+/// The one admission rule of a call-level unit grant, asked by both fan-out
+/// backends before a task starts (a fleet retry included): task j (its
+/// position in id order) may start unless `spent` plus the units the tasks
+/// before it charged reach `granted`.  No schedule refuses a task the grant
+/// still covers, because only the tasks before a task can spend the grant
+/// out from under it; more tasks than it covers may start, and the caller's
+/// fold decides what the grant bought.  A refusal is final: the units
+/// before a task only grow.
+struct UnitGrant {
+  std::uint64_t granted = 0;  ///< 0 = no grant, every task starts
+  std::uint64_t spent = 0;    ///< units spent before the fan-out
+  /// `units_of_task(i)` = what task i has charged so far (0 until its
+  /// outcome is in).
+  template <class UnitsOf>
+  bool admits(std::size_t j, const UnitsOf& units_of_task) const {
+    if (granted == 0) return true;
+    std::uint64_t before = spent;
+    for (std::size_t i = 0; i < j; ++i) before += units_of_task(i);
+    return before < granted;
   }
 };
 

@@ -15,6 +15,8 @@
 // Task `id` draws from streams.fork_stream(id) on either backend — the
 // fleet receives the raw state — and `id` doubles as the task's fault-plan
 // key, so where and on which attempt a task runs cannot reach its bytes.
+// Nor can it reach what a unit grant admits: both backends ask the one
+// UnitGrant rule before a task starts, a fleet retry included.
 
 #include <atomic>
 #include <cassert>
@@ -35,18 +37,17 @@ namespace unigen {
 /// Runs one task per entry of `ids` on `fleet` when it is non-null, else on
 /// `pool` (started), and returns the outcomes in `ids` order.  nullopt
 /// marks a task that never produced an outcome: not started because the
-/// budget's token fired, its wall deadline passed or the `ledger` grant
-/// ran out, or — on the fleet — poisoned or stranded by worker loss.
+/// budget's token fired, its wall deadline passed or the `grant` refused
+/// it, or — on the fleet — poisoned or stranded by worker loss.
 ///
 /// `task(engine, worker, id, rng)` is the in-process body; it returns
 /// `Outcome` (ApproxMcCoreOutcome or BatchResult) and may touch only its
 /// own state plus per-worker state indexed by `worker`.  `max_batch` rides
-/// the fleet's task frames (0 for counts and single witnesses).  `ledger`
-/// (null = no call-level unit grant) is charged ipc::units_of each outcome
-/// on both backends, and the caller's fold decides what the grant actually
-/// bought.  On the pool a task is skipped only once the tasks before it in
-/// `ids` order have spent the grant, so no schedule skips a task the grant
-/// still covers; more tasks than it covers may run.
+/// the fleet's task frames (0 for counts and single witnesses).  `grant`
+/// (null = no call-level unit grant) is asked before each task starts, on
+/// both backends, over the ipc::units_of of the outcomes in so far
+/// (UnitGrant, service/budget.hpp); the caller's fold decides what the
+/// grant actually bought.
 ///
 /// `lead` (null = none; pool only, so `fleet` must be null) runs as task 0
 /// of the same fan-out, ahead of the ids: on the caller's thread and worker
@@ -59,7 +60,7 @@ std::vector<std::optional<Outcome>> run_tasks(
     WorkerPool& pool, ProcessFleet* fleet,
     const std::vector<std::uint64_t>& ids, const Rng& streams,
     std::uint64_t max_batch, const Budget& budget,
-    ProcessFleet::RunControl* ledger, const Task& task,
+    const UnitGrant* grant, const Task& task,
     const std::function<bool(IncrementalBsat&)>* lead = nullptr) {
   std::vector<std::optional<Outcome>> out(ids.size());
   if (fleet != nullptr) {
@@ -72,7 +73,7 @@ std::vector<std::optional<Outcome>> run_tasks(
       specs[j] = {ids[j], streams.fork_stream(ids[j]).state(), max_batch,
                   trace.trace_id, trace.span_id};
     std::vector<ProcessFleet::TaskOutcome> served =
-        fleet->run(specs, budget, ledger);
+        fleet->run(specs, budget, grant);
     for (std::size_t j = 0; j < ids.size(); ++j) {
       Outcome* o = served[j].served
                        ? std::get_if<Outcome>(&served[j].result.outcome)
@@ -95,12 +96,10 @@ std::vector<std::optional<Outcome>> run_tasks(
         }
         if (led_away) return;
         const std::size_t j = k - first;
-        if (ledger != nullptr && ledger->units_granted != 0) {
-          std::uint64_t before = ledger->units_spent;
-          for (std::size_t i = 0; i < j; ++i)
-            before += spent[i].load(std::memory_order_relaxed);
-          if (before >= ledger->units_granted) return;
-        }
+        if (grant != nullptr && !grant->admits(j, [&](std::size_t i) {
+              return spent[i].load(std::memory_order_relaxed);
+            }))
+          return;
         Rng rng = streams.fork_stream(ids[j]);
         out[j] = task(engine, worker, ids[j], rng);
         spent[j].store(ipc::units_of(*out[j]), std::memory_order_relaxed);

@@ -131,7 +131,6 @@ std::string encode_setup(const SetupMsg& m) {
   w.u8(m.simplify.enabled ? 1 : 0);
   w.u64(m.pivot);
   w.i32(m.q);
-  w.i32(m.formula_vars);
   w.f64(m.epsilon);
   return w.take();
 }
@@ -152,7 +151,6 @@ SetupMsg decode_setup(const std::string& payload) {
   m.simplify.enabled = r.u8() != 0;
   m.pivot = r.u64();
   m.q = r.i32();
-  m.formula_vars = r.i32();
   m.epsilon = r.f64();
   r.finish();
   // The search runs over levels 1..|S| of a hash drawn over S.
@@ -166,7 +164,6 @@ SetupMsg decode_setup(const std::string& payload) {
 
 Cnf setup_formula(const SetupMsg& m) {
   Cnf cnf = parse_dimacs_string(m.formula_dimacs);
-  cnf.ensure_vars(m.formula_vars);
   for (const Var v : m.sampling_set)
     if (v >= cnf.num_vars())
       throw std::runtime_error("ipc: sampling variable outside the formula");
@@ -354,56 +351,41 @@ WriteOutcome write_frame_bounded(int fd, FrameType type,
   return WriteOutcome::kOk;
 }
 
-bool FrameReader::next(FrameType& type, std::string& body) {
+ReadOutcome FrameReader::next(FrameType& type, std::string& body) {
   const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return false;
+  if (avail < 4) return ReadOutcome::kMore;
+  // A zero or over-limit length loses framing permanently; an unknown type
+  // byte consumes exactly one frame and leaves the stream in sync.
   const std::uint32_t len = frame_length(buf_.data() + pos_);
-  if (len == 0) throw std::runtime_error("ipc: bad frame length");
-  if (avail < 4 + static_cast<std::size_t>(len)) return false;
+  if (len == 0) return ReadOutcome::kBadLength;
+  if (avail < 4 + static_cast<std::size_t>(len)) return ReadOutcome::kMore;
   const auto type_byte = static_cast<unsigned char>(buf_[pos_ + 4]);
-  if (!valid_frame_type(type_byte))
-    throw std::runtime_error("ipc: unknown frame type");
-  type = static_cast<FrameType>(type_byte);
-  body.assign(buf_, pos_ + 5, len - 1);
+  const bool valid = valid_frame_type(type_byte);
+  if (valid) {
+    type = static_cast<FrameType>(type_byte);
+    body.assign(buf_, pos_ + 5, len - 1);
+  }
   pos_ += 4 + static_cast<std::size_t>(len);
   // Compact once the consumed prefix dominates, keeping feed() amortized.
   if (pos_ > (1u << 16) && pos_ * 2 > buf_.size()) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
-  return true;
+  return valid ? ReadOutcome::kFrame : ReadOutcome::kBadType;
 }
 
-bool read_exact(int fd, char* out, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::read(fd, out + off, n - off);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;  // EOF
-    off += static_cast<std::size_t>(r);
+ReadOutcome read_frame(int fd, FrameReader& reader, FrameType& type,
+                       std::string& body) {
+  for (;;) {
+    const ReadOutcome got = reader.next(type, body);
+    if (got != ReadOutcome::kMore) return got;
+    char buf[1 << 16];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0)
+      reader.feed(buf, static_cast<std::size_t>(n));
+    else if (n == 0 || errno != EINTR)
+      return ReadOutcome::kEof;
   }
-  return true;
-}
-
-ReadOutcome read_frame_outcome(int fd, FrameType& type, std::string& body) {
-  char hdr[4];
-  if (!read_exact(fd, hdr, 4)) return ReadOutcome::kEof;
-  // A zero or over-limit length loses framing permanently (the length
-  // check runs BEFORE the allocation — a corrupt prefix cannot demand a
-  // gigabyte); an unknown type byte consumes exactly one frame and leaves
-  // the stream in sync.
-  const std::uint32_t len = frame_length(hdr);
-  if (len == 0) return ReadOutcome::kBadLength;
-  std::string payload(len, '\0');
-  if (!read_exact(fd, payload.data(), len)) return ReadOutcome::kEof;
-  const auto type_byte = static_cast<unsigned char>(payload[0]);
-  if (!valid_frame_type(type_byte)) return ReadOutcome::kBadType;
-  type = static_cast<FrameType>(type_byte);
-  body = payload.substr(1);
-  return ReadOutcome::kFrame;
 }
 
 }  // namespace unigen::ipc

@@ -19,6 +19,10 @@
 //                                exception; the task is retried/poisoned,
 //                                the worker keeps serving)
 //
+// Both ends parse the stream with one FrameReader per connection: the
+// supervisor feeds it from nonblocking reads, the worker through the
+// blocking read_frame.
+//
 // Everything a task needs to be a *pure function of its id* travels in the
 // frames: the formula ships as canonical DIMACS (cnf/dimacs_write.hpp, one
 // byte-exact serialization per structure), the task's RNG as raw xoshiro
@@ -121,10 +125,11 @@ class WireReader {
 /// tiny next to the formula text).
 struct SetupMsg {
   TaskKind kind = TaskKind::kCount;
-  /// Canonical DIMACS of the formula the worker's engine should load.
-  /// kCount ships the already-simplified formula (counting needs no
-  /// witness reconstruction); kSample ships the ORIGINAL formula and the
-  /// simplify options below — the worker re-runs the deterministic
+  /// Canonical DIMACS of the formula the worker's engine should load; its
+  /// `p cnf N` header declares every variable, those in no clause
+  /// included.  kCount ships the already-simplified formula (counting
+  /// needs no witness reconstruction); kSample ships the ORIGINAL formula
+  /// and the simplify options below — the worker re-runs the deterministic
   /// pipeline, reproducing both the shrunk formula and the reconstruction
   /// stack that maps cell models back onto the original.
   std::string formula_dimacs;
@@ -138,7 +143,6 @@ struct SetupMsg {
   // UniGenPrepared the parent computed (κ, pivot and the thresholds follow
   // from ε).
   std::int32_t q = 0;
-  std::int32_t formula_vars = 0;  ///< original Cnf::num_vars()
   double epsilon = 0.0;  ///< UniGen's ε; a kSample Setup needs ε > 1.71
   // No wall clock: the call's Budget scalars travel on each TaskMsg.
   // Pointers (cancel token, in-process fault injector) cannot cross the
@@ -219,10 +223,10 @@ std::string encode_setup(const SetupMsg& m);
 /// sample Setup whose prepared mode is not kHashed (the only mode the
 /// fleet serves: trivial witness lists do not travel).
 SetupMsg decode_setup(const std::string& payload);
-/// The formula a worker serves for `m`: the shipped DIMACS, grown to
-/// m.formula_vars.  Throws std::runtime_error on a parse error or when the
-/// sampling set names a variable outside the formula — the engine indexes
-/// per-variable arrays by S.
+/// The formula a worker serves for `m`: the shipped DIMACS, with as many
+/// variables as its header declares.  Throws std::runtime_error on a parse
+/// error or when the sampling set names a variable outside the formula —
+/// the engine indexes per-variable arrays by S.
 Cnf setup_formula(const SetupMsg& m);
 std::string encode_task(const TaskMsg& m);
 TaskMsg decode_task(const std::string& payload);
@@ -272,42 +276,51 @@ WriteOutcome write_frame_bounded(int fd, FrameType type,
                                  const std::string& body,
                                  double send_deadline_s);
 
-/// Incremental frame decoder for the supervisor's nonblocking reads: feed
+/// What one frame read produced:
+///   kFrame      a valid frame (type/body filled in);
+///   kMore       no complete frame yet: feed more bytes (FrameReader::next
+///               only);
+///   kEof        orderly close or transport error — the conversation is
+///               over (read_frame only);
+///   kBadType    the length prefix was sound but the type byte is unknown:
+///               the frame was consumed whole and the stream is still in
+///               sync (the worker answers with a structured Error and
+///               keeps serving);
+///   kBadLength  zero-length or over-kMaxFrame prefix: framing is lost and
+///               the stream cannot be re-synchronized (the worker replies
+///               Error best-effort and hangs up).
+/// The supervisor treats either bad outcome as a poisoned connection: it
+/// kills the worker and respawns it.
+enum class ReadOutcome : std::uint8_t {
+  kFrame,
+  kMore,
+  kEof,
+  kBadType,
+  kBadLength,
+};
+
+/// Incremental frame decoder, one per connection end on both sides: feed
 /// whatever bytes arrived, pop complete frames as they materialize.
 class FrameReader {
  public:
   void feed(const char* data, std::size_t size) {
     buf_.append(data, size);
   }
-  /// Pops the next complete frame into (type, body); false = need more
-  /// bytes.  Throws std::runtime_error on a zero-length or over-kMaxFrame
-  /// length prefix (a corrupt length must not trigger a gigabyte
-  /// allocation) and on an unknown frame-type byte — any throw means the
-  /// stream can no longer be trusted and the caller must drop the
-  /// connection (supervisor: kill + respawn the worker).
-  bool next(FrameType& type, std::string& body);
+  /// Pops the next frame into (type, body).  The length prefix is checked
+  /// before anything is sized by it, so a corrupt length cannot trigger a
+  /// gigabyte allocation; after kBadLength the reader stays stuck there.
+  ReadOutcome next(FrameType& type, std::string& body);
 
  private:
   std::string buf_;
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
 };
 
-/// Blocking helpers for the worker side (fd is its only conversation).
-/// read_exact returns false on EOF (parent gone → worker exits).
-bool read_exact(int fd, char* out, std::size_t n);
-
-/// What one blocking frame read produced:
-///   kFrame      a valid frame (type/body filled in);
-///   kEof        orderly close or transport error — the conversation is
-///               over (worker exits);
-///   kBadType    the length prefix was sound but the type byte is unknown:
-///               the frame was consumed whole, the stream is still in
-///               sync, and the worker should answer with a structured
-///               Error and keep serving;
-///   kBadLength  zero-length or over-limit prefix: framing is lost and the
-///               stream cannot be re-synchronized — reply Error
-///               (best-effort) and hang up.
-enum class ReadOutcome : std::uint8_t { kFrame, kEof, kBadType, kBadLength };
-ReadOutcome read_frame_outcome(int fd, FrameType& type, std::string& body);
+/// Blocking read of the next frame from `fd` through `reader`, the worker
+/// side's (fd is its only conversation).  One reader per socket: a read may
+/// pull in bytes of the frames after this one.  kEof on close or a
+/// transport error (parent gone → worker exits); never kMore.
+ReadOutcome read_frame(int fd, FrameReader& reader, FrameType& type,
+                       std::string& body);
 
 }  // namespace unigen::ipc

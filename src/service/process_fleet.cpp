@@ -142,19 +142,24 @@ struct ProcessFleet::RunState {
   const std::vector<TaskSpec>* tasks = nullptr;
   std::vector<TaskOutcome>* outcomes = nullptr;
   const Budget* budget = nullptr;
-  RunControl* control = nullptr;
+  const UnitGrant* grant = nullptr;
   /// Task indices awaiting (re-)dispatch; crash retries go to the front so
   /// a recovered task is not starved behind the original queue.
   std::deque<std::size_t> pending;
-  /// served + poisoned — run() returns when this reaches tasks->size().
+  /// served + poisoned + refused — run() returns when this reaches
+  /// tasks->size().
   std::size_t settled = 0;
   /// Death-detection timestamps for crash-to-redispatch latency.
   std::vector<Clock::time_point> death_time;
   std::vector<char> death_pending;
 
-  bool grant_exhausted() const {
-    return control != nullptr && control->units_granted != 0 &&
-           control->units_spent >= control->units_granted;
+  /// The grant admits task t now: the tasks before it charged what their
+  /// results in so far say.
+  bool admits(std::size_t t) const {
+    return grant == nullptr || grant->admits(t, [this](std::size_t i) {
+             const TaskOutcome& o = (*outcomes)[i];
+             return o.served ? ipc::units_of(o.result.outcome) : 0;
+           });
   }
 };
 
@@ -299,9 +304,9 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
   ipc::FrameType type;
   std::string body;
   for (;;) {
-    try {
-      if (!w.reader.next(type, body)) return;
-    } catch (const std::exception&) {
+    const ipc::ReadOutcome got = w.reader.next(type, body);
+    if (got == ipc::ReadOutcome::kMore) return;
+    if (got != ipc::ReadOutcome::kFrame) {
       // Corrupt stream (bad length / unknown frame type): the connection
       // is poisoned — kill and respawn; the EOF path will clean up and
       // re-dispatch whatever was in flight.
@@ -341,8 +346,6 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         out.served = true;
         out.result = std::move(msg);
         ++run->settled;
-        if (run->control != nullptr)
-          run->control->units_spent += ipc::units_of(out.result.outcome);
         // Merge the worker's shipped spans into this process's trace under
         // the task's trace id, then close the supervisor-side attempt span
         // (observability only).
@@ -455,16 +458,22 @@ bool ProcessFleet::poll_once(int timeout_ms, RunState* run) {
       obs::metrics().counter("fleet.respawns").add();
     }
   }
-  // Dispatch pending work to idle workers (unless the grant ran out —
-  // what it actually bought is the downstream canonical fold's decision).
-  if (run != nullptr && !run->grant_exhausted()) {
+  // Dispatch pending work to idle workers.  A task the grant refuses is
+  // settled unserved; what the grant bought is the caller's fold's call.
+  if (run != nullptr) {
     for (Worker& w : workers_) {
-      if (run->pending.empty()) break;
       if (w.state != Worker::State::kIdle) continue;
+      while (!run->pending.empty() && !run->admits(run->pending.front())) {
+        run->pending.pop_front();
+        ++run->settled;
+      }
+      if (run->pending.empty()) break;
       const std::size_t t = run->pending.front();
       run->pending.pop_front();
       dispatch(w, t, run);
     }
+    // The last tasks were refused: run() returns without a poll round.
+    if (run->settled == run->tasks->size()) return true;
   }
 
   std::vector<pollfd> fds;
@@ -574,31 +583,24 @@ bool ProcessFleet::start(std::string setup_payload,
 
 std::vector<ProcessFleet::TaskOutcome> ProcessFleet::run(
     const std::vector<TaskSpec>& tasks, const Budget& budget,
-    RunControl* control) {
+    const UnitGrant* grant) {
   std::vector<TaskOutcome> outcomes(tasks.size());
   if (!started_ || tasks.empty()) return outcomes;
   RunState run;
   run.tasks = &tasks;
   run.outcomes = &outcomes;
   run.budget = &budget;
-  run.control = control;
+  run.grant = grant;
   run.death_time.resize(tasks.size());
   run.death_pending.assign(tasks.size(), 0);
   for (std::size_t i = 0; i < tasks.size(); ++i) run.pending.push_back(i);
 
   while (run.settled < tasks.size()) {
     if (budget.cancelled() || budget.wall_expired()) break;
-    if (run.grant_exhausted()) {
-      // Stop once in-flight attempts drain; pending slots stay unserved.
-      bool busy = false;
-      for (const Worker& w : workers_)
-        busy = busy || w.state == Worker::State::kBusy;
-      if (!busy) break;
-    }
     if (!poll_once(25, &run)) break;
   }
 
-  // A cut (cancel/deadline/grant) can leave workers mid-solve; SIGKILL is
+  // A cut (cancel/deadline) can leave workers mid-solve; SIGKILL is
   // the only out-of-process interrupt.  Observe the deaths now so the
   // fleet object is clean — and immediately reusable — for the next call.
   // A kill the call's deadline caused, not its token, is a deadline kill.
@@ -631,7 +633,6 @@ std::string ProcessFleet::make_count_setup(
   m.formula_dimacs = to_dimacs_canonical_string(formula);
   m.sampling_set = sampling_set;
   m.pivot = pivot;
-  m.formula_vars = formula.num_vars();
   return ipc::encode_setup(m);
 }
 
@@ -644,7 +645,6 @@ std::string ProcessFleet::make_sample_setup(
   m.sampling_set = sampling_set;
   m.simplify = options.simplify;
   m.q = prep.q;
-  m.formula_vars = original.num_vars();
   m.epsilon = options.epsilon;
   return ipc::encode_setup(m);
 }

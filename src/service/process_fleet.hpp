@@ -26,6 +26,12 @@
 //                  died, or answered Error) after 3 attempts is poisoned:
 //                  its slot reports unserved and flows through the
 //                  embeddings' existing partial/failed accounting.
+//   * grant      — a call-level unit grant (UnitGrant, budget.hpp) is
+//                  asked before every dispatch, a retry included, over the
+//                  results in so far; a refused task settles unserved.  A
+//                  crash or hang therefore admits what the in-process pool
+//                  admits: a retry is refused only if the tasks before it
+//                  spent the grant.
 //   * cancel/    — a tripped token or expired call deadline SIGKILLs busy
 //     deadline     workers (the only way to interrupt an out-of-process
 //                  solve; honest statuses for their tasks); dead slots
@@ -122,16 +128,6 @@ class ProcessFleet {
     ipc::ResultMsg result;
   };
 
-  /// The fan-out's deterministic-unit ledger (run_tasks keeps the same one
-  /// for the in-process pool): when units_granted != 0, dispatch stops once
-  /// units_spent (incremented by every arriving result's ipc::units_of)
-  /// reaches the grant.  Racy in the same way the threaded path is — the
-  /// canonical fold downstream decides what the grant actually bought.
-  struct RunControl {
-    std::uint64_t units_granted = 0;
-    std::uint64_t units_spent = 0;
-  };
-
   explicit ProcessFleet(FleetOptions options);
   ~ProcessFleet();
   ProcessFleet(const ProcessFleet&) = delete;
@@ -156,9 +152,12 @@ class ProcessFleet {
   /// Fans `tasks` across the workers; synchronous; outcomes in task order.
   /// `budget` supplies the call-level wall deadline and cancellation token;
   /// its remaining deadline and per-call scalars ride on every task frame.
+  /// `grant` (null = none) is asked before every dispatch, a retry
+  /// included, over the ipc::units_of of the results in so far; a task it
+  /// refuses is settled unserved.
   std::vector<TaskOutcome> run(const std::vector<TaskSpec>& tasks,
                                const Budget& budget,
-                               RunControl* control = nullptr);
+                               const UnitGrant* grant = nullptr);
 
   std::size_t num_workers() const;
   /// Live child pids — the test seam for external `kill -9`.

@@ -38,7 +38,8 @@ bool SamplerPool::prepare(const Budget& budget) {
   unigen_prepare(cnf_, sampling_set_, unigen_options, pool_, prepare_rng,
                  prep_, prepare_stats_);
   prepared_ = true;
-  if (prep_.mode == UniGenPrepared::Mode::kHashed) {
+  const bool hashed = prep_.mode == UniGenPrepared::Mode::kHashed;
+  if (hashed && options_.unigen.fleet.backend == ExecBackend::kProcessFleet) {
     // Crash-isolated backend: bring up the worker processes now, shipping
     // the ORIGINAL formula plus the simplify options — each worker re-runs
     // the deterministic pipeline, reproducing the shrunk formula and the
@@ -47,19 +48,17 @@ bool SamplerPool::prepare(const Budget& budget) {
     // fan-out moves out of process.  Start failure (no unigen_workerd
     // binary, fork failure) leaves fleet_ null: requests silently serve
     // from pool_ — graceful degradation, not an error.
-    if (options_.unigen.fleet.backend == ExecBackend::kProcessFleet) {
-      auto fleet = std::make_unique<ProcessFleet>(options_.unigen.fleet);
-      if (fleet->start(ProcessFleet::make_sample_setup(
-                           cnf_, sampling_set_, prep_, options_.unigen),
-                       pool_.num_threads()))
-        fleet_ = std::move(fleet);
-    }
-  } else {
-    // Every other mode serves its requests on this thread without an
-    // engine, so the session keeps none of the threads and engines the
-    // one-time fan-out started.
-    pool_.release();
+    auto fleet = std::make_unique<ProcessFleet>(options_.unigen.fleet);
+    if (fleet->start(ProcessFleet::make_sample_setup(cnf_, sampling_set_,
+                                                     prep_, options_.unigen),
+                     pool_.num_threads()))
+      fleet_ = std::move(fleet);
   }
+  // The pool serves only a hashed session without a fleet.  Every other
+  // session serves its requests on this thread without an engine, or on
+  // the fleet, so it keeps none of the threads and engines the one-time
+  // fan-out started.
+  if (!hashed || fleet_) pool_.release();
   prepare_tasks_.resize(pool_.num_threads(), 0);
   for (std::size_t w = 0; w < pool_.num_threads(); ++w)
     prepare_tasks_[w] = pool_.tasks_served(w);

@@ -115,8 +115,9 @@ struct SamplerPoolWorkerStats {
   std::uint64_t requests_served = 0;
   /// Solver constructions on this worker's engine: stays at 1 for the pool
   /// lifetime (0 for a worker that never received a task — engines are
-  /// built on first use — and for every worker of a session that is not
-  /// hashed, whose engines prepare released).
+  /// built on first use — and for every worker of a session the pool does
+  /// not serve, not hashed or on the fleet, whose engines prepare
+  /// released: all of this struct's engine counters then read 0).
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -161,10 +162,11 @@ class SamplerPool {
 
   /// Runs Algorithm 1 lines 1–11 once, starting the N − 1 worker threads
   /// in every mode (the easy-case check and the count's iterations run as
-  /// one fan-out).  Unless the instance turns out hashed, the pool is
-  /// released again before prepare returns: such a session keeps no
-  /// thread and no engine.  Idempotent.  Returns false when the one-time
-  /// phase exceeded its budget; requests then report kTimeout.
+  /// one fan-out).  Unless the pool will serve the requests — the instance
+  /// turns out hashed and no process fleet came up — it is released again
+  /// before prepare returns: such a session keeps no thread and no engine.
+  /// Idempotent.  Returns false when the one-time phase exceeded its
+  /// budget; requests then report kTimeout.
   ///
   /// Engine ownership: prepare hands this pool's own WorkerPool to
   /// unigen_prepare, so the easy-case check and the one-time ApproxMC call
@@ -246,7 +248,8 @@ class SamplerPool {
   double service_seconds_ = 0.0;
 
   /// Threads and engines; started by prepare() in every mode, and
-  /// released by it again unless the instance is hashed.
+  /// released by it again unless they serve the requests (hashed, no
+  /// fleet).
   WorkerPool pool_;
   /// tasks_served snapshot taken when prepare() returns: the easy-case
   /// check and the counting iterations the warm handoff ran on these

@@ -22,9 +22,9 @@ std::size_t cnf_bytes(const Cnf& cnf) {
 }
 
 /// Coarse per-session estimate: both formula copies, the trivial witness
-/// list, and — hashed mode — the worker engines (watch lists and clause
-/// copies scale with the solved formula; the constant covers fixed solver
-/// state).
+/// list, and — when the in-process pool serves (hashed, no fleet) — the
+/// worker engines (watch lists and clause copies scale with the solved
+/// formula; the constant covers fixed solver state).
 std::size_t estimate_resident_bytes(const Cnf& cnf,
                                     const SamplingSession& session) {
   const SamplerPool& pool = session.pool();
@@ -34,7 +34,7 @@ std::size_t estimate_resident_bytes(const Cnf& cnf,
   if (prep.simplifier) bytes += cnf_bytes(prep.simplifier->result());
   bytes += prep.trivial_models.size() *
            (static_cast<std::size_t>(cnf.num_vars()) / 8 + 32);
-  if (prep.mode == UniGenPrepared::Mode::kHashed)
+  if (prep.mode == UniGenPrepared::Mode::kHashed && pool.fleet() == nullptr)
     bytes += pool.num_threads() * (2 * cnf_bytes(solved) + 16384);
   return bytes;
 }

@@ -22,11 +22,13 @@
 // a task to any worker, on any host, any number of times, and fold
 // byte-identical results.
 //
-// Protocol errors: an unknown frame-type byte is answered with a
-// structured Error (the length prefix was sound, so the stream is still
-// in sync and serving continues); a corrupt length prefix loses framing —
-// the worker complains best-effort and hangs up.  Neither is ever a blind
-// enum cast.
+// Protocol errors: frames arrive through the connection's one
+// ipc::FrameReader (ipc::read_frame).  An unknown frame-type byte is
+// answered with a structured Error (the length prefix was sound, so the
+// stream is still in sync and serving continues); a corrupt length prefix
+// loses framing — the worker complains best-effort and hangs up.  Neither
+// is ever a blind enum cast.  A witness covers every variable the
+// formula's DIMACS header declares, those in no clause included.
 //
 // Environment: UNIGEN_WORKERD_HEARTBEAT_S sets the heartbeat period
 // (default 0.25 s).  Fault injection (tests only): UNIGEN_WORKERD_FAULTS
@@ -169,9 +171,12 @@ int worker_main(int fd) {
   Writer writer;
   writer.fd = fd;
 
+  // The connection's one frame reader: a read may pull in bytes of the
+  // frames after the one it completes.
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  switch (ipc::read_frame_outcome(fd, type, body)) {
+  switch (ipc::read_frame(fd, reader, type, body)) {
     case ipc::ReadOutcome::kFrame:
       break;
     case ipc::ReadOutcome::kBadType:
@@ -182,7 +187,7 @@ int worker_main(int fd) {
       writer.send(ipc::FrameType::kError,
                   ipc::encode_error("ipc: bad frame length"));
       return 2;
-    case ipc::ReadOutcome::kEof:
+    default:  // kEof
       return 2;
   }
   if (type != ipc::FrameType::kSetup) return 2;
@@ -235,7 +240,7 @@ int worker_main(int fd) {
   UniGenStats scratch_stats;
   bool serving = true;
   while (serving) {
-    switch (ipc::read_frame_outcome(fd, type, body)) {
+    switch (ipc::read_frame(fd, reader, type, body)) {
       case ipc::ReadOutcome::kFrame:
         break;
       case ipc::ReadOutcome::kBadType:
@@ -251,7 +256,7 @@ int worker_main(int fd) {
                     ipc::encode_error("ipc: bad frame length"));
         serving = false;
         continue;
-      case ipc::ReadOutcome::kEof:
+      default:  // kEof
         serving = false;  // supervisor closed the channel
         continue;
     }
@@ -307,7 +312,7 @@ int worker_main(int fd) {
         ug_options.budget = task_budget;
         result.outcome = unigen_request(
             engine.get(), setup.sampling_set, prep, ug_options,
-            static_cast<Var>(setup.formula_vars),
+            original.num_vars(),
             static_cast<std::size_t>(task.max_batch), rng, scratch_stats,
             /*fault_key=*/task.task_id);
       }

@@ -51,6 +51,18 @@ inline std::uint64_t brute_force_projected_count(const Cnf& cnf,
       std::unique(keys.begin(), keys.end()) - keys.begin());
 }
 
+/// 504 models over 10 vars: above hiThresh(ε=6) = 89 and pivot(ε=0.8), so
+/// both the counter and the sampler run hashed and the workers actually
+/// solve.
+inline Cnf hashed_mode_formula() {
+  Cnf cnf(10);
+  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
+  cnf.add_clause({Lit(3, false), Lit(4, true)});
+  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
+  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
+  return cnf;
+}
+
 /// Random k-CNF over n variables with c clauses.
 inline Cnf random_cnf(Var n, std::size_t c, std::size_t k, Rng& rng) {
   Cnf cnf(n);

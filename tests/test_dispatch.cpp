@@ -3,17 +3,21 @@
 // a count under a deterministic budget, its per-iteration ledger included,
 // sample_many / sample_batches streams, and the statuses a per-call probe
 // cap produces — whether the tasks run on a width-1 pool (the caller's own
-// thread), a width-4 pool or a socketpair process fleet.
+// thread), a width-4 pool, a socketpair process fleet or a 4-worker fleet
+// whose first attempt at count iteration 0 hangs until heartbeat silence
+// kills it.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 
 #include "counting/approxmc.hpp"
+#include "fault_inject.hpp"
 #include "helpers.hpp"
 #include "service/dispatch.hpp"
 #include "service/sampler_pool.hpp"
@@ -21,7 +25,11 @@
 namespace unigen {
 namespace {
 
-enum class Backend { kWidth1, kWidth4, kFleet };
+enum class Backend { kWidth1, kWidth4, kFleet, kHangingFleet };
+
+bool on_fleet(Backend b) {
+  return b == Backend::kFleet || b == Backend::kHangingFleet;
+}
 
 std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
   switch (info.param) {
@@ -31,19 +39,10 @@ std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
       return "Width4Pool";
     case Backend::kFleet:
       return "SocketpairFleet";
+    case Backend::kHangingFleet:
+      return "FleetWhoseIterationZeroHangsOnce";
   }
   return "?";
-}
-
-/// 504 models over 10 vars: above hiThresh(ε=6) and pivot(ε=0.8), so both
-/// the counter and the sampler run hashed and the workers actually solve.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
 }
 
 ApproxMcOptions count_options(Backend b, std::uint64_t grant) {
@@ -51,9 +50,10 @@ ApproxMcOptions count_options(Backend b, std::uint64_t grant) {
   o.delta = 0.05;  // more median iterations than the default 3
   o.budget.max_bsat_calls = grant;  // deterministic mode
   o.num_threads = b == Backend::kWidth4 ? 4 : 1;
-  if (b == Backend::kFleet) {
+  if (on_fleet(b)) {
     o.fleet.backend = ExecBackend::kProcessFleet;
-    o.fleet.num_workers = 2;
+    o.fleet.num_workers = b == Backend::kFleet ? 2 : 4;
+    if (b == Backend::kHangingFleet) o.fleet.heartbeat_timeout_s = 0.5;
   }
   return o;
 }
@@ -62,9 +62,10 @@ SamplerPoolOptions pool_options(Backend b) {
   SamplerPoolOptions o;
   o.seed = 4711;
   o.num_threads = b == Backend::kWidth4 ? 4 : 1;
-  if (b == Backend::kFleet) {
-    o.num_threads = 2;
+  if (on_fleet(b)) {
+    o.num_threads = b == Backend::kFleet ? 2 : 4;
     o.unigen.fleet.backend = ExecBackend::kProcessFleet;
+    if (b == Backend::kHangingFleet) o.unigen.fleet.heartbeat_timeout_s = 0.5;
   }
   return o;
 }
@@ -77,8 +78,8 @@ void expect_same_count(const ApproxMcAnytime& a, const ApproxMcAnytime& b) {
   EXPECT_EQ(a.result.bsat_calls, b.result.bsat_calls);
   EXPECT_EQ(a.result.iterations_succeeded, b.result.iterations_succeeded);
   EXPECT_EQ(a.achieved_delta, b.achieved_delta);
+  EXPECT_EQ(a.state.exact, b.state.exact);
   ASSERT_EQ(a.state.outcomes.size(), b.state.outcomes.size());
-  EXPECT_EQ(a.state.settled, b.state.settled);
   for (std::size_t i = 0; i < a.state.outcomes.size(); ++i) {
     const ApproxMcCoreOutcome& x = a.state.outcomes[i];
     const ApproxMcCoreOutcome& y = b.state.outcomes[i];
@@ -93,10 +94,25 @@ void expect_same_count(const ApproxMcAnytime& a, const ApproxMcAnytime& b) {
   }
 }
 
-class Seam : public ::testing::TestWithParam<Backend> {};
+class Seam : public ::testing::TestWithParam<Backend> {
+ protected:
+  /// The hanging fleet's workers read the fault plan and a fast heartbeat
+  /// from the environment they start in.  Sample requests are streams 1..,
+  /// so only count iteration 0 ever hangs.
+  void SetUp() override {
+    if (GetParam() != Backend::kHangingFleet) return;
+    faults_.emplace("UNIGEN_WORKERD_FAULTS",
+                    ProcessFaultPlan().sleep_task(0).to_env());
+    heartbeat_.emplace("UNIGEN_WORKERD_HEARTBEAT_S", "0.05");
+  }
+
+ private:
+  std::optional<ScopedEnv> faults_;
+  std::optional<ScopedEnv> heartbeat_;
+};
 
 TEST_P(Seam, CountUnderDeterministicBudgetIsBackendIndependent) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng ref_rng(2024);
   const ApproxMcAnytime full = approx_count_anytime(
       cnf, count_options(Backend::kWidth1, 1u << 20), ref_rng);
@@ -115,7 +131,7 @@ TEST_P(Seam, CountUnderDeterministicBudgetIsBackendIndependent) {
         approx_count_anytime(cnf, count_options(GetParam(), grant), rng);
     expect_same_count(grant == half ? cut : full, got);
     // Pool workers' engines are reported only when the pool served.
-    EXPECT_EQ(got.result.workers.empty(), GetParam() == Backend::kFleet);
+    EXPECT_EQ(got.result.workers.empty(), on_fleet(GetParam()));
     // The caller's rng advanced identically (one fork, whatever executes).
     Rng a = ref_rng;
     Rng b = rng;
@@ -124,11 +140,11 @@ TEST_P(Seam, CountUnderDeterministicBudgetIsBackendIndependent) {
 }
 
 TEST_P(Seam, SampleStreamsAreBackendIndependent) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool reference(cnf, pool_options(Backend::kWidth1));
   SamplerPool pool(cnf, pool_options(GetParam()));
   ASSERT_TRUE(pool.prepare());
-  EXPECT_EQ(pool.fleet() != nullptr, GetParam() == Backend::kFleet)
+  EXPECT_EQ(pool.fleet() != nullptr, on_fleet(GetParam()))
       << "the fleet backend should come up (unigen_workerd next to the "
          "test binary)";
   // Singles, batches, singles: streams continue across calls of both kinds.
@@ -154,7 +170,7 @@ TEST_P(Seam, PerCallProbeCapReachesEverySamplingProbe) {
   // The call's Budget::bsat_timeout_s caps each probe wherever the request
   // runs.  At 1 ns no probe completes, so every request spends its
   // three-probe unit cap on Section-5 retries and times out.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, pool_options(GetParam()));
   ASSERT_TRUE(pool.prepare());
   Budget b;
@@ -170,12 +186,13 @@ TEST_P(Seam, PerCallProbeCapReachesEverySamplingProbe) {
   std::uint64_t retries = 0;
   for (const SamplerPoolWorkerStats& w : pool.stats().workers)
     retries += w.bsat_timeout_retries;
-  EXPECT_EQ(retries, GetParam() == Backend::kFleet ? 0u : 4u * 3u);
+  EXPECT_EQ(retries, on_fleet(GetParam()) ? 0u : 4u * 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, Seam,
                          ::testing::Values(Backend::kWidth1, Backend::kWidth4,
-                                           Backend::kFleet),
+                                           Backend::kFleet,
+                                           Backend::kHangingFleet),
                          backend_name);
 
 TEST(WorkerPool, WidthOneRunsTasksOnTheCallersThread) {
@@ -273,13 +290,11 @@ TEST(RunTasks, LedgerStopsStartingTasksOnceTheGrantIsSpent) {
   cnf.add_clause({Lit(0, false), Lit(1, false)});
   WorkerPool pool(1);
   pool.start(cnf, cnf.sampling_set_or_all());
-  ProcessFleet::RunControl ledger;
-  ledger.units_granted = 3;
-  ledger.units_spent = 2;
+  const UnitGrant grant{3, 2};
   const std::vector<std::uint64_t> ids = {5, 6, 7};
   std::vector<std::uint64_t> seen;
   const auto out = run_tasks<ApproxMcCoreOutcome>(
-      pool, nullptr, ids, Rng(9), 0, Budget{}, &ledger,
+      pool, nullptr, ids, Rng(9), 0, Budget{}, &grant,
       [&](IncrementalBsat&, std::size_t, std::uint64_t id, Rng& rng) {
         seen.push_back(id);
         // Task `id` draws from streams.fork_stream(id).
@@ -306,15 +321,13 @@ TEST(RunTasks, LedgerSkipsNoTaskTheGrantStillCovers) {
   WorkerPool pool(2);
   pool.start(big, big.sampling_set_or_all());
   pool.run(1, [](IncrementalBsat&, std::size_t, std::size_t) {});
-  ProcessFleet::RunControl ledger;
-  ledger.units_granted = 3;
-  ledger.units_spent = 1;
+  const UnitGrant grant{3, 1};
   const std::function<bool(IncrementalBsat&)> lead = [](IncrementalBsat&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     return true;
   };
   const auto out = run_tasks<ApproxMcCoreOutcome>(
-      pool, nullptr, {0, 1, 2, 3, 4}, Rng(9), 0, Budget{}, &ledger,
+      pool, nullptr, {0, 1, 2, 3, 4}, Rng(9), 0, Budget{}, &grant,
       [](IncrementalBsat&, std::size_t, std::uint64_t, Rng&) {
         ApproxMcCoreOutcome o;
         o.bsat_calls = 1;

@@ -5,8 +5,9 @@
 // written no matter how the transport fragments the stream (TCP segments
 // do not respect frame boundaries), must reject corrupt prefixes before
 // allocating, and must not grow without bound across a long conversation.
-// The blocking read path (read_frame_outcome) must classify the same
-// corruptions into the worker's protocol-error taxonomy.  The write path
+// It classifies corrupt prefixes and unknown type bytes into one outcome
+// taxonomy, and the worker's blocking read path (read_frame) serves the
+// same reader from a socket.  The write path
 // must refuse a body that cannot be framed BEFORE any byte hits the wire
 // (a u32 length wrap would silently desynchronize the peer), and its
 // bounded mode must give up on a stalled peer within the deadline instead
@@ -28,6 +29,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "cnf/dimacs_write.hpp"
 #include "core/unigen.hpp"
 #include "service/ipc.hpp"
 
@@ -74,14 +76,16 @@ void expect_frames_chunked(const std::string& wire, std::size_t chunk,
   for (std::size_t pos = 0; pos < wire.size(); pos += chunk) {
     const std::size_t n = std::min(chunk, wire.size() - pos);
     reader.feed(wire.data() + pos, n);
-    while (reader.next(type, body)) got.push_back({type, body});
+    while (reader.next(type, body) == ipc::ReadOutcome::kFrame)
+      got.push_back({type, body});
   }
   ASSERT_EQ(got.size(), expected.size()) << "chunk=" << chunk;
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].type, expected[i].type) << "frame " << i;
     EXPECT_EQ(got[i].body, expected[i].body) << "frame " << i;
   }
-  EXPECT_FALSE(reader.next(type, body)) << "trailing partial frame";
+  EXPECT_EQ(reader.next(type, body), ipc::ReadOutcome::kMore)
+      << "trailing partial frame";
 }
 
 std::vector<ExpectedFrame> mixed_frames() {
@@ -126,27 +130,29 @@ TEST(FrameReader, SplitAtEveryBoundary) {
     std::vector<ExpectedFrame> got;
     ipc::FrameType type;
     std::string body;
-    while (reader.next(type, body)) got.push_back({type, body});
+    while (reader.next(type, body) == ipc::ReadOutcome::kFrame)
+      got.push_back({type, body});
     reader.feed(wire.data() + cut, wire.size() - cut);
-    while (reader.next(type, body)) got.push_back({type, body});
+    while (reader.next(type, body) == ipc::ReadOutcome::kFrame)
+      got.push_back({type, body});
     ASSERT_EQ(got.size(), frames.size()) << "cut=" << cut;
     for (std::size_t i = 0; i < got.size(); ++i)
       EXPECT_EQ(got[i].body, frames[i].body) << "cut=" << cut;
   }
 }
 
-TEST(FrameReader, ZeroLengthPrefixThrows) {
+TEST(FrameReader, ZeroLengthPrefixIsBadLength) {
   ipc::FrameReader reader;
   const std::string wire = raw_prefix(0);
   reader.feed(wire.data(), wire.size());
   ipc::FrameType type;
   std::string body;
-  EXPECT_THROW(reader.next(type, body), std::runtime_error);
+  EXPECT_EQ(reader.next(type, body), ipc::ReadOutcome::kBadLength);
 }
 
-TEST(FrameReader, OversizedPrefixThrowsBeforeAllocation) {
+TEST(FrameReader, OversizedPrefixIsBadLengthBeforeAllocation) {
   // 0xffffffff would be a 4 GiB allocation if the reader trusted the
-  // prefix; it must throw from the 4 prefix bytes alone.
+  // prefix; it must be refused from the 4 prefix bytes alone.
   for (const std::uint32_t len :
        {ipc::kMaxFrame + 1, 0x7fffffffu, 0xffffffffu}) {
     ipc::FrameReader reader;
@@ -154,19 +160,27 @@ TEST(FrameReader, OversizedPrefixThrowsBeforeAllocation) {
     reader.feed(wire.data(), wire.size());
     ipc::FrameType type;
     std::string body;
-    EXPECT_THROW(reader.next(type, body), std::runtime_error) << len;
+    EXPECT_EQ(reader.next(type, body), ipc::ReadOutcome::kBadLength) << len;
   }
 }
 
-TEST(FrameReader, UnknownTypeByteThrows) {
+TEST(FrameReader, UnknownTypeByteIsConsumedWhole) {
+  // The length prefix was sound, so the bad frame goes and the stream
+  // stays in sync: the next frame pops intact.
   for (const std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{7},
                                  std::uint8_t{0x42}, std::uint8_t{0xff}}) {
     ipc::FrameReader reader;
-    const std::string wire = raw_frame(bad, "body");
+    const std::string wire =
+        raw_frame(bad, "body") +
+        raw_frame(static_cast<std::uint8_t>(ipc::FrameType::kTask), "real");
     reader.feed(wire.data(), wire.size());
     ipc::FrameType type;
     std::string body;
-    EXPECT_THROW(reader.next(type, body), std::runtime_error) << int(bad);
+    EXPECT_EQ(reader.next(type, body), ipc::ReadOutcome::kBadType)
+        << int(bad);
+    EXPECT_EQ(reader.next(type, body), ipc::ReadOutcome::kFrame) << int(bad);
+    EXPECT_EQ(type, ipc::FrameType::kTask);
+    EXPECT_EQ(body, "real");
   }
 }
 
@@ -199,18 +213,18 @@ TEST(FrameReader, CompactsUnderLongStream) {
     const std::size_t take = std::min(n, pending.size());
     reader.feed(pending.data(), take);
     pending.erase(0, take);
-    while (reader.next(type, got)) {
+    while (reader.next(type, got) == ipc::ReadOutcome::kFrame) {
       EXPECT_EQ(type, ipc::FrameType::kHeartbeat);
       EXPECT_EQ(got, body);
       ++popped;
     }
   }
   reader.feed(pending.data(), pending.size());
-  while (reader.next(type, got)) ++popped;
+  while (reader.next(type, got) == ipc::ReadOutcome::kFrame) ++popped;
   EXPECT_EQ(popped, 10000u);
 }
 
-// ---- blocking read path (read_frame_outcome) --------------------------
+// ---- blocking read path (read_frame, one reader per socket) -----------
 
 struct SocketPair {
   int fds[2] = {-1, -1};
@@ -229,62 +243,67 @@ struct SocketPair {
   }
 };
 
-TEST(ReadFrameOutcome, ValidFrameRoundTrips) {
+TEST(ReadFrame, ValidFrameRoundTrips) {
   SocketPair sp;
   ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kTask,
                                      "payload", 0),
             ipc::WriteOutcome::kOk);
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kTask);
   EXPECT_EQ(body, "payload");
 }
 
-TEST(ReadFrameOutcome, EofOnClose) {
+TEST(ReadFrame, EofOnClose) {
   SocketPair sp;
   sp.close_writer();
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kEof);
 }
 
-TEST(ReadFrameOutcome, EofOnTruncatedFrame) {
+TEST(ReadFrame, EofOnTruncatedFrame) {
   SocketPair sp;
   const std::string whole =
       raw_frame(static_cast<std::uint8_t>(ipc::FrameType::kTask), "payload");
   sp.write_raw(whole.substr(0, whole.size() - 3));
   sp.close_writer();
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kEof);
 }
 
-TEST(ReadFrameOutcome, BadLengthOnZeroPrefix) {
+TEST(ReadFrame, BadLengthOnZeroPrefix) {
   SocketPair sp;
   sp.write_raw(raw_prefix(0));
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kBadLength);
 }
 
-TEST(ReadFrameOutcome, BadLengthOnOversizedPrefixWithoutAllocating) {
+TEST(ReadFrame, BadLengthOnOversizedPrefixWithoutAllocating) {
   // The 4 GiB prefix must be rejected from the prefix alone — no payload
   // bytes exist to read, so a reader that tried to allocate-and-read
   // would block forever (or OOM); classification must be immediate.
   SocketPair sp;
   sp.write_raw(raw_prefix(0xffffffffu));
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kBadLength);
 }
 
-TEST(ReadFrameOutcome, BadTypeKeepsStreamInSync) {
+TEST(ReadFrame, BadTypeKeepsStreamInSync) {
   // An unknown type byte consumes exactly its frame: the next read must
   // pop the following valid frame — this is what lets the worker answer
   // with a structured Error and keep serving.
@@ -293,11 +312,12 @@ TEST(ReadFrameOutcome, BadTypeKeepsStreamInSync) {
   ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kTask, "real",
                                      0),
             ipc::WriteOutcome::kOk);
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kBadType);
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kTask);
   EXPECT_EQ(body, "real");
@@ -336,9 +356,10 @@ TEST(WriteFrame, LargestLegalBodyRoundTrips) {
     wo = ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kResult, big,
                                   10.0);
   });
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  EXPECT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kFrame);
   writer.join();
   EXPECT_EQ(wo, ipc::WriteOutcome::kOk);
@@ -393,9 +414,10 @@ TEST(WriteFrame, UnboundedPathRoundTrips) {
   SocketPair sp;
   ASSERT_EQ(ipc::write_frame_bounded(sp.fds[1], ipc::FrameType::kError, "e", 0),
             ipc::WriteOutcome::kOk);
+  ipc::FrameReader reader;
   ipc::FrameType type;
   std::string body;
-  ASSERT_EQ(ipc::read_frame_outcome(sp.fds[0], type, body),
+  ASSERT_EQ(ipc::read_frame(sp.fds[0], reader, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kError);
   EXPECT_EQ(body, "e");
@@ -517,7 +539,6 @@ ipc::SetupMsg count_setup() {
   m.formula_dimacs = "p cnf 3 1\n1 -2 0\n";
   m.sampling_set = {0, 2};
   m.pivot = 52;
-  m.formula_vars = 3;
   return m;
 }
 
@@ -547,6 +568,18 @@ TEST(SetupCodec, ValidSetupsRoundTrip) {
   EXPECT_EQ(s.kind, ipc::TaskKind::kSample);
   EXPECT_EQ(s.q, 3);
   EXPECT_EQ(ipc::setup_formula(c).num_vars(), 3);
+}
+
+TEST(SetupCodec, UnusedTrailingVariablesSurviveTheRoundTrip) {
+  // Variables 2..9 occur in no clause; the canonical DIMACS header still
+  // declares all ten, and the worker's formula has all ten.
+  Cnf cnf(10);
+  cnf.add_clause({Lit(0, false), Lit(1, true)});
+  ipc::SetupMsg m = sample_setup();
+  m.formula_dimacs = to_dimacs_canonical_string(cnf);
+  m.sampling_set = {0, 9};
+  const ipc::SetupMsg back = ipc::decode_setup(ipc::encode_setup(m));
+  EXPECT_EQ(ipc::setup_formula(back).num_vars(), 10);
 }
 
 TEST(SetupCodec, SamplingSetCountBeyondThePayloadIsTruncated) {

@@ -127,21 +127,24 @@ TEST(TcpConnect, FramesRoundTripOverRealSockets) {
   EXPECT_EQ(ipc::write_frame_bounded(client, ipc::FrameType::kSetup,
                                      "over-tcp", 5.0),
             ipc::WriteOutcome::kOk);
+  // One frame reader per socket end.
+  ipc::FrameReader server_reader;
+  ipc::FrameReader client_reader;
   ipc::FrameType type;
   std::string body;
-  EXPECT_EQ(ipc::read_frame_outcome(server, type, body),
+  EXPECT_EQ(ipc::read_frame(server, server_reader, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kSetup);
   EXPECT_EQ(body, "over-tcp");
 
   ASSERT_EQ(ipc::write_frame_bounded(server, ipc::FrameType::kReady, "", 0),
             ipc::WriteOutcome::kOk);
-  EXPECT_EQ(ipc::read_frame_outcome(client, type, body),
+  EXPECT_EQ(ipc::read_frame(client, client_reader, type, body),
             ipc::ReadOutcome::kFrame);
   EXPECT_EQ(type, ipc::FrameType::kReady);
 
   ::close(client);
-  EXPECT_EQ(ipc::read_frame_outcome(server, type, body),
+  EXPECT_EQ(ipc::read_frame(server, server_reader, type, body),
             ipc::ReadOutcome::kEof);
   ::close(server);
 }
@@ -226,17 +229,6 @@ TEST(Workerd, RejectsArgumentsItDoesNotKnow) {
 }
 
 // ---- dialed fleet -----------------------------------------------------
-
-/// Same 504-model hashed-mode formula the fleet suite uses: big enough
-/// that both embeddings actually run hashed and the workers solve.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
 
 SamplerPoolOptions inproc_pool_options(std::size_t threads,
                                        std::uint64_t seed) {
@@ -341,7 +333,7 @@ struct Servers {
 };
 
 TEST(TcpFleet, CountMatchesInProcessAcrossWorkerCounts) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   ApproxMcOptions base;
   Rng ref_rng(4242);
   const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
@@ -361,7 +353,7 @@ TEST(TcpFleet, CountMatchesInProcessAcrossWorkerCounts) {
 }
 
 TEST(TcpFleet, SampleStreamsMatchInProcessPool) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 24;
   std::vector<SampleResult> reference;
@@ -386,7 +378,7 @@ TEST(TcpFleet, SampleStreamsMatchInProcessPool) {
 TEST(TcpFleet, KilledConnectionRetriesByteIdentically) {
   // A `kill` ends the whole server process, so each planned kill costs one
   // server for good: start one more than the plan has kills.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 31;
   constexpr std::size_t kRequests = 12;
   std::vector<SampleResult> reference;
@@ -412,7 +404,7 @@ TEST(TcpFleet, KilledConnectionRetriesByteIdentically) {
 TEST(TcpFleet, BatchStreamsMatchSocketpairFleet) {
   // Three-way identity: in-process pool, socketpair fleet, dialed fleet —
   // the exact acceptance gate, on the batch path.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 88;
   std::vector<BatchResult> reference;
   {
@@ -445,7 +437,7 @@ TEST(TcpFleet, EndpointsAloneSelectTheDialedFleet) {
   // the endpoint list, so nothing is spawned and every worker is dialed.
   RemoteWorkerd server;
   ASSERT_TRUE(server.start());
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 404;
   std::vector<SampleResult> reference;
   {
@@ -469,7 +461,7 @@ TEST(TcpFleet, OneWorkerPerEndpointWhateverNumWorkersSays) {
   // endpoints are set.
   RemoteWorkerd server;
   ASSERT_TRUE(server.start({"UNIGEN_WORKERD_HEARTBEAT_S=0.05"}));
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPoolOptions o =
       dialed_pool_options(2, 5, {net::to_string(server.endpoint)});
   o.unigen.fleet.num_workers = 2;
@@ -498,7 +490,7 @@ TEST(TcpFleet, ServersResetBetweenSupervisors) {
   // connections EOF'd) before the second can be accepted.
   Servers servers;
   ASSERT_TRUE(servers.start(2));
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 16;
   std::vector<SampleResult> reference;
@@ -523,7 +515,7 @@ TEST(TcpFleet, DeadServerSurvivedByTheOtherEndpoint) {
   RemoteWorkerd a, b;
   ASSERT_TRUE(a.start());
   ASSERT_TRUE(b.start());
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 61;
   std::vector<SampleResult> reference;
   {
@@ -561,7 +553,7 @@ TEST(TcpFleet, AllServersDeadDegradesGracefully) {
     ASSERT_TRUE(listener.listen("127.0.0.1", 0));
     dead_port = listener.endpoint().port;
   }
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 123;
   std::vector<SampleResult> reference;
   {
@@ -583,7 +575,7 @@ TEST(TcpFleet, SpansArriveTaggedInTheRequestTrace) {
   // process's pid and the attempt ordinal.
   RemoteWorkerd server;
   ASSERT_TRUE(server.start());
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(
       cnf, dialed_pool_options(2, 31, {net::to_string(server.endpoint)}));
   ASSERT_TRUE(pool.prepare());
@@ -612,7 +604,7 @@ TEST(TcpFleet, SpansArriveTaggedInTheRequestTrace) {
 }
 
 TEST(TcpFleet, MalformedEndpointRejectedUpFront) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, dialed_pool_options(2, 9, {"not-an-endpoint"}));
   ASSERT_TRUE(pool.prepare());
   EXPECT_EQ(pool.fleet(), nullptr);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "counting/approxmc.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/sampler_pool.hpp"
@@ -30,17 +31,6 @@ void obs_reset(bool enable) {
   obs::clear_all();
   obs::metrics().reset();
   obs::set_enabled(enable);
-}
-
-/// 504 models over 10 vars — hashed mode, so the whole span ladder
-/// (pool.request → … → bsat.call) actually runs.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
 }
 
 void expect_same_results(const std::vector<SampleResult>& a,
@@ -246,7 +236,7 @@ TEST(ObsMetrics, JsonExportIsVersioned) {
 // --- tracing is byte-invisible to the services -------------------------
 
 TEST(ObsInvariance, PoolStreamsAreByteIdenticalWithTracingOn) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 16;
   obs_reset(false);
@@ -280,7 +270,7 @@ TEST(ObsInvariance, PoolStreamsAreByteIdenticalWithTracingOn) {
 }
 
 TEST(ObsInvariance, ParallelCountIsByteIdenticalWithTracingOn) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   obs_reset(false);
   ApproxMcOptions o;
   o.num_threads = 2;
@@ -302,7 +292,7 @@ TEST(ObsInvariance, ParallelCountIsByteIdenticalWithTracingOn) {
 }
 
 TEST(ObsInvariance, ServerWarmEqualsColdWithTracingOnAndOff) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::size_t kCount = 6;
   // Four runs of the same two-round request sequence: {off, on} × fresh
   // server.  Within a run, round 0 is cold and round 1 warm; all four must
@@ -329,7 +319,7 @@ TEST(ObsInvariance, ServerWarmEqualsColdWithTracingOnAndOff) {
 // --- span-tree shape on a real service run -----------------------------
 
 TEST(ObsSpanTree, PoolRunProducesWellFormedPerRequestTraces) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   obs_reset(true);
   const std::uint64_t dropped_before = obs::dropped_events();
   constexpr std::uint64_t kSeed = 31;

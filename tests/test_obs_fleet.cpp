@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "fault_inject.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/process_fleet.hpp"
@@ -33,15 +34,6 @@ void obs_reset(bool enable) {
   obs::set_enabled(enable);
 }
 
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
-
 SamplerPoolOptions fleet_pool_options(std::uint64_t seed) {
   SamplerPoolOptions o;
   o.num_threads = 2;
@@ -52,7 +44,7 @@ SamplerPoolOptions fleet_pool_options(std::uint64_t seed) {
 }
 
 TEST(ObsFleet, FaultedRequestYieldsOneTraceWithBothAttempts) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 31;
   constexpr std::size_t kRequests = 6;
   obs_reset(true);
@@ -165,7 +157,7 @@ TEST(ObsFleet, FaultedRequestYieldsOneTraceWithBothAttempts) {
 }
 
 TEST(ObsFleet, SupervisorInternalsLandInMetrics) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 55;
   obs_reset(true);
   const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
@@ -196,7 +188,7 @@ TEST(ObsFleet, SupervisorInternalsLandInMetrics) {
 }
 
 TEST(ObsFleet, FleetBytesMatchInProcessWithTracingOn) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 12;
   obs_reset(false);

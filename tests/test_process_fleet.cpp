@@ -3,8 +3,9 @@
 // heartbeat silence, a task that keeps killing its worker is poisoned into
 // the honest partial accounting, a missing worker binary degrades to the
 // in-process pool, a cancelled call leaves the fleet reusable, a deadline
-// cut counts the workers it kills, a fleet count starts no idle pool
-// threads, and starting a fleet writes nothing to its host's environment.
+// cut counts the workers it kills, neither a fleet count nor a fleet
+// session keeps idle pool threads, and starting a fleet writes nothing to
+// its host's environment.
 //
 // All crash/hang scenarios are driven by the deterministic process-level
 // fault plan (UNIGEN_WORKERD_FAULTS, keyed on (task id, attempt)), so they
@@ -34,18 +35,6 @@
 
 namespace unigen {
 namespace {
-
-/// 504 models over 10 vars — above hiThresh(ε=6) and pivot(ε=0.8), so both
-/// the sampling pool and the counter run in hashed mode and the workers
-/// actually solve.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
 
 /// 7 models over 3 vars: an easy case for both the counter and the
 /// sampling pool, which never reach the fleet; selecting the fleet backend
@@ -83,7 +72,7 @@ void expect_same_results(const std::vector<SampleResult>& a,
 }
 
 TEST(ProcessFleet, CountMatchesInProcessAcrossWorkerCounts) {
-  for (const Cnf& cnf : {hashed_mode_formula(), easy_case_formula()}) {
+  for (const Cnf& cnf : {test::hashed_mode_formula(), easy_case_formula()}) {
     ApproxMcOptions base;
     Rng ref_rng(4242);
     const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
@@ -109,7 +98,7 @@ TEST(ProcessFleet, CountMatchesInProcessAcrossWorkerCounts) {
 }
 
 TEST(ProcessFleet, CountSurvivesWorkerKillMidIteration) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   ApproxMcOptions base;
   Rng ref_rng(99);
   const ApproxMcResult reference = approx_count(cnf, base, ref_rng);
@@ -132,7 +121,8 @@ TEST(ProcessFleet, SampleStreamsMatchInProcessPool) {
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 24;
   for (const bool hashed : {true, false}) {
-    const Cnf cnf = hashed ? hashed_mode_formula() : easy_case_formula();
+    const Cnf cnf =
+        hashed ? test::hashed_mode_formula() : easy_case_formula();
     std::vector<SampleResult> reference;
     {
       SamplerPool pool(cnf, inproc_pool_options(2, kSeed));
@@ -166,7 +156,7 @@ TEST(ProcessFleet, SampleStreamsMatchInProcessPool) {
 }
 
 TEST(ProcessFleet, KilledSampleRequestRetriesByteIdentically) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 31;
   constexpr std::size_t kRequests = 12;
   std::vector<SampleResult> reference;
@@ -191,7 +181,7 @@ TEST(ProcessFleet, KilledSampleRequestRetriesByteIdentically) {
 }
 
 TEST(ProcessFleet, HungWorkerIsKilledByHeartbeatSilenceAndReplaced) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 55;
   constexpr std::size_t kRequests = 8;
   std::vector<SampleResult> reference;
@@ -215,7 +205,7 @@ TEST(ProcessFleet, HungWorkerIsKilledByHeartbeatSilenceAndReplaced) {
 }
 
 TEST(ProcessFleet, RepeatedKillsPoisonTheTaskIntoPartialAccounting) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::size_t kRequests = 6;
   // Stream 4 kills its worker on attempts 0, 1 and 2 — every attempt the
   // fleet is willing to make — so the request is poisoned; the other five
@@ -249,7 +239,7 @@ TEST(ProcessFleet, RepeatedKillsPoisonTheTaskIntoPartialAccounting) {
 }
 
 TEST(ProcessFleet, MissingWorkerBinaryFallsBackInProcess) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 123;
   std::vector<SampleResult> reference;
   {
@@ -284,7 +274,7 @@ TEST(ProcessFleet, MissingWorkerBinaryFallsBackInProcess) {
 }
 
 TEST(ProcessFleet, CancelMidCallLeavesFleetReusable) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 400;
   constexpr std::size_t kFirst = 10;
   constexpr std::size_t kSecond = 10;
@@ -336,7 +326,7 @@ TEST(ProcessFleet, CancelMidCallLeavesFleetReusable) {
 TEST(ProcessFleet, DeadlineCutCountsTheWorkersItKills) {
   // Stream 1 hangs and the heartbeat ceiling is far off, so the call's
   // deadline is what ends it: run() kills the hung worker at the cut.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
                          ProcessFaultPlan().sleep_task(1).to_env());
   SamplerPoolOptions o = fleet_pool_options(2, 400);
@@ -367,7 +357,7 @@ TEST(ProcessFleet, FleetCountStartsNoIdlePoolThreads) {
   // on this thread, so it must start no thread of its own.  Iteration 0's
   // first attempt hangs until heartbeat silence kills it, which keeps the
   // count in flight while a watcher samples the thread count.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const ScopedEnv faults("UNIGEN_WORKERD_FAULTS",
                          ProcessFaultPlan().sleep_task(0).to_env());
   const ScopedEnv heartbeat("UNIGEN_WORKERD_HEARTBEAT_S", "0.05");
@@ -392,8 +382,28 @@ TEST(ProcessFleet, FleetCountStartsNoIdlePoolThreads) {
   EXPECT_LE(peak, before);
 }
 
+TEST(ProcessFleet, FleetSessionKeepsNoIdlePoolThreads) {
+  // A hashed session whose fleet comes up serves every request on the
+  // fleet, so prepare releases the threads and engines of the one-time
+  // fan-out, and the session serves byte-identically to a clean pool.
+  const Cnf cnf = test::hashed_mode_formula();
+  std::vector<SampleResult> reference;
+  {
+    SamplerPool pool(cnf, inproc_pool_options(4, 31));
+    reference = pool.sample_many(6);
+  }
+  const int before = thread_count();
+  SamplerPool pool(cnf, fleet_pool_options(4, 31));
+  ASSERT_TRUE(pool.prepare());
+  ASSERT_NE(pool.fleet(), nullptr);
+  EXPECT_EQ(thread_count(), before);
+  expect_same_results(reference, pool.sample_many(6));
+  for (const SamplerPoolWorkerStats& w : pool.stats().workers)
+    EXPECT_EQ(w.solver_rebuilds, 0u);
+}
+
 TEST(ProcessFleet, ExternalKillOfIdleWorkerIsAbsorbed) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 61;
   std::vector<SampleResult> reference;
   {
@@ -416,7 +426,7 @@ TEST(ProcessFleet, ExternalKillOfIdleWorkerIsAbsorbed) {
 }
 
 TEST(ProcessFleet, BatchRequestsMatchInProcessUnderCrashes) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 88;
   std::vector<BatchResult> reference;
   {
@@ -446,7 +456,7 @@ TEST(ProcessFleet, StartLeavesTheHostEnvironmentAlone) {
   const ScopedEnv binary(kSettings[0], nullptr);
   const ScopedEnv faults(kSettings[1], nullptr);
   const ScopedEnv heartbeat(kSettings[2], nullptr);
-  SamplerPool pool(hashed_mode_formula(), fleet_pool_options(2, 5));
+  SamplerPool pool(test::hashed_mode_formula(), fleet_pool_options(2, 5));
   ASSERT_TRUE(pool.prepare());
   ASSERT_NE(pool.fleet(), nullptr);
   for (const SampleResult& r : pool.sample_many(4)) EXPECT_TRUE(r.ok());

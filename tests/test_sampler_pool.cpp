@@ -13,17 +13,6 @@
 namespace unigen {
 namespace {
 
-/// 504 models over 10 vars — comfortably above hiThresh(ε=6) = 89, so the
-/// pool runs in hashed mode and the workers actually solve.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
-
 SamplerPoolOptions pool_options(std::size_t threads, std::uint64_t seed) {
   SamplerPoolOptions o;
   o.num_threads = threads;
@@ -41,7 +30,7 @@ void expect_same_results(const std::vector<SampleResult>& a,
 }
 
 TEST(SamplerPool, HashedModeProducesValidWitnesses) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, pool_options(4, 101));
   ASSERT_TRUE(pool.prepare());
   EXPECT_EQ(pool.prepared().mode, UniGenPrepared::Mode::kHashed);
@@ -64,7 +53,7 @@ TEST(SamplerPool, HashedModeProducesValidWitnesses) {
 }
 
 TEST(SamplerPool, ByteIdenticalAcrossThreadCounts) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 777;
   constexpr std::size_t kRequests = 40;
   std::vector<SampleResult> reference;
@@ -82,7 +71,7 @@ TEST(SamplerPool, ByteIdenticalAcrossThreadCounts) {
 TEST(SamplerPool, StreamsContinueAcrossCalls) {
   // Two calls of 20 on one pool equal one call of 40 on a fresh pool: the
   // request-stream counter is global, not per-call.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool split(cnf, pool_options(3, 55));
   auto first = split.sample_many(20);
   const auto second = split.sample_many(20);
@@ -92,7 +81,7 @@ TEST(SamplerPool, StreamsContinueAcrossCalls) {
 }
 
 TEST(SamplerPool, OneSolverBuildPerWorker) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, pool_options(4, 11));
   ASSERT_TRUE(pool.prepare());
   pool.sample_many(64);
@@ -124,7 +113,7 @@ TEST(SamplerPool, OneSolverBuildPerWorker) {
 }
 
 TEST(SamplerPool, BatchesAreValidDistinctAndDeterministic) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   constexpr std::uint64_t kSeed = 303;
   std::vector<BatchResult> reference;
   {
@@ -199,7 +188,7 @@ TEST(SamplerPool, UnsatModeReportsUnsat) {
 TEST(SamplerPool, CoverageMatchesWitnessSpace) {
   // The parallel path must still be an almost-uniform sampler: over many
   // requests nearly the whole witness space appears.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const auto truth = test::brute_force_models(cnf);
   SamplerPool pool(cnf, pool_options(4, 29));
   ASSERT_TRUE(pool.prepare());
@@ -213,7 +202,7 @@ TEST(SamplerPool, CoverageMatchesWitnessSpace) {
 TEST(SamplerPool, PreparedStateMatchesUniGen) {
   // The pool's one-time phase is the same lines 1–11 UniGen runs: same
   // thresholds and same q for the same seed.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, pool_options(2, 71));
   ASSERT_TRUE(pool.prepare());
   const auto st = pool.stats();
@@ -224,7 +213,7 @@ TEST(SamplerPool, PreparedStateMatchesUniGen) {
 }
 
 TEST(SamplerPool, DegenerateBudgetStampsHonestlyBeforeAnyWork) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   SamplerPool pool(cnf, pool_options(2, 31));
   // A born-expired deadline: every slot reports kTimeout, zero BSAT calls
   // (prepare never ran), and the stream ledger still advances.

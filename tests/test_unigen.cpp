@@ -26,17 +26,6 @@ std::vector<int> witness_key(const Model& m, const std::vector<Var>& vars) {
   return key;
 }
 
-/// A CNF with a solution count comfortably above hiThresh(ε=6) = 89 so the
-/// hashed path is exercised: 10 vars, a few clauses, 504 models.
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
-
 TEST(UniGen, RejectsTooSmallEpsilon) {
   Cnf cnf(3);
   Rng rng(1);
@@ -94,7 +83,7 @@ TEST(UniGen, TrivialModeIsExactlyUniform) {
 }
 
 TEST(UniGen, HashedModeProducesValidWitnesses) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const auto truth = brute_force_models(cnf);
   ASSERT_GT(truth.size(), 89u) << "fixture must exceed hiThresh";
   Rng rng(7);
@@ -118,7 +107,7 @@ TEST(UniGen, HashedModeProducesValidWitnesses) {
 TEST(UniGen, SuccessProbabilityBeatsTheorem1Bound) {
   // Theorem 1 guarantees >= 0.62; the paper observes ~1.  Assert the
   // theorem's bound with margin over a deterministic seed.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(11);
   UniGen sampler(cnf, {}, rng);
   ASSERT_TRUE(sampler.prepare());
@@ -132,7 +121,7 @@ TEST(UniGen, SuccessProbabilityBeatsTheorem1Bound) {
 TEST(UniGen, CoverageOfWitnessSpace) {
   // Almost-uniformity implies every witness has probability >=
   // 1/((1+ε)(|R_F|-1)); with enough draws nearly all witnesses appear.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const auto truth = brute_force_models(cnf);
   Rng rng(13);
   UniGen sampler(cnf, {}, rng);
@@ -151,7 +140,7 @@ TEST(UniGen, CoverageOfWitnessSpace) {
 
 TEST(UniGen, FrequenciesRespectLooseAlmostUniformBand) {
   // Per-witness frequency stays within a widened (1+ε) band of uniform.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const auto truth = brute_force_models(cnf);
   const double r_f = static_cast<double>(truth.size());
   Rng rng(17);
@@ -184,7 +173,7 @@ TEST(UniGen, FrequenciesRespectLooseAlmostUniformBand) {
 }
 
 TEST(UniGen, PrepareIsAmortizedAcrossSamples) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(19);
   UniGen sampler(cnf, {}, rng);
   ASSERT_TRUE(sampler.prepare());
@@ -296,7 +285,7 @@ TEST(UniGen, WarmEngineDrawsTheSameSProjections) {
 }
 
 TEST(UniGen, StatsRecordThresholds) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(31);
   UniGenOptions opts;
   opts.epsilon = 6.0;

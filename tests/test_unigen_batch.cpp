@@ -15,15 +15,6 @@
 namespace unigen {
 namespace {
 
-Cnf hashed_mode_formula() {
-  Cnf cnf(10);
-  cnf.add_clause({Lit(0, false), Lit(1, false), Lit(2, false)});
-  cnf.add_clause({Lit(3, false), Lit(4, true)});
-  cnf.add_clause({Lit(5, false), Lit(6, false), Lit(7, true)});
-  cnf.add_clause({Lit(8, false), Lit(9, false), Lit(0, true)});
-  return cnf;
-}
-
 std::vector<int> key_of(const Model& m) {
   std::vector<int> key;
   for (const auto v : m) key.push_back(static_cast<int>(v));
@@ -57,7 +48,7 @@ TEST(UniGenBatch, TrivialModeBatchIsDistinctAndValid) {
 }
 
 TEST(UniGenBatch, HashedModeBatchIsDistinctAndValid) {
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(3);
   UniGen sampler(cnf, {}, rng);
   ASSERT_TRUE(sampler.prepare());
@@ -78,7 +69,7 @@ TEST(UniGenBatch, HashedModeBatchIsDistinctAndValid) {
 
 TEST(UniGenBatch, BatchRespectsCellBound) {
   // max_batch larger than any cell: batch size is bounded by hiThresh.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(5);
   UniGen sampler(cnf, {}, rng);
   ASSERT_TRUE(sampler.prepare());
@@ -98,7 +89,7 @@ TEST(UniGenBatch, UnsatYieldsEmpty) {
 TEST(UniGenBatch, StatsAccountedLikeSample) {
   // Every batch request is one lines-12–22 run and must be visible in the
   // stats: requested/ok/failed/timed_out, exactly as sample() accounts.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(13);
   UniGen sampler(cnf, {}, rng);
   ASSERT_TRUE(sampler.prepare());
@@ -135,7 +126,7 @@ TEST(UniGenBatch, TimeoutDistinguishedFromEmptyCell) {
   // silently conflated with the ⊥ (empty-cell) outcome.  Every probe
   // faults and a request may make two, so the request's units run out
   // inside accept_cell; neither knob reaches prepare's count.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   Rng rng(19);
   SeededRateFaults faults(1, 1.0);
   UniGenOptions opts;
@@ -157,7 +148,7 @@ TEST(UniGenBatch, ExpiredDeadlineTimesOutBeforeTheFirstProbe) {
   // The wall half of accept_cell's budget check: a request whose deadline
   // has already passed stops before its first probe, as a timeout (not
   // ⊥), with no BSAT call charged.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const std::vector<Var> s = cnf.sampling_set_or_all();
   UniGenOptions opts;
   UniGenPrepared prep;
@@ -180,7 +171,7 @@ TEST(UniGenBatch, ExpiredDeadlineTimesOutBeforeTheFirstProbe) {
 
 TEST(UniGenBatch, BatchCoverageAccumulates) {
   // Batches from many cells eventually cover most of the witness space.
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const auto truth = test::brute_force_models(cnf);
   Rng rng(11);
   UniGen sampler(cnf, {}, rng);
@@ -228,7 +219,7 @@ void expect_same_bytes_as_width1_pool(const Cnf& cnf, std::uint64_t seed,
 }
 
 TEST(UniGenBatch, HashedUniGenEqualsWidthOnePool) {
-  expect_same_bytes_as_width1_pool(hashed_mode_formula(), 41,
+  expect_same_bytes_as_width1_pool(test::hashed_mode_formula(), 41,
                                    /*trivial=*/false);
 }
 
@@ -241,7 +232,7 @@ TEST(UniGenBatch, TrivialUniGenEqualsWidthOnePool) {
 TEST(UniGenBatch, HashedUniGenBuildsOneEngine) {
   // The easy-case check builds the engine; the nested count and every
   // sample run on it (worker 0 of the width-1 pool).
-  const Cnf cnf = hashed_mode_formula();
+  const Cnf cnf = test::hashed_mode_formula();
   const std::uint64_t before = IncrementalBsat::total_constructions();
   Rng rng(47);
   UniGen sampler(cnf, {}, rng);
